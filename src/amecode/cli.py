@@ -46,13 +46,9 @@ def _as_text(payload, indent: int = 0) -> str:
     return f"{pad}{payload}"
 
 
-def _suite_text(report) -> dict:
-    return report.to_dict()
-
-
 def cmd_suite(args) -> int:
     ctx = SuiteContext(conductor=args.conductor, seed=args.seed, cap=args.cap)
-    report = run_suite(args.name, ctx, parallel=args.parallel)
+    report = run_suite(args.name, ctx)
     d = report.to_dict()
     if args.format == "text":
         for c in d["checks"]:
@@ -116,8 +112,7 @@ def cmd_group(args) -> int:
                "generator_entries_match": match, "passed": ok}, args)
         return 0 if ok else 1
     if args.group_cmd == "verify-local-symmetry":
-        rep = local_symmetry_report(args.conductor, seed=args.seed,
-                                    exhaustive_fix_check=not args.sample_only)
+        rep = local_symmetry_report(args.conductor, seed=args.seed)
         ok = rep.operator_order == 5832
         _emit({**asdict(rep), "expected_operator_order": 5832,
                "orders_consistent": rep.orders_consistent, "passed": ok}, args)
@@ -191,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--conductor", type=int, default=12)
     s.add_argument("--cap", type=int, default=None)
-    s.add_argument("--parallel", action="store_true",
-                   help="run independent checks concurrently; report order is unchanged")
     s.set_defaults(fn=cmd_suite)
 
     s = sub.add_parser("ingest", help="validate and describe a data file", parents=[common])
@@ -221,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         v.add_argument("--cap", type=int, default=None)
         v.add_argument("--seed", type=int, default=0)
         v.add_argument("--conductor", type=int, default=12)
-        if name == "verify-local-symmetry":
-            v.add_argument("--sample-only", action="store_true")
     s.set_defaults(fn=cmd_group)
 
     s = sub.add_parser("invariants", help="evaluate or test the invariants")

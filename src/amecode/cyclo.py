@@ -16,6 +16,9 @@ from functools import lru_cache
 from math import gcd, lcm
 
 
+_FLOAT_SAFE_BITS = 1000  # integers below 2**1000 convert to float, with headroom for sums
+
+
 class ConductorMismatch(ValueError):
     """Arithmetic between elements of different fields is rejected, not coerced."""
 
@@ -300,13 +303,21 @@ class Cyclotomic:
         return self.conj() == self
 
     def to_complex(self) -> complex:
-        """Float embedding at zeta = exp(2*pi*i/N)."""
+        """Float embedding at zeta = exp(2*pi*i/N).
+
+        Numerators and denominator too long for a float are first divided
+        by one power of two (integer true division, correctly rounded).
+        Scaling by a power of two does not change float rounding, so the
+        result is the same as without it wherever that would not
+        overflow."""
         f = _field(self.n)
+        bits = max(abs(c).bit_length() for c in self.coeffs + (self.den,))
+        scale = 1 << max(0, bits - _FLOAT_SAFE_BITS)
         acc = 0j
         for c, w in zip(self.coeffs, f.root_pows):
             if c:
-                acc += c * w
-        return acc / self.den
+                acc += (c / scale) * w
+        return acc / (self.den / scale)
 
     def embed(self, m: int) -> Cyclotomic:
         """Image in Q(zeta_M) for N | M, via zeta_N -> zeta_M^(M/N)."""

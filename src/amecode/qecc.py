@@ -14,7 +14,7 @@ from math import prod
 
 from .cyclo import Cyclotomic
 from .linalg import Matrix
-from .tensor import (LocalOperator, PureState, apply, inner, orthonormalize,
+from .tensor import (LocalOperator, PackedBasis, PureState, inner, orthonormalize,
                      partial_trace)
 
 
@@ -22,7 +22,7 @@ class CodeSubspace:
     """Orthonormal exact basis of a subspace with claimed parameters
     ((n, K, d))_D."""
 
-    __slots__ = ("n_sites", "local_dim", "basis", "claimed_d")
+    __slots__ = ("n_sites", "local_dim", "basis", "claimed_d", "_packed")
 
     def __init__(self, n_sites: int, local_dim: int, basis, claimed_d: int | None = None):
         basis = tuple(basis)
@@ -42,6 +42,7 @@ class CodeSubspace:
         object.__setattr__(self, "local_dim", local_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "claimed_d", claimed_d)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, *a):
         raise AttributeError("CodeSubspace is immutable")
@@ -53,6 +54,13 @@ class CodeSubspace:
     @property
     def conductor(self) -> int:
         return self.basis[0].n
+
+    @property
+    def packed(self) -> PackedBasis:
+        """The basis packed once for matrix elements of product operators."""
+        if self._packed is None:
+            object.__setattr__(self, "_packed", PackedBasis(self.basis))
+        return self._packed
 
     def contains(self, v: PureState) -> bool:
         w = v
@@ -157,9 +165,7 @@ def kl_check(code: CodeSubspace, d: int, errors=None) -> KLReport:
     if errors is None:
         errors = pauli_error_basis(code.n_sites, code.local_dim, d - 1,
                                    conductor=code.conductor)
-    basis = code.basis
-    k = len(basis)
-    zero = Cyclotomic.zero(code.conductor)
+    k = code.dimension
     is_code = True
     is_pure = True
     c_table: dict = {}
@@ -167,8 +173,7 @@ def kl_check(code: CodeSubspace, d: int, errors=None) -> KLReport:
     for e in errors:
         if e.weight >= d:
             continue
-        images = [apply(e.op, u) for u in basis]
-        table = [[inner(basis[i], images[j]) for j in range(k)] for i in range(k)]
+        table = code.packed.matrix_elements(e.op)
         consistent = True
         c = table[0][0]
         for i in range(k):

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
-from .cyclo import Cyclotomic, sqrt_of_rational
+import numpy as np
+
+from .cyclo import ConductorMismatch, Cyclotomic, _field, sqrt_of_rational
 from .linalg import Matrix
 
 
@@ -31,7 +33,7 @@ def _check_dims(a, b):
 class PureState:
     """Exact amplitude tensor over n qudit sites."""
 
-    __slots__ = ("n", "dims", "amps", "_hash")
+    __slots__ = ("n", "dims", "amps", "_hash", "_packed")
 
     def __init__(self, n: int, dims, amps):
         dims = tuple(int(d) for d in dims)
@@ -42,6 +44,7 @@ class PureState:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, *a):
         raise AttributeError("PureState is immutable")
@@ -294,34 +297,219 @@ def _canon_inv(f: Matrix) -> tuple[Cyclotomic, Matrix]:
     return _canon_factor(f.inv())
 
 
-def apply(op: LocalOperator, v: PureState) -> PureState:
-    """(scalar * tensor of factors)|v>, contracted site by site."""
+# -- packed exact kernel ---------------------------------------------------
+#
+# A stack of S states packs into one integer array of shape (S, *dims, deg):
+# the power-basis numerators of every amplitude over one common denominator.
+# Multiplying by a field element is then an integer deg x deg matrix built
+# from the reduced powers of zeta, a d x d factor acts on its site through
+# one integer (d*deg) x (d*deg) matrix, and a product operator is one matmul
+# per non-identity site plus one for a scalar other than 1.  Before every
+# contraction the largest sum it can form is bounded; arrays are int64 while
+# that bound stays below 2**62 and Python ints (dtype=object, still exact)
+# beyond it.
+
+_INT64_SAFE = 1 << 62
+_FIX_CHUNK = 32  # operators whose images fixed_by holds at once (bounds peak memory)
+
+
+def _max_abs(x) -> int:
+    return int(np.abs(x).max()) if x.size else 0
+
+
+def _compact(x):
+    """x as int64 when its entries allow, else as Python ints."""
+    return x.astype(np.int64 if _max_abs(x) < _INT64_SAFE else object)
+
+
+def _col_bound(m) -> int:
+    """Largest absolute column sum of m: |(x @ m)| <= it * max|x|."""
+    return int(np.abs(m.astype(object)).sum(axis=-2).max())
+
+
+def _matmul(x, m, m_bound: int):
+    """Exact x @ m, where m_bound is _col_bound(m)."""
+    dtype = np.int64 if m_bound * _max_abs(x) < _INT64_SAFE else object
+    return np.matmul(x.astype(dtype, copy=False), m.astype(dtype, copy=False))
+
+
+def _scaled(x, k: int):
+    """Exact k * x for a Python int k."""
+    dtype = np.int64 if k * _max_abs(x) < _INT64_SAFE else object
+    return x.astype(dtype, copy=False) * k
+
+
+@lru_cache(maxsize=None)
+def _structure(n: int):
+    """(T, C) for conductor n: T[t, u] is the coefficient vector of
+    zeta^(t+u), so a product of coefficient vectors x, y is
+    sum x[t] y[u] T[t, u]; x @ C is the complex conjugate of x."""
+    f = _field(n)
+    deg = f.degree
+    t = np.array([[f.powers[i + j] for j in range(deg)] for i in range(deg)], dtype=object)
+    c = np.array([f.powers[(j * (n - 1)) % n] for j in range(deg)], dtype=object)
+    return t.reshape(deg, deg, deg), _compact(c)
+
+
+@lru_cache(maxsize=1 << 12)
+def _action(f: Matrix):
+    """(A, den, bound, identity): the factor f acts on the packed amplitudes
+    of its site, flattened to (basis index, power) pairs, as x @ A / den."""
+    t = _structure(f.n)[0]
+    deg = t.shape[0]
+    d = f.shape[0]
+    den = lcm(*(e.den for row in f.rows for e in row))
+    a = np.zeros((d, deg, d, deg), dtype=object)
+    for i, row in enumerate(f.rows):
+        for k, e in enumerate(row):
+            if not e.is_zero():
+                c = np.array(e.coeffs, dtype=object) * (den // e.den)
+                a[k, :, i, :] = np.tensordot(c, t, axes=(0, 0))
+    a = a.reshape(d * deg, d * deg)
+    return _compact(a), den, _col_bound(a), f.is_identity()
+
+
+@lru_cache(maxsize=1 << 12)
+def _scalar_action(c: Cyclotomic):
+    return _action(Matrix(c.n, [[c]]))
+
+
+def _pack(v: PureState):
+    """(x, den): v's amplitudes as numerators of shape (*dims, deg) over
+    one denominator; computed once per state and read-only."""
+    packed = v._packed
+    if packed is None:
+        den = lcm(*(a.den for a in v.amps))
+        rows = [[c * (den // a.den) for c in a.coeffs] for a in v.amps]
+        x = _compact(np.array(rows, dtype=object)).reshape(v.dims + (-1,))
+        x.flags.writeable = False
+        packed = (x, den)
+        object.__setattr__(v, "_packed", packed)
+    return packed
+
+
+def _unpack(n: int, dims, x, den: int) -> PureState:
+    return PureState(n, dims, [Cyclotomic(n, c, den)
+                               for c in x.reshape(-1, x.shape[-1]).tolist()])
+
+
+def _check_operands(op: LocalOperator, v: PureState):
     if op.dims != v.dims:
         raise DimensionMismatch(f"operator dims {op.dims} vs state dims {v.dims}")
-    amps = list(v.amps)
-    zero = Cyclotomic.zero(v.n)
-    for pos, f in enumerate(op.factors):
-        if f.is_identity():
+    if op.n != v.n:
+        raise ConductorMismatch(f"operator conductor {op.n} vs state conductor {v.n}")
+
+
+def _apply_packed(ops, x, den: int):
+    """Images of packed states under product operators.
+
+    x holds S states, shape (S, *dims, deg), over the denominator den; ops
+    holds C operators.  S and C pair up as in np.matmul (equal, or one of
+    them 1).  Returns the images, whose leading axis broadcasts to
+    max(S, C), and the denominator of each operator's images."""
+    dens = [den] * len(ops)
+    # the scalar acts as a 1 x 1 factor on one more site, of dimension 1
+    sites = x.ndim - 2
+    x = x[..., None, :]
+    for pos in range(sites + 1):
+        acts = [_action(op.factors[pos]) if pos < sites else _scalar_action(op.scalar)
+                for op in ops]
+        if all(a[3] for a in acts):
             continue
-        d = v.dims[pos]
-        inner_sz = prod(v.dims[pos + 1:])
-        outer_sz = prod(v.dims[:pos])
-        block = d * inner_sz
-        rows = f.rows
-        for o in range(outer_sz):
-            base = o * block
-            for r in range(inner_sz):
-                idx = [base + k * inner_sz + r for k in range(d)]
-                vals = [amps[i] for i in idx]
-                for i_new in range(d):
-                    acc = zero
-                    for k, coeff in enumerate(rows[i_new]):
-                        if not (coeff.is_zero() or vals[k].is_zero()):
-                            acc = acc + coeff * vals[k]
-                    amps[idx[i_new]] = acc
-    if op.scalar != Cyclotomic.one(v.n):
-        amps = [op.scalar * a for a in amps]
-    return PureState(v.n, v.dims, amps)
+        y = np.moveaxis(x, pos + 1, -2)
+        shape = y.shape
+        y = _matmul(y.reshape(shape[0], -1, shape[-2] * shape[-1]),
+                    np.stack([a[0] for a in acts]), max(a[2] for a in acts))
+        x = np.moveaxis(y.reshape(y.shape[:1] + shape[1:]), -2, pos + 1)
+        dens = [dn * a[1] for dn, a in zip(dens, acts)]
+    return x[..., 0, :], dens
+
+
+def apply(op: LocalOperator, v: PureState) -> PureState:
+    """(scalar * tensor of factors)|v>, by the packed kernel."""
+    _check_operands(op, v)
+    x, den = _pack(v)
+    images, dens = _apply_packed([op], x[None], den)
+    return _unpack(v.n, v.dims, images[0], dens[0])
+
+
+def fixed_by(ops, v: PureState) -> list[bool]:
+    """For each operator g, whether g|v> == |v> exactly.  Images are formed
+    _FIX_CHUNK operators at a time and compared with v by
+    cross-multiplication, without building any field element."""
+    ops = list(ops)
+    for op in ops:
+        _check_operands(op, v)
+    x, den = _pack(v)
+    out = []
+    for start in range(0, len(ops), _FIX_CHUNK):
+        part = ops[start:start + _FIX_CHUNK]
+        images, dens = _apply_packed(part, x[None], den)
+        images = np.broadcast_to(images, (len(part),) + x.shape)
+        out.extend(np.array_equal(_scaled(img, den), _scaled(x, dn))
+                   for img, dn in zip(images, dens))
+    return out
+
+
+class PackedBasis:
+    """States u_1..u_K on one dims and conductor, packed once, for the
+    matrix elements <u_i| g |u_j> of many product operators g."""
+
+    __slots__ = ("n", "dims", "states", "x", "den", "_bra", "_bra_bound")
+
+    def __init__(self, states):
+        states = tuple(states)
+        if not states:
+            raise ValueError("empty basis")
+        n, dims = states[0].n, states[0].dims
+        for v in states:
+            if v.dims != dims or v.n != n:
+                raise ValueError("basis states must share dims and conductor")
+        packs = [_pack(v) for v in states]
+        den = lcm(*(d for _, d in packs))
+        x = np.stack([_scaled(p, den // d).astype(object) for p, d in packs])
+        t, conj = _structure(n)
+        deg = t.shape[0]
+        # bra[(a, u), (i, s)] = sum_t conj(u_i)[a, t] T[t, u, s], so that
+        # (w @ bra)[i, s] are the coefficients of <u_i|w> times den
+        bra = np.tensordot(np.matmul(x, conj.astype(object)), t, axes=([-1], [0]))
+        bra = bra.reshape(len(states), -1, deg, deg).transpose(1, 2, 0, 3)
+        bra = bra.reshape(-1, len(states) * deg)
+        self.n, self.dims, self.states, self.den = n, dims, states, den
+        self.x = _compact(x)
+        self._bra, self._bra_bound = _compact(bra), _col_bound(bra)
+
+    def _images(self, op: LocalOperator):
+        """op|u_j> for every j, flattened to shape (K, amps * deg), and
+        their denominator."""
+        _check_operands(op, self.states[0])
+        images, dens = _apply_packed([op], self.x, self.den)
+        return images.reshape(len(self.states), -1), dens[0]
+
+    def _table(self, w, den: int) -> list[list[Cyclotomic]]:
+        k = len(self.states)
+        vals = _matmul(w, self._bra, self._bra_bound).reshape(k, k, -1).tolist()
+        den *= self.den
+        return [[Cyclotomic(self.n, vals[j][i], den) for j in range(k)] for i in range(k)]
+
+    def matrix_elements(self, op: LocalOperator) -> list[list[Cyclotomic]]:
+        """The K x K table [<u_i| op |u_j>]; field elements are built only
+        for its entries."""
+        return self._table(*self._images(op))
+
+    def restriction(self, op: LocalOperator):
+        """(table, norms): the matrix_elements table and <op u_j|op u_j>
+        for every j.  For an orthonormal basis, op|u_j> lies in the span
+        exactly when sum_i |table[i][j]|^2 equals norms[j]."""
+        w, den = self._images(op)
+        t, conj = _structure(self.n)
+        deg = t.shape[0]
+        w3 = w.reshape(len(self.states), -1, deg)
+        cw = _matmul(w3, conj, _col_bound(conj))
+        gram = _matmul(cw.transpose(0, 2, 1), w3, w3.shape[1] * _max_abs(w3))
+        t2 = t.reshape(deg * deg, deg)
+        norms = _matmul(gram.reshape(len(self.states), -1), t2, _col_bound(t2)).tolist()
+        return self._table(w, den), [Cyclotomic(self.n, c, den * den) for c in norms]
 
 
 class DensityOperator:

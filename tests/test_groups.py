@@ -170,12 +170,13 @@ def test_local_symmetry_conjugate_restriction_form(local_sym, code332):
 
 
 def test_local_symmetry_report():
-    rep = local_symmetry_report(sample_size=50, seed=3, exhaustive_fix_check=False)
+    rep = local_symmetry_report(sample_size=50, seed=3)
     assert rep.operator_order == 1944
     assert rep.normalizer_order == 5832
     assert rep.scalar_kernel_order == 3
     assert rep.orders_consistent
     assert rep.generators_fix_state
+    assert rep.all_elements_fix_state is True
     assert rep.sample_has_restriction_form
 
 

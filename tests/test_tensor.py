@@ -1,16 +1,64 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from amecode import catalog
-from amecode.cyclo import Cyclotomic, root_of_unity
+from amecode.cyclo import ConductorMismatch, Cyclotomic, root_of_unity
 from amecode.linalg import Matrix
+from amecode.qecc import pauli_error_basis
 from amecode.tensor import (DensityOperator, DimensionMismatch, LocalOperator,
-                            PureState, apply, contract_site, inner, matricize,
-                            orthonormalize, partial_trace)
+                            PackedBasis, PureState, apply, contract_site,
+                            fixed_by, inner, matricize, orthonormalize,
+                            partial_trace)
 
 N = 12
+
+
+def reference_apply(op, v):
+    """The term-by-term field arithmetic the packed kernel replaced: each
+    non-identity factor contracted against its site, amplitude by
+    amplitude, then the scalar."""
+    amps = list(v.amps)
+    zero = Cyclotomic.zero(v.n)
+    for pos, f in enumerate(op.factors):
+        if f.is_identity():
+            continue
+        d = v.dims[pos]
+        inner_sz = prod(v.dims[pos + 1:])
+        outer_sz = prod(v.dims[:pos])
+        block = d * inner_sz
+        for o in range(outer_sz):
+            base = o * block
+            for r in range(inner_sz):
+                idx = [base + k * inner_sz + r for k in range(d)]
+                vals = [amps[i] for i in idx]
+                for i_new in range(d):
+                    acc = zero
+                    for k, coeff in enumerate(f.rows[i_new]):
+                        if not (coeff.is_zero() or vals[k].is_zero()):
+                            acc = acc + coeff * vals[k]
+                    amps[idx[i_new]] = acc
+    if op.scalar != Cyclotomic.one(v.n):
+        amps = [op.scalar * a for a in amps]
+    return PureState(v.n, v.dims, amps)
+
+
+def _random_cyc(rng, n, height=5):
+    deg = len(Cyclotomic.one(n).coeffs)
+    return Cyclotomic(n, [rng.randint(-height, height) for _ in range(deg)],
+                      rng.randint(1, height))
+
+
+def _random_operator(rng, n, dims):
+    """A product operator with generic entries and denominators."""
+    factors = []
+    for d in dims:
+        rows = [[_random_cyc(rng, n) for _ in range(d)] for _ in range(d)]
+        rows[0][0] = Cyclotomic.one(n)  # no zero factor
+        factors.append(Matrix(n, rows))
+    return LocalOperator(n, _random_cyc(rng, n), factors)
 
 
 def test_inner_products_of_code_basis(phi_rowform):
@@ -211,3 +259,99 @@ def test_state_serialization_roundtrip(phi_unit):
     d = phi_unit.to_dict()
     from amecode.serialize import from_dict
     assert from_dict(d) == phi_unit
+
+
+# -- the packed kernel against the reference loop ----------------------------
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_kernel_matches_reference_on_symmetries(local_sym, normalized):
+    phi = catalog.ame_state(normalized=normalized)
+    # amplitudes 1/3 (normalized) or 1/sqrt(3) = (2z - z^3)/3 (row form)
+    assert phi.norm_sq() == (1 if normalized else 3)
+    sample = local_sym.sample(40, seed=13)
+    for g in sample:
+        assert apply(g, phi) == reference_apply(g, phi)
+    assert fixed_by(sample, phi) == [reference_apply(g, phi) == phi for g in sample]
+
+
+def test_kernel_matches_reference_generic_operators():
+    rng = random.Random(4)
+    v = PureState(N, (2, 3, 2), [_random_cyc(rng, N) for _ in range(12)])
+    for _ in range(10):
+        g = _random_operator(rng, N, v.dims)
+        assert apply(g, v) == reference_apply(g, v)
+    ops = [_random_operator(rng, N, v.dims) for _ in range(5)]
+    ops.append(LocalOperator.identity(v.dims, N))
+    assert fixed_by(ops, v) == [False] * 5 + [True]
+
+
+def test_kernel_conductor_24_qubit_code():
+    code = catalog.code_442()
+    assert code.conductor == 24 and len(Cyclotomic.one(24).coeffs) == 8
+    rng = random.Random(6)
+    ops = [e.op for e in pauli_error_basis(4, 2, 2, conductor=24)]
+    ops += [_random_operator(rng, 24, (2,) * 4) for _ in range(4)]
+    for g in ops:
+        for u in code.basis:
+            assert apply(g, u) == reference_apply(g, u)
+
+
+def test_kernel_conductor_36_special_unitary_factors():
+    basis = [u.embed(36) for u in catalog.code_basis()]
+    for trip in catalog.coset_representative_su_factors(36):
+        g = LocalOperator(36, 1, list(trip))
+        for u in basis:
+            assert apply(g, u) == reference_apply(g, u)
+
+
+def test_kernel_large_numerators_stay_exact():
+    # numerators near 2**61: the first contraction's bound passes 2**62, so
+    # the kernel must switch to Python ints instead of wrapping around
+    rng = random.Random(8)
+    big = 1 << 61
+    amps = [Cyclotomic(N, [big - rng.randrange(1000) for _ in range(4)], 1)
+            for _ in range(9)]
+    v = PureState(N, (3, 3), amps)
+    f = Matrix(N, [[1, 1, 1], [1, root_of_unity(4, N), root_of_unity(8, N)],
+                   [1, root_of_unity(8, N), root_of_unity(4, N)]])
+    g = LocalOperator(N, 3, [f, f])
+    image = apply(g, v)
+    assert image == reference_apply(g, v)
+    assert max(abs(c) for a in image.amps for c in a.coeffs) > 1 << 63
+    assert fixed_by([g], v) == [False]
+
+
+def test_kernel_rejects_mismatched_operands():
+    v = catalog.ket("01", 3, N)
+    with pytest.raises(DimensionMismatch):
+        apply(LocalOperator.identity((3, 3, 3), N), v)
+    with pytest.raises(ConductorMismatch):
+        apply(LocalOperator.identity((3, 3), 24), v)
+
+
+def test_packed_table_matches_inner_for_every_error(code332):
+    packed = PackedBasis(code332.basis)
+    errors = pauli_error_basis(3, 3, 3)
+    assert len(errors) == 729
+    for e in errors:
+        images = [reference_apply(e.op, u) for u in code332.basis]
+        table = [[inner(ui, w) for w in images] for ui in code332.basis]
+        assert packed.matrix_elements(e.op) == table
+
+
+def test_packed_basis_generic_states():
+    # complex amplitudes and mixed denominators, so the conjugation of the
+    # bras and the common denominator both matter
+    rng = random.Random(9)
+    dims = (3, 2)
+    states = [PureState(N, dims, [_random_cyc(rng, N) for _ in range(6)])
+              for _ in range(3)]
+    packed = PackedBasis(states)
+    for _ in range(5):
+        g = _random_operator(rng, N, dims)
+        images = [reference_apply(g, u) for u in states]
+        table, norms = packed.restriction(g)
+        assert table == [[inner(u, w) for w in images] for u in states]
+        assert packed.matrix_elements(g) == table
+        assert norms == [inner(w, w) for w in images]
