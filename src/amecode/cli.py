@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
-I/O error.  Reports are printed as text by default or JSON with --format
-json; --out writes to a file instead of stdout.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage,
+input or I/O error (a closure that exceeds its cap included).  Reports are
+printed as text by default or JSON with --format json; --out writes to a
+file instead of stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from . import serialize
+from .groups import ClosureCapExceeded
 from .suites import SUITES, SuiteContext, run_suite
 
 
@@ -249,7 +251,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (serialize.IngestError, OSError, ValueError, KeyError) as exc:
+    except (serialize.IngestError, OSError, ValueError, KeyError,
+            ClosureCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

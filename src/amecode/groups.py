@@ -5,18 +5,21 @@ symmetry group of the perfect tensor, which has 1944 elements as product
 operators: the normalizer maps onto it 3-to-1 (see local_symmetry_group).
 
 Closure is breadth-first over canonical forms (plain entries for dense
-gates, scalar-plus-leading-1 factors for product operators), so element
-sets are exact and enumeration order is deterministic.
+gates, scalar-plus-leading-1 factors for product operators, searched as
+small-integer keys), so element sets are exact and enumeration order is
+deterministic.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from .cyclo import Cyclotomic, root_of_unity
 from .linalg import Matrix
-from .tensor import LocalOperator, PureState, fixed_by
+from .tensor import DimensionMismatch, LocalOperator, PureState, _canon_mul, fixed_by
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -73,31 +76,119 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
     """Breadth-first multiplicative closure of the generators.
 
     Elements must be hashable with exact equality and support * and inv().
-    Raises ClosureCapExceeded if more than `cap` elements appear, which
-    signals a non-finite or mis-specified group.
+    Product operators are searched as integer keys (see _ProductTable) and
+    built once at the end; other elements are their own keys.  Raises
+    ClosureCapExceeded if more than `cap` elements appear, which signals a
+    non-finite or mis-specified group.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    ident = gens[0] * gens[0].inv()
+    if isinstance(gens[0], LocalOperator):
+        table = _ProductTable(gens)
+        key, mul, element = table.key, table.mul, table.element
+    else:
+        key = element = _same
+        mul = operator.mul
+    ident = key(gens[0] * gens[0].inv())
+    gkeys = [key(g) for g in gens]
     elements: dict = {ident: None}
     frontier = []
-    for g in gens:
+    for g in gkeys:
         if g not in elements:
             elements[g] = None
             frontier.append(g)
     while frontier:
         nxt = []
         for h in frontier:
-            for g in gens:
-                p = h * g
+            for g in gkeys:
+                p = mul(h, g)
                 if p not in elements:
                     if len(elements) >= cap:
                         raise ClosureCapExceeded(f"closure exceeded cap {cap}")
                     elements[p] = None
                     nxt.append(p)
         frontier = nxt
-    return MatrixGroup(tuple(gens), tuple(elements.keys()), cap)
+    return MatrixGroup(tuple(gens), tuple(map(element, elements)), cap)
+
+
+def _same(x):
+    return x
+
+
+class _LazyTable(dict):
+    """A dict that fills a missing (a, b) entry with fill(a, b)."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, ab):
+        value = self[ab] = self.fill(*ab)
+        return value
+
+
+class _ProductTable:
+    """Small-integer keys for the product operators of one closure.
+
+    A key is (scalar id, factor id per site); scalars and canonical factors
+    get ids as they first appear, so equal operators have equal keys.  The
+    product of two keys is read from two lazily filled tables: factor ids
+    (a, b) -> (lead scalar id, id of the canonical factor of a*b), and
+    scalar ids (a, b) -> id of a*b.  Both groups of the paper use at most
+    216 factors per site and 42 scalars, so nearly every product is a
+    lookup."""
+
+    def __init__(self, gens):
+        first = gens[0]
+        for g in gens:
+            if not isinstance(g, LocalOperator):
+                raise TypeError(f"cannot close {type(g).__name__} with product operators")
+            if g.dims != first.dims or g.n != first.n:
+                raise DimensionMismatch("operator product shape/conductor mismatch")
+        self.n = first.n
+        self.scalars, self._scalar_ids = [], {}
+        self.factors, self._factor_ids = [], {}
+        self._scalar_mul = _LazyTable(self._mul_scalars)
+        self._factor_mul = _LazyTable(self._mul_factors)
+
+    @staticmethod
+    def _intern(x, items: list, ids: dict) -> int:
+        i = ids.get(x)
+        if i is None:
+            i = ids[x] = len(items)
+            items.append(x)
+        return i
+
+    def _scalar_id(self, c: Cyclotomic) -> int:
+        return self._intern(c, self.scalars, self._scalar_ids)
+
+    def _factor_id(self, f: Matrix) -> int:
+        return self._intern(f, self.factors, self._factor_ids)
+
+    def _mul_scalars(self, a: int, b: int) -> int:
+        return self._scalar_id(self.scalars[a] * self.scalars[b])
+
+    def _mul_factors(self, a: int, b: int) -> tuple[int, int]:
+        lead, f = _canon_mul(self.factors[a], self.factors[b])
+        return self._scalar_id(lead), self._factor_id(f)
+
+    def key(self, g: LocalOperator) -> tuple:
+        return (self._scalar_id(g.scalar), *map(self._factor_id, g.factors))
+
+    def element(self, k: tuple) -> LocalOperator:
+        return LocalOperator(self.n, self.scalars[k[0]],
+                             [self.factors[i] for i in k[1:]], _canonical=True)
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        scalar_mul, factor_mul = self._scalar_mul, self._factor_mul
+        s = scalar_mul[x[0], y[0]]
+        factors = []
+        for ab in zip(x[1:], y[1:]):
+            lead, f = factor_mul[ab]
+            s = scalar_mul[s, lead]
+            factors.append(f)
+        return (s, *factors)
 
 
 # -- complex reflections and the gate group ---------------------------------
@@ -136,7 +227,13 @@ def weyl_generators(n: int = 12) -> tuple[Matrix, Matrix, Matrix]:
 
 
 def weyl_group(n: int = 12, cap: int = 6480) -> MatrixGroup:
-    """Closure of the three reflection generators; order 648."""
+    """Closure of the three reflection generators; order 648.  Built once
+    per (conductor, cap) in a process."""
+    return _weyl_group(n, cap)
+
+
+@cache
+def _weyl_group(n: int, cap: int) -> MatrixGroup:
     return closure(weyl_generators(n), cap=cap)
 
 
@@ -256,7 +353,13 @@ def local_symmetry_group(n: int = 12, cap: int = 58320) -> MatrixGroup:
 def normalizer_group_332(n: int = 12, cap: int = 58320) -> MatrixGroup:
     """The group of three-site product operators preserving the code:
     closure of the two stabilizer generators and the three coset
-    representatives; order 5832 = 648 * 9."""
+    representatives; order 5832 = 648 * 9.  Built once per (conductor, cap)
+    in a process."""
+    return _normalizer_group_332(n, cap)
+
+
+@cache
+def _normalizer_group_332(n: int, cap: int) -> MatrixGroup:
     from . import catalog
     gens = [catalog.xxx(3, 3, n), catalog.zzz(3, 3, n),
             *catalog.coset_representatives(n)]
@@ -384,8 +487,10 @@ def sl_factorable(op: LocalOperator) -> bool:
 def centralizer_containment_check(n: int = 12) -> CentralizerReport:
     """Consistency facts for the stabilizer group acting on the code: all
     nine elements fix the basis pointwise, each is a phase times a
-    determinant-1 product, and 5832/648 == 9.  The converse inclusion (no
-    other determinant-1 products fix the code) is not re-derived here."""
+    determinant-1 product, and its order times the order of the reflection
+    group equals the order of the normalizer (9 * 648 == 5832), all three
+    computed by closure.  The converse inclusion (no other determinant-1
+    products fix the code) is not re-derived here."""
     from . import catalog
     x3, z3 = catalog.xxx(3, 3, n), catalog.zzz(3, 3, n)
     group = closure([x3, z3], cap=90)
@@ -398,5 +503,6 @@ def centralizer_containment_check(n: int = 12) -> CentralizerReport:
         fixes_code_pointwise=fixes,
         special_linear_factorable=slfac,
         generators_commute=commute,
-        order_matches_quotient=(5832 // 648 == 9 and group.order * 648 == 5832),
+        order_matches_quotient=(
+            group.order * weyl_group(n).order == normalizer_group_332(n).order),
     )

@@ -105,11 +105,6 @@ class Fingerprint:
     branch: str
     ratios: tuple
 
-    def __eq__(self, other):
-        if not isinstance(other, Fingerprint):
-            return NotImplemented
-        return self.branch == other.branch and self.ratios == other.ratios
-
 
 def invariant_ratio_fingerprint(point: CartanPoint) -> Fingerprint:
     """(i9^2/i6^3, i12/i6^2) when i6 != 0; labeled degenerate branches

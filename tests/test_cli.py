@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from amecode.cli import main
+from amecode.linalg import Matrix
 from amecode.serialize import shipped_path
 from amecode.suites import SUITES, SuiteContext, run_suite
+from amecode.tensor import LocalOperator
 
 
 def _strip_elapsed(report: dict) -> dict:
@@ -85,6 +87,16 @@ def test_cli_group_close(capsys):
                  "--cap", "6480"])
     assert code == 0
     assert "order: 648" in capsys.readouterr().out
+
+
+def test_cli_group_close_cap_exceeded(tmp_path, capsys):
+    # diag(2, 1, 1) has infinite order: the closure overflows its cap
+    op = LocalOperator(12, 1, [Matrix(12, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])])
+    gens = tmp_path / "grow.op"
+    gens.write_text(json.dumps(op.to_dict()))
+    code = main(["group", "close", "--gens", str(gens), "--cap", "40"])
+    assert code == 2
+    assert "error: closure exceeded cap 40" in capsys.readouterr().err
 
 
 def test_cli_group_verify_cosets(capsys):

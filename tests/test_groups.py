@@ -1,20 +1,68 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from amecode import catalog
+from amecode import catalog, groups
 from amecode.cyclo import Cyclotomic, root_of_unity
 from amecode.groups import (ClosureCapExceeded, NotInNormalizer, closure,
                             centralizer_containment_check, fixes_state,
                             has_conjugate_restriction_form, lifts_match,
-                            local_symmetry_report, mu_matrix,
-                            normalizer_group_332, reflection,
+                            local_symmetry_group, local_symmetry_report, mu_matrix,
+                            normalizer_group_332, pauli_group, reflection,
                             sl_factorable, transversal_group,
                             verify_coset_representatives, weyl_generators)
 from amecode.linalg import Matrix
-from amecode.tensor import LocalOperator, apply
+from amecode.tensor import DimensionMismatch, LocalOperator, apply
 
 N = 12
+
+
+def _reference_closure(generators, cap):
+    """Breadth-first closure over the operators themselves, multiplied with
+    LocalOperator.__mul__: the reference for the interned search."""
+    gens = list(generators)
+    elements = {gens[0] * gens[0].inv(): None}
+    frontier = []
+    for g in gens:
+        if g not in elements:
+            elements[g] = None
+            frontier.append(g)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                p = h * g
+                if p not in elements:
+                    if len(elements) >= cap:
+                        raise ClosureCapExceeded(f"closure exceeded cap {cap}")
+                    elements[p] = None
+                    nxt.append(p)
+        frontier = nxt
+    return tuple(elements)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: closure([catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)], cap=90),
+    lambda: pauli_group(3, 2, N),
+    local_symmetry_group,
+    normalizer_group_332,
+], ids=["centralizer-9", "pauli-3-2", "local-symmetry-1944", "normalizer-5832"])
+def test_closure_matches_reference(build):
+    g = build()
+    assert g.elements == _reference_closure(g.generators, g.cap)
+
+
+def test_closure_rejects_infinite_and_mismatched_operators():
+    diag = Matrix(N, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    grow = LocalOperator(N, root_of_unity(1, N), [diag])
+    with pytest.raises(ClosureCapExceeded, match="cap 40"):
+        closure([grow], cap=40)
+    x = catalog.pauli_x(3, N)
+    with pytest.raises(DimensionMismatch):
+        closure([LocalOperator(N, 1, [x, x]), LocalOperator(N, 1, [x, x, x])])
+    with pytest.raises(DimensionMismatch):
+        closure([LocalOperator(N, 1, [x]), LocalOperator(N, 1, [x]).embed(24)])
 
 
 def test_closure_stabilizer_order_9():
@@ -193,8 +241,20 @@ def test_centralizer_containment():
     rep = centralizer_containment_check()
     assert rep.ok
     assert rep.order == 9
+    assert rep.order_matches_quotient
     x3, z3 = catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)
     assert x3 * z3 == z3 * x3  # xi^3 = 1 makes the tensor cubes commute
+
+
+def test_centralizer_quotient_follows_computed_orders(monkeypatch):
+    def group_of_order(k):
+        return lambda n: SimpleNamespace(order=k)
+
+    monkeypatch.setattr(groups, "normalizer_group_332", group_of_order(1944))
+    rep = centralizer_containment_check()
+    assert not rep.order_matches_quotient and not rep.ok
+    monkeypatch.setattr(groups, "weyl_group", group_of_order(216))
+    assert centralizer_containment_check().order_matches_quotient  # 9 * 216 == 1944
 
 
 def test_sl_factorable():

@@ -89,7 +89,9 @@ def test_fingerprint_scale_invariance():
         p = random_rational_point(N, rng)
         f = invariant_ratio_fingerprint(p)
         assert invariant_ratio_fingerprint(p.scale(5)) == f
-        assert invariant_ratio_fingerprint(p.scale(Fraction(-2, 7))) == f
+        g = invariant_ratio_fingerprint(p.scale(Fraction(-2, 7)))
+        assert g == f and hash(g) == hash(f)
+        assert f != (f.branch, f.ratios)
 
 
 def test_fingerprint_constant_on_orbits(weyl):
