@@ -154,8 +154,12 @@ def cmd_invariants(args) -> int:
 
 def cmd_kempfness(args) -> int:
     from .kempfness import FloatState, is_critical, norm_minimization_flow
+    from .tensor import PureState
 
     obj = serialize.ingest(args.file)
+    if not isinstance(obj, PureState):
+        raise serialize.IngestError(
+            f"{args.file}: expected a state, got {serialize.describe(obj)}")
     state = FloatState.from_exact(obj)
     if args.kn_cmd == "critical":
         rep = is_critical(state, tol=args.tol)
@@ -236,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--tol", type=float, default=1e-8)
     f = g.add_parser("flow", parents=[common])
     f.add_argument("--state", dest="file", required=True)
-    f.add_argument("--seed", type=int, default=0)
     f.add_argument("--iters", type=int, default=5000)
     f.add_argument("--tol", type=float, default=1e-7)
     s.set_defaults(fn=cmd_kempfness)

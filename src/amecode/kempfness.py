@@ -9,7 +9,10 @@ renormalization, and a backtracking line search, so the squared norm is
 non-increasing along every run.
 
 This module is deliberately floating point; tolerances default to 1e-8 for
-criticality and 1e-6 for flow convergence.
+criticality and 1e-6 for flow convergence.  The sampled checks work on
+stacks of matrices, but every matrix still goes through its own LAPACK or
+BLAS call, so their floats are those of one matrix at a time, and a single
+matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -92,63 +95,116 @@ class CriticalityReport:
     residual_marginal: float
 
 
+def _lie_residual(rhos, dims) -> float:
+    """Largest |tr(rho_k L_a)| over the sites and the Gell-Mann basis."""
+    res = 0.0
+    for rho, d in zip(rhos, dims):
+        for lam in _gell_mann_cached(d):
+            res = max(res, float(abs(np.trace(rho @ lam))))
+    return res
+
+
 def is_critical(state: FloatState, tol: float = 1e-8) -> CriticalityReport:
     """Evaluate both criticality conditions: vanishing traceless
     expectations (residual_lie) and maximally mixed single-site reductions
     in spectral norm (residual_marginal); critical iff both <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    res_lie = 0.0
+    rhos = site_reductions(state)
+    res_lie = _lie_residual(rhos, state.dims)
     res_marg = 0.0
-    for k, rho in enumerate(site_reductions(state)):
-        d = state.dims[k]
-        for lam in _gell_mann_cached(d):
-            res_lie = max(res_lie, float(abs(np.trace(rho @ lam))))
+    for rho, d in zip(rhos, state.dims):
         dev = rho - np.eye(d) / d
         res_marg = max(res_marg, float(np.max(np.abs(np.linalg.eigvalsh(dev)))))
     return CriticalityReport(bool(res_lie <= tol and res_marg <= tol),
                              res_lie, res_marg)
 
 
-def apply_sitewise(mats, state: FloatState) -> FloatState:
-    t = state.tensor()
-    sites = len(state.dims)
+def _apply_stack(mats, t: np.ndarray) -> np.ndarray:
+    """Images of a stack of tensors under a stack of site-wise products.
+
+    t has shape (S or 1, *dims) and mats[k] shape (S or 1, d_k, d_k); the
+    result has shape (S, *dims).  Site k is one (d, d) @ (d, rest) gemm per
+    image, the product tensordot forms for a single matrix, so a stack of
+    one gives the floats of a single application."""
     for k, m in enumerate(mats):
-        t = np.moveaxis(np.tensordot(m, t, axes=([1], [k])), 0, k)
+        t = np.moveaxis(t, k + 1, 1)
+        shape = t.shape
+        # rebinding t drops each stack once it is copied: two alive at a time
+        t = t.reshape(len(t), shape[1], math.prod(shape[2:]))
+        t = m @ t
+        t = np.moveaxis(t.reshape(len(t), *shape[1:]), 1, k + 1)
+    return t
+
+
+def apply_sitewise(mats, state: FloatState) -> FloatState:
+    t = _apply_stack([np.asarray(m)[None] for m in mats], state.tensor()[None])
     return FloatState(state.dims, t.reshape(-1))
 
 
+def _row_norms_sq(images: np.ndarray) -> list:
+    """<v|v> of each row, one vdot per row as FloatState.norm_sq takes it."""
+    return [float(np.vdot(row, row).real)
+            for row in images.reshape(len(images), math.prod(images.shape[1:]))]
+
+
 def _renorm_det(m: np.ndarray) -> np.ndarray:
-    d = m.shape[0]
+    """Scale each matrix of a (..., d, d) stack to determinant 1."""
+    d = m.shape[-1]
     det = np.linalg.det(m)
-    return m / det ** (1.0 / d)
+    # root of each determinant by the scalar power: the array power takes
+    # another route for some exponents (a square root for d = 2)
+    root = np.array([x ** (1.0 / d) for x in det.ravel()]).reshape(det.shape)
+    return m / root[..., None, None]
 
 
 def random_group_element(dims, rng: np.random.Generator, scale: float = 1.0):
     """One determinant-1 matrix per site: exp of a random traceless matrix
     of spectral norm <= scale."""
-    mats = []
-    for d in dims:
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m -= np.trace(m) / d * np.eye(d)
-        m *= rng.uniform(0.0, 1.0) * scale / np.linalg.norm(m, 2)
-        g = _expm(m)
-        mats.append(_renorm_det(g))
-    return mats
+    return [m[0] for m in random_group_elements(dims, rng, 1, scale)]
+
+
+def random_group_elements(dims, rng: np.random.Generator, count: int,
+                          scale: float = 1.0):
+    """`count` draws of random_group_element, taken from rng in the same
+    order as `count` calls to it; returns one (count, d, d) stack per site."""
+    # the sites of dimension d go through the steps below as one stack
+    sites = {d: [k for k, e in enumerate(dims) if e == d] for d in set(dims)}
+    draws = {d: np.empty((len(ks), count, 2, d, d)) for d, ks in sites.items()}
+    weights = {d: np.empty((len(ks), count)) for d, ks in sites.items()}
+    slots = [(d, sites[d].index(k)) for k, d in enumerate(dims)]
+    for i in range(count):
+        for d, j in slots:
+            # real parts then imaginary parts: the normals of two (d, d) draws
+            rng.standard_normal(out=draws[d][j, i])
+            weights[d][j, i] = rng.uniform(0.0, 1.0)
+    out = [None] * len(dims)
+    for d, ks in sites.items():
+        z = draws[d].reshape(-1, 2, d, d)
+        u = weights[d].reshape(-1)
+        m = z[:, 0] + 1j * z[:, 1]
+        diag = np.arange(d)
+        m[:, diag, diag] -= (np.trace(m, axis1=1, axis2=2) / d)[:, None]
+        m *= (u * scale / np.linalg.norm(m, 2, axis=(-2, -1)))[:, None, None]
+        for k, g in zip(ks, _renorm_det(_expm(m)).reshape(len(ks), count, d, d)):
+            out[k] = g
+    return out
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
-    # scaling and squaring on the Taylor series; fine at these sizes
-    norm = np.linalg.norm(m, 2)
-    s = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
-    a = m / (2 ** s)
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
+    """exp of each matrix of an (N, d, d) stack: scaling and squaring on the
+    Taylor series, fine at these sizes.  Each matrix is squared as often as
+    its own norm asks."""
+    norm = np.linalg.norm(m, 2, axis=(-2, -1))
+    s = np.ceil(np.log2(np.maximum(norm / 0.5, 1.0))).astype(int)
+    a = m / (2.0 ** s)[:, None, None]
+    out = term = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)
     for k in range(1, 20):
         term = term @ a / k
         out = out + term
-    for _ in range(s):
-        out = out @ out
+    for j in range(s.max(initial=0)):
+        sel = s > j
+        out[sel] = out[sel] @ out[sel]
     return out
 
 
@@ -189,12 +245,12 @@ def norm_minimization_flow(state: FloatState, max_iters: int = 5000,
     cur = state
     norms = [cur.norm_sq()]
     eta = step
-    residual = is_critical(cur, tol).residual_lie
+    rhos = site_reductions(cur)
+    residual = _lie_residual(rhos, cur.dims)
     iterations = 0
     converged = residual <= tol
     while not converged and iterations < max_iters:
         iterations += 1
-        rhos = site_reductions(cur)
         hs = [rho - np.eye(d) / d for rho, d in zip(rhos, cur.dims)]
         accepted = None
         while eta > 1e-14:
@@ -212,7 +268,8 @@ def norm_minimization_flow(state: FloatState, max_iters: int = 5000,
             converged = False
             break
         eta = min(eta * 1.5, step)
-        residual = is_critical(cur, tol).residual_lie
+        rhos = site_reductions(cur)
+        residual = _lie_residual(rhos, cur.dims)
         converged = residual <= tol
     return FlowReport(norms[0], norms[-1], iterations, residual, converged, norms)
 
@@ -237,16 +294,11 @@ def kempf_ness_inequality_test(state: FloatState, samples: int = 1000,
         raise ValueError("state is not critical; pass require_critical=False to probe")
     rng = np.random.default_rng(seed)
     base = state.norm_sq()
-    min_ratio = np.inf
-    witness = None
-    for _ in range(samples):
-        g = random_group_element(state.dims, rng, scale)
-        ratio = apply_sitewise(g, state).norm_sq() / base
-        if ratio < min_ratio:
-            min_ratio = ratio
-        if ratio < 1 - slack and witness is None:
-            witness = ratio
-    return InequalityReport(samples, float(min_ratio), witness is None, witness)
+    gs = random_group_elements(state.dims, rng, samples, scale)
+    ratios = [n / base for n in _row_norms_sq(_apply_stack(gs, state.tensor()[None]))]
+    witness = next((r for r in ratios if r < 1 - slack), None)
+    return InequalityReport(samples, float(min(ratios, default=np.inf)),
+                            witness is None, witness)
 
 
 @dataclass
@@ -276,6 +328,16 @@ def gradient_check(seed: int = 0, pairs: int = 20, h: float = 1e-5,
     Anti-Hermitian directions generate unitaries, so their derivatives must
     vanish; the maximum such derivative is reported as well.
     """
+    # steps[d] holds exp(hL_a), exp(-hL_a), exp(ihL_a) in rows 3a, 3a+1, 3a+2;
+    # they do not depend on the pair
+    steps = {}
+    for d in set(dims):
+        basis = _gell_mann_cached(d)
+        anti = _expm(np.array([1j * lam * h for lam in basis]))
+        steps[d] = np.array([e for lam, ea in zip(basis, anti)
+                             for e in (_expm_hermitian(lam, h),
+                                       _expm_hermitian(lam, -h), ea)])
+    offsets = np.cumsum([0] + [len(steps[d]) for d in dims])
     rng = np.random.default_rng(seed)
     max_rel = 0.0
     max_anti = 0.0
@@ -284,22 +346,18 @@ def gradient_check(seed: int = 0, pairs: int = 20, h: float = 1e-5,
         g = random_group_element(dims, rng, scale=0.5)
         psi = apply_sitewise(g, v)
         analytic = log_norm_gradient(psi)
+        f0 = math.log(psi.norm_sq())
+        # rows offsets[k]:offsets[k + 1] are g with its site-k factor moved by a step
+        mats = []
         for k, d in enumerate(dims):
-            basis = _gell_mann_cached(d)
-            fd = np.zeros(len(basis))
-            for a, lam in enumerate(basis):
-                plus = [m.copy() for m in g]
-                minus = [m.copy() for m in g]
-                plus[k] = _expm_hermitian(lam, h) @ g[k]
-                minus[k] = _expm_hermitian(lam, -h) @ g[k]
-                fp = math.log(apply_sitewise(plus, v).norm_sq())
-                fm = math.log(apply_sitewise(minus, v).norm_sq())
-                fd[a] = (fp - fm) / (2 * h)
-                anti = [m.copy() for m in g]
-                anti[k] = _expm(1j * lam * h) @ g[k]
-                fa = math.log(apply_sitewise(anti, v).norm_sq())
-                f0 = math.log(psi.norm_sq())
-                max_anti = max(max_anti, abs(fa - f0) / h)
+            m = np.repeat(g[k][None], offsets[-1], axis=0)
+            m[offsets[k]:offsets[k + 1]] = steps[d] @ g[k]
+            mats.append(m)
+        logs = [math.log(n) for n in _row_norms_sq(_apply_stack(mats, v.tensor()[None]))]
+        for k in range(len(dims)):
+            fp, fm, fa = (np.array(logs[offsets[k] + i:offsets[k + 1]:3]) for i in range(3))
+            fd = (fp - fm) / (2 * h)
+            max_anti = max([max_anti, *(abs(x - f0) / h for x in fa)])
             rel = np.linalg.norm(analytic[k] - fd) / np.linalg.norm(analytic[k])
             max_rel = max(max_rel, float(rel))
     return GradientReport(pairs, max_rel, float(max_anti))

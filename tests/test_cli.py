@@ -133,6 +133,17 @@ def test_cli_kempfness(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_kempfness_rejects_non_state(capsys):
+    code_file = str(shipped_path("c332.code"))
+    for cmd in ("critical", "flow"):
+        assert main(["kempfness", cmd, "--state", code_file]) == 2
+        assert "expected a state" in capsys.readouterr().err
+    # the flow is deterministic and takes no seed
+    assert main(["kempfness", "flow", "--state", str(shipped_path("phi.state")),
+                 "--seed", "0"]) == 2
+    capsys.readouterr()
+
+
 def test_cli_correspond_reports_failure_exit(tmp_path, capsys):
     # a product basis state cannot be reduced: usage error (exit 2)
     from amecode import catalog, serialize

@@ -1,14 +1,133 @@
+import math
+
 import numpy as np
 import pytest
 
 from amecode import catalog
-from amecode.kempfness import (FloatState, apply_sitewise, criticality_equivalence,
+from amecode.kempfness import (FloatState, GradientReport, InequalityReport,
+                               apply_sitewise, criticality_equivalence,
                                critical_state_pool, gell_mann_basis,
                                gradient_check, is_critical,
                                kempf_ness_inequality_test, log_norm_gradient,
                                norm_minimization_flow, random_group_element,
-                               site_reductions)
-from amecode.kempfness import _random_unitary
+                               random_group_elements, site_reductions)
+from amecode.kempfness import _expm_hermitian, _gell_mann_cached, _random_unitary
+
+
+# -- the per-sample loops the batched code replaced, kept as the reference ----
+
+
+def _reference_expm(m):
+    norm = np.linalg.norm(m, 2)
+    s = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
+    a = m / (2 ** s)
+    out = np.eye(m.shape[0], dtype=complex)
+    term = np.eye(m.shape[0], dtype=complex)
+    for k in range(1, 20):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _reference_renorm_det(m):
+    d = m.shape[0]
+    det = np.linalg.det(m)
+    return m / det ** (1.0 / d)
+
+
+def _reference_group_element(dims, rng, scale=1.0):
+    mats = []
+    for d in dims:
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m -= np.trace(m) / d * np.eye(d)
+        m *= rng.uniform(0.0, 1.0) * scale / np.linalg.norm(m, 2)
+        mats.append(_reference_renorm_det(_reference_expm(m)))
+    return mats
+
+
+def _reference_apply(mats, state):
+    t = state.tensor()
+    for k, m in enumerate(mats):
+        t = np.moveaxis(np.tensordot(m, t, axes=([1], [k])), 0, k)
+    return FloatState(state.dims, t.reshape(-1))
+
+
+def _reference_inequality(state, samples, seed, scale=1.0, slack=1e-9):
+    rng = np.random.default_rng(seed)
+    base = state.norm_sq()
+    min_ratio = np.inf
+    witness = None
+    for _ in range(samples):
+        g = _reference_group_element(state.dims, rng, scale)
+        ratio = _reference_apply(g, state).norm_sq() / base
+        if ratio < min_ratio:
+            min_ratio = ratio
+        if ratio < 1 - slack and witness is None:
+            witness = ratio
+    return InequalityReport(samples, float(min_ratio), witness is None, witness)
+
+
+def _reference_gradient_check(seed, pairs, h=1e-5, dims=(3, 3, 3)):
+    rng = np.random.default_rng(seed)
+    max_rel = 0.0
+    max_anti = 0.0
+    for _ in range(pairs):
+        v = FloatState.random(dims, rng)
+        g = _reference_group_element(dims, rng, scale=0.5)
+        psi = _reference_apply(g, v)
+        analytic = log_norm_gradient(psi)
+        for k, d in enumerate(dims):
+            basis = _gell_mann_cached(d)
+            fd = np.zeros(len(basis))
+            for a, lam in enumerate(basis):
+                plus = [m.copy() for m in g]
+                minus = [m.copy() for m in g]
+                plus[k] = _expm_hermitian(lam, h) @ g[k]
+                minus[k] = _expm_hermitian(lam, -h) @ g[k]
+                fp = math.log(_reference_apply(plus, v).norm_sq())
+                fm = math.log(_reference_apply(minus, v).norm_sq())
+                fd[a] = (fp - fm) / (2 * h)
+                anti = [m.copy() for m in g]
+                anti[k] = _reference_expm(1j * lam * h) @ g[k]
+                fa = math.log(_reference_apply(anti, v).norm_sq())
+                f0 = math.log(psi.norm_sq())
+                max_anti = max(max_anti, abs(fa - f0) / h)
+            rel = np.linalg.norm(analytic[k] - fd) / np.linalg.norm(analytic[k])
+            max_rel = max(max_rel, float(rel))
+    return GradientReport(pairs, max_rel, float(max_anti))
+
+
+def _reference_flow(state, max_iters=5000, step=1.0, tol=1e-7):
+    cur = state
+    norms = [cur.norm_sq()]
+    eta = step
+    residual = is_critical(cur, tol).residual_lie
+    iterations = 0
+    converged = residual <= tol
+    while not converged and iterations < max_iters:
+        iterations += 1
+        rhos = site_reductions(cur)
+        hs = [rho - np.eye(d) / d for rho, d in zip(rhos, cur.dims)]
+        accepted = None
+        while eta > 1e-14:
+            mats = [_reference_renorm_det(_expm_hermitian(h, -eta)) for h in hs]
+            cand = _reference_apply(mats, cur)
+            if cand.norm_sq() <= norms[-1] * (1 + 1e-12):
+                accepted = cand
+                break
+            eta *= 0.5
+        if accepted is None:
+            break
+        cur = accepted
+        norms.append(cur.norm_sq())
+        if norms[-1] < 1e-30:
+            break
+        eta = min(eta * 1.5, step)
+        residual = is_critical(cur, tol).residual_lie
+        converged = residual <= tol
+    return norms, iterations, residual, converged
 
 
 def test_gell_mann_basis():
@@ -150,3 +269,57 @@ def test_criticality_lu_invariance():
     for base in critical_state_pool():
         mats = [_random_unitary(d, rng) for d in base.dims]
         assert is_critical(apply_sitewise(mats, base), 1e-8).critical
+
+
+# -- the batched path gives the floats of the per-sample reference loops ------
+
+
+def test_group_element_stacks_match_sequential_draws():
+    for dims in ((3, 3, 3, 3), (2, 3, 2)):
+        stacks = random_group_elements(dims, np.random.default_rng(4), 50)
+        rng = np.random.default_rng(4)
+        for i in range(50):
+            for k, m in enumerate(_reference_group_element(dims, rng)):
+                assert np.array_equal(stacks[k][i], m)
+        rng = np.random.default_rng(4)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            random_group_element(dims, rng), _reference_group_element(
+                dims, np.random.default_rng(4))))
+
+
+def test_inequality_matches_reference_loop():
+    phi = FloatState.from_exact(catalog.ame_state())
+    for seed in range(10):
+        assert (kempf_ness_inequality_test(phi, samples=100, seed=seed)
+                == _reference_inequality(phi, 100, seed))
+    # non-critical: the witness is the first ratio below 1 - slack, not the least
+    k000 = FloatState.from_exact(catalog.ket("000", 3, 12))
+    rep = kempf_ness_inequality_test(k000, samples=200, seed=3, require_critical=False)
+    assert rep == _reference_inequality(k000, 200, 3)
+    assert rep.witness_below is not None and rep.witness_below > rep.min_ratio
+    empty = kempf_ness_inequality_test(phi, samples=0)
+    assert empty == _reference_inequality(phi, 0, 0)
+    assert empty.min_ratio == np.inf and empty.all_above_one
+    mixed = FloatState.random((2, 3), np.random.default_rng(3))
+    for seed in range(5):
+        assert (kempf_ness_inequality_test(mixed, samples=100, seed=seed,
+                                           require_critical=False, scale=2.0)
+                == _reference_inequality(mixed, 100, seed, scale=2.0))
+
+
+def test_gradient_check_matches_reference_loop():
+    for seed in (0, 5):
+        assert gradient_check(seed=seed, pairs=8) == _reference_gradient_check(seed, 8)
+    assert (gradient_check(seed=1, pairs=5, dims=(2, 3))
+            == _reference_gradient_check(1, 5, dims=(2, 3)))
+
+
+def test_flow_matches_reference_loop():
+    phi = FloatState.from_exact(catalog.ame_state())
+    rng = np.random.default_rng(42)
+    starts = [apply_sitewise(random_group_element(phi.dims, rng), phi) for _ in range(3)]
+    starts.append(FloatState.from_exact(catalog.ket("001", 2, 24)))
+    for v in starts:
+        rep = norm_minimization_flow(v, max_iters=400, tol=1e-8)
+        assert ((rep.norm_trace, rep.iterations, rep.criticality_residual, rep.converged)
+                == _reference_flow(v, max_iters=400, tol=1e-8))
