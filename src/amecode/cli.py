@@ -69,6 +69,16 @@ def cmd_suite(args) -> int:
     return report.exit_status
 
 
+def _ingest_as(path, kinds, expected: str):
+    """The object in the file at path, which must be one of kinds; any
+    other object is an input error."""
+    obj = serialize.ingest(path)
+    if not isinstance(obj, kinds):
+        raise serialize.IngestError(
+            f"{path}: expected {expected}, got {serialize.describe(obj)}")
+    return obj
+
+
 def cmd_ingest(args) -> int:
     obj = serialize.ingest(args.file)
     _emit({"file": args.file, "valid": True,
@@ -78,15 +88,16 @@ def cmd_ingest(args) -> int:
 
 def cmd_correspond(args) -> int:
     from .correspondence import roundtrip
-    obj = serialize.ingest(args.file)
-    rep = roundtrip(obj)
+    from .qecc import CodeSubspace
+    from .tensor import PureState
+    rep = roundtrip(_ingest_as(args.file, (PureState, CodeSubspace), "a state or a code"))
     _emit(asdict(rep), args)
     return 0 if rep.roundtrip_exact else 1
 
 
 def cmd_code(args) -> int:
-    from .qecc import kl_check
-    code = serialize.ingest(args.code)
+    from .qecc import CodeSubspace, kl_check
+    code = _ingest_as(args.code, CodeSubspace, "a code")
     rep = kl_check(code, args.distance)
     _emit(rep.to_dict(code), args)
     return 0 if rep.is_code else 1
@@ -95,9 +106,12 @@ def cmd_code(args) -> int:
 def cmd_group(args) -> int:
     from . import catalog
     from .groups import closure, local_symmetry_report, verify_coset_representatives, weyl_group
+    from .linalg import Matrix
+    from .tensor import LocalOperator
 
     if args.group_cmd == "close":
-        gens = serialize.ingest(args.gens)
+        gens = _ingest_as(args.gens, (Matrix, LocalOperator, list),
+                          "matrices or product operators")
         if not isinstance(gens, list):
             gens = [gens]
         g = closure(gens, cap=args.cap)
@@ -156,11 +170,7 @@ def cmd_kempfness(args) -> int:
     from .kempfness import FloatState, is_critical, norm_minimization_flow
     from .tensor import PureState
 
-    obj = serialize.ingest(args.file)
-    if not isinstance(obj, PureState):
-        raise serialize.IngestError(
-            f"{args.file}: expected a state, got {serialize.describe(obj)}")
-    state = FloatState.from_exact(obj)
+    state = FloatState.from_exact(_ingest_as(args.file, PureState, "a state"))
     if args.kn_cmd == "critical":
         rep = is_critical(state, tol=args.tol)
         _emit(asdict(rep), args)

@@ -4,26 +4,44 @@ gates, the order-5832 three-site normalizer of the code, and the local
 symmetry group of the perfect tensor, which has 1944 elements as product
 operators: the normalizer maps onto it 3-to-1 (see local_symmetry_group).
 
-Closure is breadth-first over canonical forms (plain entries for dense
-gates, scalar-plus-leading-1 factors for product operators, searched as
-small-integer keys), so element sets are exact and enumeration order is
-deterministic.
+Closure is breadth-first over small-integer keys, so element sets are exact
+and enumeration order is deterministic.  Dense gates are kept as packed
+integer numerators over one common denominator and each search level is
+one integer matmul (linalg's packed kernel); product operators are keyed
+by scalar and canonical-factor ids, whose missing factor products are
+formed by the same kernel in one batch per level and site.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, field
 from functools import cache
+from math import gcd, lcm
 
-from .cyclo import Cyclotomic, root_of_unity
-from .linalg import Matrix
-from .tensor import DimensionMismatch, LocalOperator, PureState, _canon_mul, fixed_by
+import numpy as np
+
+from .cyclo import Cyclotomic, _field, root_of_unity
+from .linalg import Matrix, _compact, _matmul, _scaled, pack, right_actions, unpack
+from .tensor import DimensionMismatch, LocalOperator, PureState, fixed_by
 
 
 class ClosureCapExceeded(RuntimeError):
-    pass
+    """More elements than the cap allows."""
+
+    def __init__(self, message: str, found=tuple):
+        super().__init__(message)
+        self._found = found
+
+    @property
+    def elements(self) -> tuple:
+        """The cap elements found first, in search order; built only when
+        read, so that hitting the cap stays cheap."""
+        return self._found()
+
+
+class GeneratorTypeError(TypeError):
+    """Closure generators must be all Matrix or all LocalOperator."""
 
 
 class NotInNormalizer(ValueError):
@@ -75,23 +93,22 @@ class MatrixGroup:
 def closure(generators, cap: int = 100_000) -> MatrixGroup:
     """Breadth-first multiplicative closure of the generators.
 
-    Elements must be hashable with exact equality and support * and inv().
-    Product operators are searched as integer keys (see _ProductTable) and
-    built once at the end; other elements are their own keys.  Raises
-    ClosureCapExceeded if more than `cap` elements appear, which signals a
-    non-finite or mis-specified group.
+    The generators are all dense square Matrix gates of one shape and
+    conductor, or all LocalOperators of one dims and conductor; anything
+    else raises GeneratorTypeError or DimensionMismatch before the search.
+    Elements are searched as integer keys (see _DenseTable and
+    _ProductTable): each level's products h * g, for h in the frontier and
+    g in the generators, are formed in one batch and visited in (h, g)
+    order, and the elements are built once at the end in search order.
+    Raises ClosureCapExceeded if more than `cap` elements appear, which
+    signals a non-finite or mis-specified group.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    if isinstance(gens[0], LocalOperator):
-        table = _ProductTable(gens)
-        key, mul, element = table.key, table.mul, table.element
-    else:
-        key = element = _same
-        mul = operator.mul
-    ident = key(gens[0] * gens[0].inv())
-    gkeys = [key(g) for g in gens]
+    table = (_ProductTable if isinstance(gens[0], LocalOperator) else _DenseTable)(gens)
+    ident = table.key(gens[0] * gens[0].inv())
+    gkeys = [table.key(g) for g in gens]
     elements: dict = {ident: None}
     frontier = []
     for g in gkeys:
@@ -100,20 +117,122 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
             frontier.append(g)
     while frontier:
         nxt = []
-        for h in frontier:
-            for g in gkeys:
-                p = mul(h, g)
-                if p not in elements:
-                    if len(elements) >= cap:
-                        raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-                    elements[p] = None
-                    nxt.append(p)
+        for p in table.products(frontier, gkeys):
+            if p not in elements:
+                if len(elements) >= cap:
+                    raise ClosureCapExceeded(f"closure exceeded cap {cap}",
+                                             lambda: table.elements(elements))
+                elements[p] = None
+                nxt.append(p)
         frontier = nxt
-    return MatrixGroup(tuple(gens), tuple(map(element, elements)), cap)
+    return MatrixGroup(tuple(gens), table.elements(elements), cap)
 
 
-def _same(x):
-    return x
+_INT64_MAX = 1 << 63
+
+
+def _row_keys(x) -> list:
+    """Hashable keys of the rows of an integer array, equal exactly when the
+    rows are: the int64 bytes of a row that fits in int64, else its ints."""
+    flat = x.reshape(len(x), -1)
+    if flat.dtype != object:
+        return [r.tobytes() for r in flat.astype(np.int64, copy=False)]
+    top = np.abs(flat).max(axis=1, initial=0)
+    return [r.astype(np.int64).tobytes() if m < _INT64_MAX else tuple(r.tolist())
+            for r, m in zip(flat, top)]
+
+
+def _wide(x, k: int):
+    """The integer array x, as Python ints if k does not fit in int64, so
+    that x % k and x // k are exact."""
+    return x if k < _INT64_MAX else x.astype(object)
+
+
+class _DenseTable:
+    """Small-integer keys for the dense matrices of one closure.
+
+    Every element is kept packed (linalg.pack) over one common denominator
+    D, which starts at the lcm of the generators' denominators; its key is
+    its index.  A level's products are one bound-checked matmul of the
+    frontier's packed rows with the generators' right actions, giving
+    numerators over D^2.  They are divided by D only after checking that D
+    divides every one; otherwise D grows to the least multiple that holds
+    them all, and the stored elements are rescaled first."""
+
+    def __init__(self, gens):
+        first = gens[0]
+        for g in gens:
+            if not isinstance(g, Matrix):
+                raise GeneratorTypeError(
+                    f"cannot close {type(g).__name__}: generators must be all "
+                    f"Matrix or all LocalOperator")
+            if g.shape != first.shape or g.n != first.n:
+                raise DimensionMismatch("matrix product shape/conductor mismatch")
+        if first.shape[0] != first.shape[1]:
+            raise DimensionMismatch(f"cannot close {first.shape} matrices")
+        self.n = first.n
+        self.den = pack(gens)[1]
+        # the elements' numerators are self._buf[:len(self._ids)], in id
+        # order; the buffer doubles when full, so a deep search stays linear
+        self._buf = np.zeros((16, *first.shape, _field(self.n).degree), dtype=np.int64)
+        self._ids: dict = {}
+        self._actions = None
+
+    @property
+    def x(self):
+        return self._buf[:len(self._ids)]
+
+    def _intern(self, x) -> list[int]:
+        start = len(self._ids)
+        ids, new = [], []
+        for k, row in zip(_row_keys(x), x):
+            i = self._ids.get(k)
+            if i is None:
+                i = self._ids[k] = len(self._ids)
+                new.append(row)
+            ids.append(i)
+        if new:
+            new = np.stack(new)
+            end = len(self._ids)
+            dtype = np.result_type(self._buf, new)
+            if end > len(self._buf) or dtype != self._buf.dtype:
+                buf = np.zeros((2 * end, *new.shape[1:]), dtype)
+                buf[:start] = self._buf[:start]
+                self._buf = buf
+            self._buf[start:end] = new
+        return ids
+
+    def key(self, g: Matrix) -> int:
+        return self._intern(pack([g], self.den)[0])[0]
+
+    def _grow(self, p) -> int:
+        """Grow D until it holds the products p (numerators over the old
+        D^2); returns the old D^2 over the new D."""
+        d2 = self.den * self.den
+        if not (_wide(p, self.den) % self.den).any():
+            return self.den
+        g = d2
+        for v in set(p.ravel().tolist()):
+            g = gcd(g, v)
+        den = lcm(self.den, d2 // g)
+        self._buf = _scaled(self.x, den // self.den)
+        self.den = den
+        self._ids = {k: i for i, k in enumerate(_row_keys(self.x))}
+        return d2 // den
+
+    def products(self, frontier, gkeys) -> list[int]:
+        if self._actions is None or self._actions[0] != self.den:
+            a, bounds = right_actions(self.x[gkeys], self.n)
+            self._actions = (self.den, a, max(bounds))
+        _, a, bound = self._actions
+        f = self.x[frontier]
+        rows = f.reshape(len(f), 1, f.shape[1], -1)
+        p = _matmul(rows, a, bound).reshape(-1, *f.shape[1:])
+        k = self._grow(p)
+        return self._intern(_wide(p, k) // k)
+
+    def elements(self, keys) -> tuple:
+        return tuple(unpack(self.n, self.x[list(keys)], self.den))
 
 
 class _LazyTable(dict):
@@ -133,62 +252,125 @@ class _ProductTable:
 
     A key is (scalar id, factor id per site); scalars and canonical factors
     get ids as they first appear, so equal operators have equal keys.  The
-    product of two keys is read from two lazily filled tables: factor ids
-    (a, b) -> (lead scalar id, id of the canonical factor of a*b), and
-    scalar ids (a, b) -> id of a*b.  Both groups of the paper use at most
-    216 factors per site and 42 scalars, so nearly every product is a
-    lookup."""
+    product of two keys is read from two tables: factor ids (a, b) -> (lead
+    scalar id, id of the canonical factor of a*b), and scalar ids (a, b) ->
+    id of a*b.  Both groups of the paper use at most 216 factors per site
+    and 42 scalars, so nearly every product is a lookup.
+
+    The factor pairs a level lacks at a site are multiplied in one batch by
+    the packed kernel of linalg, each over the product of its two denominators,
+    and made canonical by the exact inverse of the leading entry.  Factors
+    are interned on their packed numerators in lowest terms, so a Matrix is
+    built only for a factor not seen before."""
 
     def __init__(self, gens):
         first = gens[0]
         for g in gens:
             if not isinstance(g, LocalOperator):
-                raise TypeError(f"cannot close {type(g).__name__} with product operators")
+                raise GeneratorTypeError(
+                    f"cannot close {type(g).__name__} with product operators")
             if g.dims != first.dims or g.n != first.n:
                 raise DimensionMismatch("operator product shape/conductor mismatch")
         self.n = first.n
         self.scalars, self._scalar_ids = [], {}
         self.factors, self._factor_ids = [], {}
+        self._packed = []  # per factor id: (packed rows, den, right action, its bound)
         self._scalar_mul = _LazyTable(self._mul_scalars)
-        self._factor_mul = _LazyTable(self._mul_factors)
-
-    @staticmethod
-    def _intern(x, items: list, ids: dict) -> int:
-        i = ids.get(x)
-        if i is None:
-            i = ids[x] = len(items)
-            items.append(x)
-        return i
+        self._factor_mul = {}
+        self._inverses = {}
 
     def _scalar_id(self, c: Cyclotomic) -> int:
-        return self._intern(c, self.scalars, self._scalar_ids)
-
-    def _factor_id(self, f: Matrix) -> int:
-        return self._intern(f, self.factors, self._factor_ids)
+        i = self._scalar_ids.get(c)
+        if i is None:
+            i = self._scalar_ids[c] = len(self.scalars)
+            self.scalars.append(c)
+        return i
 
     def _mul_scalars(self, a: int, b: int) -> int:
         return self._scalar_id(self.scalars[a] * self.scalars[b])
 
-    def _mul_factors(self, a: int, b: int) -> tuple[int, int]:
-        lead, f = _canon_mul(self.factors[a], self.factors[b])
-        return self._scalar_id(lead), self._factor_id(f)
+    def _factor_id_list(self, x, dens) -> list[int]:
+        """Ids of the square matrices with numerators x, shape (k, d, d, deg),
+        over dens; the matrices not seen before get new ids."""
+        flat = x.reshape(len(x), -1)
+        divs = [gcd(g, den) for g, den in zip(np.gcd.reduce(flat, axis=1).tolist(), dens)]
+        if any(g != 1 for g in divs):
+            x = x // np.array(divs, dtype=object).reshape(-1, 1, 1, 1)
+            dens = [den // g for den, g in zip(dens, divs)]
+        ids, new = [], []
+        for key in zip(dens, _row_keys(x)):
+            i = self._factor_ids.get(key)
+            if i is None:
+                i = self._factor_ids[key] = len(self._factor_ids)
+                new.append(len(ids))
+            ids.append(i)
+        if new:
+            y = _compact(x[new])
+            acts, bounds = right_actions(y, self.n)
+            for k, row, a, bound in zip(new, y, acts, bounds):
+                self.factors.append(unpack(self.n, row[None], dens[k])[0])
+                self._packed.append((row.reshape(len(row), -1), dens[k], a, bound))
+        return ids
+
+    def _inverse_action(self, lead: Cyclotomic):
+        """(S, bound, den): x @ S / den is x times the inverse of lead."""
+        act = self._inverses.get(lead)
+        if act is None:
+            x, den = pack([Matrix(self.n, [[lead.inv()]])])
+            s, bounds = right_actions(x, self.n)
+            act = self._inverses[lead] = (s[0], bounds[0], den)
+        return act
+
+    def _fill_factors(self, pairs) -> None:
+        """Enter the canonical products of the factor pairs (a, b), all of
+        one shape, in the factor table."""
+        left = [self._packed[a] for a, _ in pairs]
+        right = [self._packed[b] for _, b in pairs]
+        p = _matmul(np.stack([a[0] for a in left]), np.stack([b[2] for b in right]),
+                    max(b[3] for b in right))
+        d = p.shape[1]
+        p = p.reshape(len(pairs), d * d, -1)
+        dens = [a[1] * b[1] for a, b in zip(left, right)]
+        first = np.abs(p).max(axis=2).astype(bool).argmax(axis=1).tolist()
+        leads = [Cyclotomic(self.n, p[k, j].tolist(), den)
+                 for k, (j, den) in enumerate(zip(first, dens))]
+        invs = [self._inverse_action(c) for c in leads]
+        q = _matmul(p, np.stack([s[0] for s in invs]), max(s[1] for s in invs))
+        ids = self._factor_id_list(q.reshape(len(pairs), d, d, -1),
+                                   [den * s[2] for den, s in zip(dens, invs)])
+        for ab, c, i in zip(pairs, leads, ids):
+            self._factor_mul[ab] = (self._scalar_id(c), i)
 
     def key(self, g: LocalOperator) -> tuple:
-        return (self._scalar_id(g.scalar), *map(self._factor_id, g.factors))
+        packs = [pack([f]) for f in g.factors]
+        factors = [self._factor_id_list(x, [den])[0] for x, den in packs]
+        return (self._scalar_id(g.scalar), *factors)
 
-    def element(self, k: tuple) -> LocalOperator:
-        return LocalOperator(self.n, self.scalars[k[0]],
-                             [self.factors[i] for i in k[1:]], _canonical=True)
+    def elements(self, keys) -> tuple:
+        return tuple(LocalOperator(self.n, self.scalars[k[0]],
+                                   [self.factors[i] for i in k[1:]], _canonical=True)
+                     for k in keys)
 
-    def mul(self, x: tuple, y: tuple) -> tuple:
-        scalar_mul, factor_mul = self._scalar_mul, self._factor_mul
-        s = scalar_mul[x[0], y[0]]
-        factors = []
-        for ab in zip(x[1:], y[1:]):
-            lead, f = factor_mul[ab]
-            s = scalar_mul[s, lead]
-            factors.append(f)
-        return (s, *factors)
+    def products(self, frontier, gkeys) -> list[tuple]:
+        table = self._factor_mul
+        for site in range(1, len(gkeys[0])):
+            hs = dict.fromkeys(h[site] for h in frontier)
+            gs = dict.fromkeys(g[site] for g in gkeys)
+            missing = [(a, b) for a in hs for b in gs if (a, b) not in table]
+            if missing:
+                self._fill_factors(missing)
+        scalar_mul = self._scalar_mul
+        out = []
+        for x in frontier:
+            for y in gkeys:
+                s = scalar_mul[x[0], y[0]]
+                factors = []
+                for ab in zip(x[1:], y[1:]):
+                    lead, f = table[ab]
+                    s = scalar_mul[s, lead]
+                    factors.append(f)
+                out.append((s, *factors))
+        return out
 
 
 # -- complex reflections and the gate group ---------------------------------

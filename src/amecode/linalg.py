@@ -2,12 +2,21 @@
 
 Small immutable matrices with exact equality and hashing; used for
 single-site factors, code gates, projectors, and reduced densities.
+
+Stacks of matrices can also be multiplied in packed integer form (see
+`pack`, `right_actions` and `_matmul` below): the closure of dense gate
+groups and the factor products of operator closures run there, and the
+packed state kernel of `tensor` shares its bound-checked matmul.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import lcm
 
-from .cyclo import Cyclotomic
+import numpy as np
+
+from .cyclo import Cyclotomic, _field
 
 
 class Matrix:
@@ -236,3 +245,83 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.shape[0]}x{self.shape[1]}, N={self.n})"
+
+
+# -- packed integer kernel --------------------------------------------------
+#
+# A stack of matrices packs into one integer array of shape (k, rows, cols,
+# deg): the power-basis numerators of every entry over one common
+# denominator.  Right-multiplying by a matrix y is then one integer matmul
+# of the packed rows with right_actions(y), built from the reduced powers of
+# zeta.  Before every contraction the largest sum it can form is bounded;
+# arrays are int64 while that bound stays below 2**62 and Python ints
+# (dtype=object, still exact) beyond it.
+
+_INT64_SAFE = 1 << 62
+
+
+def _max_abs(x) -> int:
+    return int(np.abs(x).max()) if x.size else 0
+
+
+def _compact(x):
+    """x as int64 when its entries allow, else as Python ints."""
+    return x.astype(np.int64 if _max_abs(x) < _INT64_SAFE else object)
+
+
+def _col_bound(m) -> int:
+    """Largest absolute column sum of m: |(x @ m)| <= it * max|x|."""
+    return int(np.abs(m.astype(object)).sum(axis=-2).max())
+
+
+def _matmul(x, m, m_bound: int):
+    """Exact x @ m, where m_bound is _col_bound(m)."""
+    dtype = np.int64 if m_bound * _max_abs(x) < _INT64_SAFE else object
+    return np.matmul(x.astype(dtype, copy=False), m.astype(dtype, copy=False))
+
+
+def _scaled(x, k: int):
+    """Exact k * x for a Python int k."""
+    dtype = np.int64 if k * _max_abs(x) < _INT64_SAFE else object
+    return x.astype(dtype, copy=False) * k
+
+
+@lru_cache(maxsize=None)
+def _structure(n: int):
+    """(T, C) for conductor n: T[t, u] is the coefficient vector of
+    zeta^(t+u), so a product of coefficient vectors x, y is
+    sum x[t] y[u] T[t, u]; x @ C is the complex conjugate of x."""
+    f = _field(n)
+    deg = f.degree
+    t = np.array([[f.powers[i + j] for j in range(deg)] for i in range(deg)], dtype=object)
+    c = np.array([f.powers[(j * (n - 1)) % n] for j in range(deg)], dtype=object)
+    return t.reshape(deg, deg, deg), _compact(c)
+
+
+def pack(mats, den: int | None = None):
+    """(x, den): the entries of equally shaped matrices as numerators of
+    shape (k, rows, cols, deg) over den, by default the lcm of their
+    denominators."""
+    entries = [e for m in mats for row in m.rows for e in row]
+    if den is None:
+        den = lcm(*(e.den for e in entries))
+    elif any(den % e.den for e in entries):
+        raise ValueError(f"denominator {den} does not hold every entry")
+    x = np.array([[c * (den // e.den) for c in e.coeffs] for e in entries], dtype=object)
+    return _compact(x).reshape((len(mats), *mats[0].shape, -1)), den
+
+
+def unpack(n: int, x, den: int) -> list[Matrix]:
+    """The matrices whose numerators over den are x, shape (k, rows, cols, deg)."""
+    return [Matrix(n, [[Cyclotomic(n, c, den) for c in row] for row in m])
+            for m in x.tolist()]
+
+
+def right_actions(y, n: int):
+    """(A, bounds) for packed matrices y of shape (k, m, c, deg): the packed
+    rows of x @ y[j] are x's packed rows (flattened to m*deg) @ A[j], over
+    the product of the two denominators; bounds[j] is _col_bound(A[j])."""
+    k, m, c, deg = y.shape
+    a = np.einsum("jbcu,tus->jbtcs", y.astype(object), _structure(n)[0])
+    a = a.reshape(k, m * deg, c * deg)
+    return _compact(a), np.abs(a).sum(axis=-2).max(axis=-1).tolist()

@@ -4,13 +4,15 @@ Every scalar is serialized exactly as {conductor, coeffs: ["p/q", ...]} in
 the power basis, so files round-trip bit-exactly.  `ingest` validates the
 structural invariants of whatever it loads (orthonormality for codes,
 canonical factored form for operators) and raises IngestError with the
-failing check named.
+failing check and its JSON path named.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from importlib import resources
+from math import lcm
 from pathlib import Path
 
 from .cyclo import Cyclotomic
@@ -57,62 +59,155 @@ def dumps(obj) -> str:
 
 
 # -- from dict ---------------------------------------------------------------
+#
+# Every reader takes the JSON value and its path ("$.amps[3].coeffs[1]"),
+# checks the value's type before using it, and raises IngestError naming
+# that path on the first mismatch, so no malformed file gets further than
+# ingest.
+
+MAX_CONDUCTOR = 1024  # the field tables grow with the conductor; data uses 12, 24, 36
+_RATIONAL = re.compile(r"(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?")
 
 
-def _state_from_dict(data: dict) -> PureState:
-    n = int(data["conductor"])
-    amps = [Cyclotomic.from_dict(a) for a in data["amps"]]
-    if any(a.n != n for a in amps):
-        raise IngestError("amplitude conductor differs from the file conductor")
+def _kind(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _get(data, key: str, path: str):
+    """(data[key], its path) for a JSON object data."""
+    if not isinstance(data, dict):
+        raise IngestError(f"{path}: expected an object, got {_kind(data)}")
+    if key not in data:
+        raise IngestError(f"{path}: missing field {key!r}")
+    return data[key], f"{path}.{key}"
+
+
+def _items(value, path: str) -> list:
+    """[(item, its path)] for a JSON list."""
+    if not isinstance(value, list):
+        raise IngestError(f"{path}: expected a list, got {_kind(value)}")
+    return [(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _int(value, path: str, low: int = 1, high: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise IngestError(f"{path}: expected an integer, got {_kind(value)}")
+    if value < low or (high is not None and value > high):
+        bounds = f"{low}..{high}" if high is not None else f">= {low}"
+        raise IngestError(f"{path}: {value} is outside {bounds}")
+    return value
+
+
+def _conductor(data, path: str) -> int:
+    return _int(*_get(data, "conductor", path), high=MAX_CONDUCTOR)
+
+
+def _coefficients(value, path: str) -> tuple[list[int], int]:
+    """(numerators, den): the coefficient strings "p" or "p/q" of a field
+    element over their least common denominator."""
+    if not isinstance(value, list):
+        raise IngestError(f"{path}: expected a list, got {_kind(value)}")
+    pairs = []
+    for i, text in enumerate(value):
+        match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+        if match is None:
+            raise IngestError(f'{path}[{i}]: expected a rational "p/q", got {text!r}')
+        try:
+            pair = int(match["num"]), int(match["den"] or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise IngestError(f"{path}[{i}]: {exc}") from None
+        if not pair[1]:
+            raise IngestError(f"{path}[{i}]: zero denominator in {text!r}")
+        pairs.append(pair)
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
+
+
+def _scalar(data, path: str, n: int) -> Cyclotomic:
+    """A field element {conductor, coeffs} whose conductor is n."""
+    if _conductor(data, path) != n:
+        raise IngestError(f"{path}.conductor: {data['conductor']} differs from "
+                          f"the file conductor {n}")
     try:
-        return PureState(n, data["dims"], amps)
+        return Cyclotomic(n, *_coefficients(*_get(data, "coeffs", path)))
+    except ValueError as exc:  # a wrong number of coefficients
+        raise IngestError(f"{path}.coeffs: {exc}") from None
+
+
+def _rows(value, path: str, n: int) -> Matrix:
+    rows = [[_scalar(e, p, n) for e, p in _items(*row)] for row in _items(value, path)]
+    try:
+        return Matrix(n, rows)
     except ValueError as exc:
-        raise IngestError(f"invalid state: {exc}") from None
+        raise IngestError(f"{path}: {exc}") from None
 
 
-def _operator_from_dict(data: dict) -> LocalOperator:
-    n = int(data["conductor"])
-    scalar = Cyclotomic.from_dict(data["scalar"])
-    factors = [Matrix(n, [[Cyclotomic.from_dict(e) for e in row] for row in f])
-               for f in data["factors"]]
-    op = LocalOperator(n, scalar, factors)
-    stored = LocalOperator(n, scalar, factors, _canonical=True)
-    if op != stored:
-        raise IngestError("operator factors are not in canonical leading-1 form")
+def _state_from_dict(data, path: str = "$") -> PureState:
+    n = _conductor(data, path)
+    dims = [_int(*item) for item in _items(*_get(data, "dims", path))]
+    amps = [_scalar(a, p, n) for a, p in _items(*_get(data, "amps", path))]
+    try:
+        return PureState(n, dims, amps)
+    except ValueError as exc:
+        raise IngestError(f"{path}: invalid state: {exc}") from None
+
+
+def _operator_from_dict(data, path: str = "$") -> LocalOperator:
+    n = _conductor(data, path)
+    scalar = _scalar(*_get(data, "scalar", path), n)
+    factors = [_rows(f, p, n) for f, p in _items(*_get(data, "factors", path))]
+    try:
+        op = LocalOperator(n, scalar, factors)
+    except ValueError as exc:
+        raise IngestError(f"{path}: invalid operator: {exc}") from None
+    if op != LocalOperator(n, scalar, factors, _canonical=True):
+        raise IngestError(f"{path}: operator factors are not in canonical leading-1 form")
     return op
 
 
-def _matrix_from_dict(data: dict) -> Matrix:
-    n = int(data["conductor"])
-    return Matrix(n, [[Cyclotomic.from_dict(e) for e in row]
-                      for row in data["entries"]])
+def _matrix_from_dict(data, path: str = "$") -> Matrix:
+    return _rows(*_get(data, "entries", path), _conductor(data, path))
 
 
-def _code_from_dict(data: dict) -> CodeSubspace:
-    basis = [_state_from_dict(s) for s in data["basis"]]
+def _code_from_dict(data, path: str = "$") -> CodeSubspace:
+    basis = [_state_from_dict(s, p) for s, p in _items(*_get(data, "basis", path))]
+    n_sites = _int(*_get(data, "n", path))
+    local_dim = _int(*_get(data, "D", path))
     claimed = data.get("claimed_d")
+    if claimed is not None:
+        claimed = _int(claimed, f"{path}.claimed_d")
     try:
-        return CodeSubspace(int(data["n"]), int(data["D"]), basis,
-                            claimed_d=None if claimed is None else int(claimed))
+        return CodeSubspace(n_sites, local_dim, basis, claimed_d=claimed)
     except ValueError as exc:
-        raise IngestError(f"invalid code: {exc}") from None
+        raise IngestError(f"{path}: invalid code: {exc}") from None
 
 
-def from_dict(data: dict):
+def _list_from_dict(read, key: str):
+    def read_list(data, path: str = "$") -> list:
+        return [read(item, p) for item, p in _items(*_get(data, key, path))]
+    return read_list
+
+
+_READERS = {
+    "state": _state_from_dict,
+    "operator": _operator_from_dict,
+    "matrix": _matrix_from_dict,
+    "code": _code_from_dict,
+    "operator-list": _list_from_dict(_operator_from_dict, "operators"),
+    "matrix-list": _list_from_dict(_matrix_from_dict, "matrices"),
+}
+
+
+def from_dict(data):
+    """The typed object a parsed JSON document describes; IngestError, with
+    the JSON path of the first fault, for anything else."""
+    if not isinstance(data, dict):
+        raise IngestError(f"$: expected an object with a format field, got {_kind(data)}")
     kind = data.get("format")
-    if kind == "state":
-        return _state_from_dict(data)
-    if kind == "operator":
-        return _operator_from_dict(data)
-    if kind == "matrix":
-        return _matrix_from_dict(data)
-    if kind == "code":
-        return _code_from_dict(data)
-    if kind == "operator-list":
-        return [_operator_from_dict(o) for o in data["operators"]]
-    if kind == "matrix-list":
-        return [_matrix_from_dict(m) for m in data["matrices"]]
-    raise IngestError(f"unknown or missing format field: {kind!r}")
+    read = _READERS.get(kind) if isinstance(kind, str) else None
+    if read is None:
+        raise IngestError(f"$.format: unknown or missing format field: {kind!r}")
+    return read(data)
 
 
 def ingest(path):
@@ -121,8 +216,10 @@ def ingest(path):
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
-    obj = from_dict(data)
-    return obj
+    try:
+        return from_dict(data)
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from None
 
 
 def describe(obj) -> str:

@@ -17,8 +17,9 @@ from math import lcm, prod
 
 import numpy as np
 
-from .cyclo import ConductorMismatch, Cyclotomic, _field, sqrt_of_rational
-from .linalg import Matrix
+from .cyclo import ConductorMismatch, Cyclotomic, sqrt_of_rational
+from .linalg import (Matrix, _col_bound, _compact, _matmul, _max_abs, _scaled, _structure,
+                     pack, right_actions)
 
 
 class DimensionMismatch(ValueError):
@@ -307,66 +308,19 @@ def _canon_inv(f: Matrix) -> tuple[Cyclotomic, Matrix]:
 # per non-identity site plus one for a scalar other than 1.  Before every
 # contraction the largest sum it can form is bounded; arrays are int64 while
 # that bound stays below 2**62 and Python ints (dtype=object, still exact)
-# beyond it.
+# beyond it.  The factor actions and the bound-checked matmul come from
+# linalg's packed matrix kernel, which the dense closures of groups use too.
 
-_INT64_SAFE = 1 << 62
 _FIX_CHUNK = 32  # operators whose images fixed_by holds at once (bounds peak memory)
-
-
-def _max_abs(x) -> int:
-    return int(np.abs(x).max()) if x.size else 0
-
-
-def _compact(x):
-    """x as int64 when its entries allow, else as Python ints."""
-    return x.astype(np.int64 if _max_abs(x) < _INT64_SAFE else object)
-
-
-def _col_bound(m) -> int:
-    """Largest absolute column sum of m: |(x @ m)| <= it * max|x|."""
-    return int(np.abs(m.astype(object)).sum(axis=-2).max())
-
-
-def _matmul(x, m, m_bound: int):
-    """Exact x @ m, where m_bound is _col_bound(m)."""
-    dtype = np.int64 if m_bound * _max_abs(x) < _INT64_SAFE else object
-    return np.matmul(x.astype(dtype, copy=False), m.astype(dtype, copy=False))
-
-
-def _scaled(x, k: int):
-    """Exact k * x for a Python int k."""
-    dtype = np.int64 if k * _max_abs(x) < _INT64_SAFE else object
-    return x.astype(dtype, copy=False) * k
-
-
-@lru_cache(maxsize=None)
-def _structure(n: int):
-    """(T, C) for conductor n: T[t, u] is the coefficient vector of
-    zeta^(t+u), so a product of coefficient vectors x, y is
-    sum x[t] y[u] T[t, u]; x @ C is the complex conjugate of x."""
-    f = _field(n)
-    deg = f.degree
-    t = np.array([[f.powers[i + j] for j in range(deg)] for i in range(deg)], dtype=object)
-    c = np.array([f.powers[(j * (n - 1)) % n] for j in range(deg)], dtype=object)
-    return t.reshape(deg, deg, deg), _compact(c)
 
 
 @lru_cache(maxsize=1 << 12)
 def _action(f: Matrix):
     """(A, den, bound, identity): the factor f acts on the packed amplitudes
     of its site, flattened to (basis index, power) pairs, as x @ A / den."""
-    t = _structure(f.n)[0]
-    deg = t.shape[0]
-    d = f.shape[0]
-    den = lcm(*(e.den for row in f.rows for e in row))
-    a = np.zeros((d, deg, d, deg), dtype=object)
-    for i, row in enumerate(f.rows):
-        for k, e in enumerate(row):
-            if not e.is_zero():
-                c = np.array(e.coeffs, dtype=object) * (den // e.den)
-                a[k, :, i, :] = np.tensordot(c, t, axes=(0, 0))
-    a = a.reshape(d * deg, d * deg)
-    return _compact(a), den, _col_bound(a), f.is_identity()
+    x, den = pack([f.transpose()])
+    a, bounds = right_actions(x, f.n)
+    return a[0], den, bounds[0], f.is_identity()
 
 
 @lru_cache(maxsize=1 << 12)

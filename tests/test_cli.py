@@ -150,3 +150,31 @@ def test_cli_correspond_reports_failure_exit(tmp_path, capsys):
     p = tmp_path / "prod.state"
     serialize.dump(catalog.ket("0000", 3, 12), p)
     assert main(["correspond", str(p)]) == 2
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["code", "kl", "--code", "phi.state"], "expected a code, got state on dims"),
+    (["group", "close", "--gens", "phi.state"],
+     "expected matrices or product operators, got state on dims"),
+    (["correspond", "weyl-generators.ops"],
+     "expected a state or a code, got list of 3: matrix 3x3"),
+], ids=["code-kl", "group-close", "correspond"])
+def test_cli_rejects_wrong_object_type(argv, expected, capsys):
+    # each command checks the type of the object it ingests
+    argv = [str(shipped_path(a)) if "." in a else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[-1]}: {expected}")
+
+
+def test_cli_ingest_malformed_json(tmp_path, capsys):
+    top = tmp_path / "list.json"
+    top.write_text("[1, 2, 3]")
+    assert main(["ingest", str(top)]) == 2
+    assert "$: expected an object with a format field, got list" in capsys.readouterr().err
+    data = json.loads(shipped_path("phi.state").read_text())
+    data["amps"][17]["coeffs"][2] = "1/0"
+    zero = tmp_path / "zero.state"
+    zero.write_text(json.dumps(data))
+    assert main(["ingest", str(zero)]) == 2
+    assert "$.amps[17].coeffs[2]: zero denominator" in capsys.readouterr().err

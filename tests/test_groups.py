@@ -1,17 +1,19 @@
 import random
+from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
 
 from amecode import catalog, groups
 from amecode.cyclo import Cyclotomic, root_of_unity
-from amecode.groups import (ClosureCapExceeded, NotInNormalizer, closure,
+from amecode.groups import (ClosureCapExceeded, GeneratorTypeError, NotInNormalizer, closure,
                             centralizer_containment_check, fixes_state,
                             has_conjugate_restriction_form, lifts_match,
                             local_symmetry_group, local_symmetry_report, mu_matrix,
                             normalizer_group_332, pauli_group, reflection,
                             sl_factorable, transversal_group,
-                            verify_coset_representatives, weyl_generators)
+                            verify_coset_representatives, weyl_generators, weyl_group)
 from amecode.linalg import Matrix
 from amecode.tensor import DimensionMismatch, LocalOperator, apply
 
@@ -19,8 +21,9 @@ N = 12
 
 
 def _reference_closure(generators, cap):
-    """Breadth-first closure over the operators themselves, multiplied with
-    LocalOperator.__mul__: the reference for the interned search."""
+    """Breadth-first closure over the elements themselves, multiplied with
+    Matrix.__mul__ or LocalOperator.__mul__: the reference for the batched
+    integer search.  On overflow the exception carries the elements found."""
     gens = list(generators)
     elements = {gens[0] * gens[0].inv(): None}
     frontier = []
@@ -35,11 +38,36 @@ def _reference_closure(generators, cap):
                 p = h * g
                 if p not in elements:
                     if len(elements) >= cap:
-                        raise ClosureCapExceeded(f"closure exceeded cap {cap}")
+                        raise ClosureCapExceeded(f"closure exceeded cap {cap}",
+                                                 lambda: tuple(elements))
                     elements[p] = None
                     nxt.append(p)
         frontier = nxt
     return tuple(elements)
+
+
+def _conjugated_monomials(p_rows):
+    """P^-1 M P for M the cyclic shift and diag(w, 1, 1): a dense group of
+    order 81 whose entries have the denominators and sizes P gives them."""
+    w = root_of_unity(4, N)
+    shift = Matrix(N, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    phase = Matrix(N, [[w, 0, 0], [0, 1, 0], [0, 0, 1]])
+    p = Matrix(N, p_rows)
+    return [p.inv() * m * p for m in (shift, phase)]
+
+
+def _den(m: Matrix) -> int:
+    return lcm(*(e.den for row in m.rows for e in row))
+
+
+def _numerator_bits(m: Matrix) -> int:
+    return max(abs(c) for row in m.rows for e in row for c in e.coeffs).bit_length()
+
+
+# the products of these generators need denominator 4, their own lcm is 2
+GROWING = ((-2, -2, 0), (-1, 1, -3), (-1, 1, -1))
+# generator numerators near 2**61: every product sum needs Python ints
+HUGE = ((1, 2 ** 60 - 1, 0), (0, 1, 0), (0, 0, 1))
 
 
 @pytest.mark.parametrize("build", [
@@ -47,22 +75,72 @@ def _reference_closure(generators, cap):
     lambda: pauli_group(3, 2, N),
     local_symmetry_group,
     normalizer_group_332,
-], ids=["centralizer-9", "pauli-3-2", "local-symmetry-1944", "normalizer-5832"])
+    weyl_group,
+    transversal_group,
+    lambda: closure(_conjugated_monomials(GROWING), cap=810),
+    lambda: closure(_conjugated_monomials(HUGE), cap=810),
+    lambda: closure([LocalOperator(N, 1, [catalog.pauli_x(2, N), catalog.pauli_z(3, N)]),
+                     LocalOperator(N, 1, [catalog.pauli_z(2, N), catalog.pauli_x(3, N)])],
+                    cap=400),
+], ids=["centralizer-9", "pauli-3-2", "local-symmetry-1944", "normalizer-5832",
+        "weyl-648", "transversal-648", "dense-growing-denominator", "dense-huge-numerators",
+        "mixed-dims-2-3"])
 def test_closure_matches_reference(build):
     g = build()
     assert g.elements == _reference_closure(g.generators, g.cap)
 
 
+def test_dense_closure_grows_and_widens():
+    grow = closure(_conjugated_monomials(GROWING), cap=810)
+    assert grow.order == 81
+    assert lcm(*map(_den, grow.generators)) == 2
+    assert lcm(*map(_den, grow.elements)) == 4
+    huge = closure(_conjugated_monomials(HUGE), cap=810)
+    assert huge.order == 81
+    assert max(map(_numerator_bits, huge.generators)) == 61
+    assert max(map(_numerator_bits, huge.elements)) > 64
+
+
+@pytest.mark.parametrize("k", [2, Fraction(1, 2)], ids=["diag-2", "diag-half"])
+def test_dense_closure_cap_matches_reference(k):
+    gens = [Matrix(N, [[k, 0, 0], [0, 1, 0], [0, 0, 1]])]
+    with pytest.raises(ClosureCapExceeded, match="cap 12") as got:
+        closure(gens, cap=12)
+    with pytest.raises(ClosureCapExceeded) as want:
+        _reference_closure(gens, 12)
+    assert len(got.value.elements) == 12
+    assert got.value.elements == want.value.elements
+
+
 def test_closure_rejects_infinite_and_mismatched_operators():
     diag = Matrix(N, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
     grow = LocalOperator(N, root_of_unity(1, N), [diag])
-    with pytest.raises(ClosureCapExceeded, match="cap 40"):
+    with pytest.raises(ClosureCapExceeded, match="cap 40") as got:
         closure([grow], cap=40)
+    with pytest.raises(ClosureCapExceeded) as want:
+        _reference_closure([grow], 40)
+    assert got.value.elements == want.value.elements
     x = catalog.pauli_x(3, N)
     with pytest.raises(DimensionMismatch):
         closure([LocalOperator(N, 1, [x, x]), LocalOperator(N, 1, [x, x, x])])
     with pytest.raises(DimensionMismatch):
         closure([LocalOperator(N, 1, [x]), LocalOperator(N, 1, [x]).embed(24)])
+
+
+def test_closure_rejects_mismatched_generators():
+    x = catalog.pauli_x(3, N)
+    with pytest.raises(GeneratorTypeError, match="PureState"):
+        closure([catalog.ame_state()])
+    with pytest.raises(GeneratorTypeError):
+        closure([x, LocalOperator(N, 1, [x])])
+    with pytest.raises(GeneratorTypeError):
+        closure([LocalOperator(N, 1, [x]), x])
+    with pytest.raises(DimensionMismatch):
+        closure([x, catalog.pauli_x(2, N)])
+    with pytest.raises(DimensionMismatch):
+        closure([x, Matrix(24, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])])
+    with pytest.raises(DimensionMismatch):
+        closure([Matrix(N, [[1, 0, 0], [0, 1, 0]])])
 
 
 def test_closure_stabilizer_order_9():

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from amecode import catalog
 from amecode import serialize as ser
@@ -105,3 +107,79 @@ def test_describe():
 def test_shipped_path_unknown():
     with pytest.raises(KeyError):
         ser.shipped_path("nope.state")
+
+
+def _ingest_json(tmp_path, data):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(data))
+    return ser.ingest(p)
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda d: [d], r"\$: expected an object with a format field, got list"),
+    (lambda d: d["amps"][5]["coeffs"].__setitem__(1, "1/0"),
+     r"\$\.amps\[5\]\.coeffs\[1\]: zero denominator in '1/0'"),
+    (lambda d: d["amps"].__setitem__(3, 7), r"\$\.amps\[3\]: expected an object, got int"),
+    (lambda d: d["amps"][0]["coeffs"].__setitem__(0, "1e9"),
+     r"\$\.amps\[0\]\.coeffs\[0\]: expected a rational"),
+    (lambda d: d.__setitem__("conductor", 10 ** 6), r"\$\.conductor: 1000000 is outside"),
+    (lambda d: d.__setitem__("dims", [3, 3, "3", 3]), r"\$\.dims\[2\]: expected an integer"),
+    (lambda d: d.__delitem__("amps"), r"\$: missing field 'amps'"),
+    (lambda d: d["amps"][0].__setitem__("conductor", 24),
+     r"\$\.amps\[0\]\.conductor: 24 differs"),
+], ids=["top-level-list", "zero-denominator", "bare-int", "exponent", "huge-conductor",
+        "string-dim", "missing-field", "mixed-conductor"])
+def test_ingest_names_the_json_path(tmp_path, edit, where):
+    data = catalog.ame_state().to_dict()
+    data = edit(data) or data
+    with pytest.raises(ser.IngestError, match=where):
+        _ingest_json(tmp_path, data)
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers(-3, 40)
+           | st.sampled_from(["1/0", "1/2", "-3", "0/1", "x", "2/3/4", "", "1e3"]))
+_KEYS = st.sampled_from(["format", "conductor", "coeffs", "dims", "amps", "scalar",
+                         "factors", "entries", "basis", "n", "D", "claimed_d",
+                         "operators", "matrices"])
+_JSON = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(_KEYS, inner, max_size=5), max_leaves=20)
+_SEEDS = [ser.to_dict(x) for x in (catalog.pauli_x(3, 12), list(weyl_generators()),
+                                   catalog.xxx(3, 3, 12), catalog.ket("01", 3, 12))]
+
+
+def _leaf_paths(doc, path=()):
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            yield from _leaf_paths(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            yield from _leaf_paths(v, path + (i,))
+    yield path
+
+
+@st.composite
+def _documents(draw):
+    """Random JSON, or a valid document with one value replaced."""
+    if draw(st.booleans()):
+        return {"format": draw(st.sampled_from(list(ser._READERS))), **draw(
+            st.dictionaries(_KEYS, _JSON, max_size=5))}
+    doc = json.loads(json.dumps(draw(st.sampled_from(_SEEDS))))
+    path = draw(st.sampled_from(list(_leaf_paths(doc))))
+    if not path:
+        return draw(_JSON)
+    target = doc
+    for k in path[:-1]:
+        target = target[k]
+    target[path[-1]] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_documents())
+def test_from_dict_fuzz_raises_only_ingest_error(doc):
+    # any JSON value is either a valid object or an IngestError
+    try:
+        ser.from_dict(doc)
+    except ser.IngestError:
+        pass
