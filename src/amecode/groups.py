@@ -6,10 +6,11 @@ operators: the normalizer maps onto it 3-to-1 (see local_symmetry_group).
 
 Closure is breadth-first over small-integer keys, so element sets are exact
 and enumeration order is deterministic.  Dense gates are kept as packed
-integer numerators over one common denominator and each search level is
-one integer matmul (linalg's packed kernel); product operators are keyed
-by scalar and canonical-factor ids, whose missing factor products are
-formed by the same kernel in one batch per level and site.
+integer numerators, each over its own denominator in lowest terms, and each
+search level is one integer matmul (linalg's packed kernel); product
+operators are keyed by scalar and canonical-factor ids, whose missing
+factor products are formed by the same kernel in one batch per level and
+site and interned the same way.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
-from .cyclo import Cyclotomic, _field, root_of_unity
-from .linalg import Matrix, _compact, _matmul, _scaled, pack, right_actions, unpack
+from .cyclo import Cyclotomic, root_of_unity
+from .linalg import Matrix, _compact, _matmul, pack, right_actions, unpack
 from .tensor import DimensionMismatch, LocalOperator, PureState, fixed_by
 
 
@@ -101,7 +102,8 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
     g in the generators, are formed in one batch and visited in (h, g)
     order, and the elements are built once at the end in search order.
     Raises ClosureCapExceeded if more than `cap` elements appear, which
-    signals a non-finite or mis-specified group.
+    signals a non-finite or mis-specified group, and ValueError if a
+    product of operators has a zero factor.
     """
     gens = list(generators)
     if not gens:
@@ -142,22 +144,43 @@ def _row_keys(x) -> list:
             for r, m in zip(flat, top)]
 
 
-def _wide(x, k: int):
-    """The integer array x, as Python ints if k does not fit in int64, so
-    that x % k and x // k are exact."""
-    return x if k < _INT64_MAX else x.astype(object)
+class _PackedIds:
+    """Ids for the exact matrices of one closure, given packed (linalg.pack)
+    with one denominator each.  A matrix is reduced to lowest terms and
+    keyed on (den, numerators), so equal matrices get equal ids whatever
+    denominator they arrive over; x[i] and den[i] are id i in lowest terms."""
+
+    def __init__(self):
+        self.x, self.den = [], []
+        self._ids: dict = {}
+
+    def __call__(self, x, dens) -> list[int]:
+        """Ids of the matrices with numerators x, shape (k, rows, cols, deg),
+        over dens; the matrices not seen before get the next ids."""
+        flat = x.reshape(len(x), -1)
+        divs = [gcd(g, den) for g, den in zip(np.gcd.reduce(flat, axis=1).tolist(), dens)]
+        if any(g != 1 for g in divs):
+            x = x // _compact(np.array(divs, dtype=object)).reshape(-1, 1, 1, 1)
+            dens = [den // g for den, g in zip(dens, divs)]
+        ids, new = [], []
+        for key in zip(dens, _row_keys(x)):
+            i = self._ids.get(key)
+            if i is None:
+                i = self._ids[key] = len(self._ids)
+                new.append(len(ids))
+            ids.append(i)
+        if new:
+            self.x.extend(_compact(x[new]))
+            self.den.extend(dens[k] for k in new)
+        return ids
 
 
 class _DenseTable:
-    """Small-integer keys for the dense matrices of one closure.
-
-    Every element is kept packed (linalg.pack) over one common denominator
-    D, which starts at the lcm of the generators' denominators; its key is
-    its index.  A level's products are one bound-checked matmul of the
-    frontier's packed rows with the generators' right actions, giving
-    numerators over D^2.  They are divided by D only after checking that D
-    divides every one; otherwise D grows to the least multiple that holds
-    them all, and the stored elements are rescaled first."""
+    """Small-integer keys for the dense matrices of one closure: their
+    _PackedIds.  A level's products are one bound-checked matmul of the
+    frontier's packed rows with the generators' right actions; the product
+    h * g has numerators over den(h) * den(g) and is reduced when interned,
+    so no stored element is ever rescaled."""
 
     def __init__(self, gens):
         first = gens[0]
@@ -171,68 +194,27 @@ class _DenseTable:
         if first.shape[0] != first.shape[1]:
             raise DimensionMismatch(f"cannot close {first.shape} matrices")
         self.n = first.n
-        self.den = pack(gens)[1]
-        # the elements' numerators are self._buf[:len(self._ids)], in id
-        # order; the buffer doubles when full, so a deep search stays linear
-        self._buf = np.zeros((16, *first.shape, _field(self.n).degree), dtype=np.int64)
-        self._ids: dict = {}
+        self.ids = _PackedIds()
         self._actions = None
 
-    @property
-    def x(self):
-        return self._buf[:len(self._ids)]
-
-    def _intern(self, x) -> list[int]:
-        start = len(self._ids)
-        ids, new = [], []
-        for k, row in zip(_row_keys(x), x):
-            i = self._ids.get(k)
-            if i is None:
-                i = self._ids[k] = len(self._ids)
-                new.append(row)
-            ids.append(i)
-        if new:
-            new = np.stack(new)
-            end = len(self._ids)
-            dtype = np.result_type(self._buf, new)
-            if end > len(self._buf) or dtype != self._buf.dtype:
-                buf = np.zeros((2 * end, *new.shape[1:]), dtype)
-                buf[:start] = self._buf[:start]
-                self._buf = buf
-            self._buf[start:end] = new
-        return ids
-
     def key(self, g: Matrix) -> int:
-        return self._intern(pack([g], self.den)[0])[0]
-
-    def _grow(self, p) -> int:
-        """Grow D until it holds the products p (numerators over the old
-        D^2); returns the old D^2 over the new D."""
-        d2 = self.den * self.den
-        if not (_wide(p, self.den) % self.den).any():
-            return self.den
-        g = d2
-        for v in set(p.ravel().tolist()):
-            g = gcd(g, v)
-        den = lcm(self.den, d2 // g)
-        self._buf = _scaled(self.x, den // self.den)
-        self.den = den
-        self._ids = {k: i for i, k in enumerate(_row_keys(self.x))}
-        return d2 // den
+        x, den = pack([g])
+        return self.ids(x, [den])[0]
 
     def products(self, frontier, gkeys) -> list[int]:
-        if self._actions is None or self._actions[0] != self.den:
-            a, bounds = right_actions(self.x[gkeys], self.n)
-            self._actions = (self.den, a, max(bounds))
-        _, a, bound = self._actions
-        f = self.x[frontier]
+        ids = self.ids
+        if self._actions is None:
+            a, bounds = right_actions(np.stack([ids.x[g] for g in gkeys]), self.n)
+            self._actions = (a, max(bounds), [ids.den[g] for g in gkeys])
+        a, bound, gdens = self._actions
+        f = np.stack([ids.x[h] for h in frontier])
         rows = f.reshape(len(f), 1, f.shape[1], -1)
         p = _matmul(rows, a, bound).reshape(-1, *f.shape[1:])
-        k = self._grow(p)
-        return self._intern(_wide(p, k) // k)
+        return ids(p, [ids.den[h] * den for h in frontier for den in gdens])
 
     def elements(self, keys) -> tuple:
-        return tuple(unpack(self.n, self.x[list(keys)], self.den))
+        ids = self.ids
+        return tuple(unpack(self.n, ids.x[k][None], ids.den[k])[0] for k in keys)
 
 
 class _LazyTable(dict):
@@ -273,7 +255,7 @@ class _ProductTable:
                 raise DimensionMismatch("operator product shape/conductor mismatch")
         self.n = first.n
         self.scalars, self._scalar_ids = [], {}
-        self.factors, self._factor_ids = [], {}
+        self.factors, self._factor_packs = [], _PackedIds()
         self._packed = []  # per factor id: (packed rows, den, right action, its bound)
         self._scalar_mul = _LazyTable(self._mul_scalars)
         self._factor_mul = {}
@@ -292,24 +274,15 @@ class _ProductTable:
     def _factor_id_list(self, x, dens) -> list[int]:
         """Ids of the square matrices with numerators x, shape (k, d, d, deg),
         over dens; the matrices not seen before get new ids."""
-        flat = x.reshape(len(x), -1)
-        divs = [gcd(g, den) for g, den in zip(np.gcd.reduce(flat, axis=1).tolist(), dens)]
-        if any(g != 1 for g in divs):
-            x = x // np.array(divs, dtype=object).reshape(-1, 1, 1, 1)
-            dens = [den // g for den, g in zip(dens, divs)]
-        ids, new = [], []
-        for key in zip(dens, _row_keys(x)):
-            i = self._factor_ids.get(key)
-            if i is None:
-                i = self._factor_ids[key] = len(self._factor_ids)
-                new.append(len(ids))
-            ids.append(i)
-        if new:
-            y = _compact(x[new])
+        packed = self._factor_packs
+        start = len(packed.x)
+        ids = packed(x, dens)
+        if len(packed.x) > start:
+            y = np.stack(packed.x[start:])
             acts, bounds = right_actions(y, self.n)
-            for k, row, a, bound in zip(new, y, acts, bounds):
-                self.factors.append(unpack(self.n, row[None], dens[k])[0])
-                self._packed.append((row.reshape(len(row), -1), dens[k], a, bound))
+            for row, den, a, bound in zip(y, packed.den[start:], acts, bounds):
+                self.factors.append(unpack(self.n, row[None], den)[0])
+                self._packed.append((row.reshape(len(row), -1), den, a, bound))
         return ids
 
     def _inverse_action(self, lead: Cyclotomic):
@@ -331,7 +304,10 @@ class _ProductTable:
         d = p.shape[1]
         p = p.reshape(len(pairs), d * d, -1)
         dens = [a[1] * b[1] for a, b in zip(left, right)]
-        first = np.abs(p).max(axis=2).astype(bool).argmax(axis=1).tolist()
+        nonzero = np.abs(p).max(axis=2).astype(bool)
+        if not nonzero.any(axis=1).all():
+            raise ValueError("zero factor in local operator")
+        first = nonzero.argmax(axis=1).tolist()
         leads = [Cyclotomic(self.n, p[k, j].tolist(), den)
                  for k, (j, den) in enumerate(zip(first, dens))]
         invs = [self._inverse_action(c) for c in leads]

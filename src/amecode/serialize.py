@@ -10,9 +10,7 @@ failing check and its JSON path named.
 from __future__ import annotations
 
 import json
-import re
 from importlib import resources
-from math import lcm
 from pathlib import Path
 
 from .cyclo import Cyclotomic
@@ -66,7 +64,6 @@ def dumps(obj) -> str:
 # ingest.
 
 MAX_CONDUCTOR = 1024  # the field tables grow with the conductor; data uses 12, 24, 36
-_RATIONAL = re.compile(r"(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?")
 
 
 def _kind(value) -> str:
@@ -102,36 +99,16 @@ def _conductor(data, path: str) -> int:
     return _int(*_get(data, "conductor", path), high=MAX_CONDUCTOR)
 
 
-def _coefficients(value, path: str) -> tuple[list[int], int]:
-    """(numerators, den): the coefficient strings "p" or "p/q" of a field
-    element over their least common denominator."""
-    if not isinstance(value, list):
-        raise IngestError(f"{path}: expected a list, got {_kind(value)}")
-    pairs = []
-    for i, text in enumerate(value):
-        match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
-        if match is None:
-            raise IngestError(f'{path}[{i}]: expected a rational "p/q", got {text!r}')
-        try:
-            pair = int(match["num"]), int(match["den"] or 1)
-        except ValueError as exc:  # more digits than int() converts
-            raise IngestError(f"{path}[{i}]: {exc}") from None
-        if not pair[1]:
-            raise IngestError(f"{path}[{i}]: zero denominator in {text!r}")
-        pairs.append(pair)
-    den = lcm(*(q for _, q in pairs))
-    return [p * (den // q) for p, q in pairs], den
-
-
 def _scalar(data, path: str, n: int) -> Cyclotomic:
     """A field element {conductor, coeffs} whose conductor is n."""
     if _conductor(data, path) != n:
         raise IngestError(f"{path}.conductor: {data['conductor']} differs from "
                           f"the file conductor {n}")
+    _items(*_get(data, "coeffs", path))
     try:
-        return Cyclotomic(n, *_coefficients(*_get(data, "coeffs", path)))
-    except ValueError as exc:  # a wrong number of coefficients
-        raise IngestError(f"{path}.coeffs: {exc}") from None
+        return Cyclotomic.from_dict(data)
+    except ValueError as exc:  # its message starts with the field at fault
+        raise IngestError(f"{path}.{exc}") from None
 
 
 def _rows(value, path: str, n: int) -> Matrix:

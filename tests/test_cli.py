@@ -5,7 +5,7 @@ import pytest
 
 from amecode.cli import main
 from amecode.linalg import Matrix
-from amecode.serialize import shipped_path
+from amecode.serialize import dump, shipped_path
 from amecode.suites import SUITES, SuiteContext, run_suite
 from amecode.tensor import LocalOperator
 
@@ -97,6 +97,16 @@ def test_cli_group_close_cap_exceeded(tmp_path, capsys):
     code = main(["group", "close", "--gens", str(gens), "--cap", "40"])
     assert code == 2
     assert "error: closure exceeded cap 40" in capsys.readouterr().err
+
+
+def test_cli_group_close_zero_factor(tmp_path, capsys):
+    # N = [[0, 1], [0, 0]] is canonical, but N * N has a zero factor
+    x = LocalOperator(12, 1, [Matrix(12, [[0, 1], [1, 0]])])
+    nil = LocalOperator(12, 1, [Matrix(12, [[0, 1], [0, 0]])])
+    gens = tmp_path / "nil.ops"
+    dump([x, nil], gens)
+    assert main(["group", "close", "--gens", str(gens)]) == 2
+    assert "error: zero factor in local operator" in capsys.readouterr().err
 
 
 def test_cli_group_verify_cosets(capsys):

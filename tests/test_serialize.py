@@ -122,13 +122,15 @@ def _ingest_json(tmp_path, data):
     (lambda d: d["amps"].__setitem__(3, 7), r"\$\.amps\[3\]: expected an object, got int"),
     (lambda d: d["amps"][0]["coeffs"].__setitem__(0, "1e9"),
      r"\$\.amps\[0\]\.coeffs\[0\]: expected a rational"),
+    (lambda d: d["amps"][2].__setitem__("coeffs", ["1", "0", "0"]),
+     r"\$\.amps\[2\]\.coeffs: need 4 coefficients"),
     (lambda d: d.__setitem__("conductor", 10 ** 6), r"\$\.conductor: 1000000 is outside"),
     (lambda d: d.__setitem__("dims", [3, 3, "3", 3]), r"\$\.dims\[2\]: expected an integer"),
     (lambda d: d.__delitem__("amps"), r"\$: missing field 'amps'"),
     (lambda d: d["amps"][0].__setitem__("conductor", 24),
      r"\$\.amps\[0\]\.conductor: 24 differs"),
-], ids=["top-level-list", "zero-denominator", "bare-int", "exponent", "huge-conductor",
-        "string-dim", "missing-field", "mixed-conductor"])
+], ids=["top-level-list", "zero-denominator", "bare-int", "exponent", "too-few-coeffs",
+        "huge-conductor", "string-dim", "missing-field", "mixed-conductor"])
 def test_ingest_names_the_json_path(tmp_path, edit, where):
     data = catalog.ame_state().to_dict()
     data = edit(data) or data
