@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import Cyclotomic, sqrt_of_rational
+from .cyclo import sqrt_of_rational
 from .qecc import CodeSubspace, kl_check, r_uniform_check
-from .tensor import PureState, contract_site, inner, orthonormalize
+from .tensor import PureState, contract_site, orthonormal_defect, orthonormalize
 
 
 @dataclass
@@ -48,14 +48,7 @@ def reduce_state(v: PureState) -> CodeSubspace:
     n = v.n
     root_d = sqrt_of_rational(d, n)
     cols = [contract_site(i, 1, v).scale(root_d) for i in range(d)]
-    gram_ok = True
-    for i in range(d):
-        for j in range(d):
-            val = inner(cols[i], cols[j])
-            want = Cyclotomic.one(n) if i == j else Cyclotomic.zero(n)
-            if val != want:
-                gram_ok = False
-    if not gram_ok:
+    if orthonormal_defect(cols) is not None:
         try:
             cols = orthonormalize(cols)
         except ValueError:

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd
 
 import numpy as np
 
 from .cyclo import Cyclotomic, root_of_unity
 from .linalg import Matrix, _compact, _matmul, pack, right_actions, unpack
-from .tensor import DimensionMismatch, LocalOperator, PureState, fixed_by
+from .tensor import DimensionMismatch, LocalOperator, PureState, fixed_by, in_span
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -102,14 +102,18 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
     g in the generators, are formed in one batch and visited in (h, g)
     order, and the elements are built once at the end in search order.
     Raises ClosureCapExceeded if more than `cap` elements appear, which
-    signals a non-finite or mis-specified group, and ValueError if a
-    product of operators has a zero factor.
+    signals a non-finite or mis-specified group, and ValueError naming the
+    first singular generator (determinant 0; for an operator, a zero scalar
+    or a singular factor) before the search.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
     table = (_ProductTable if isinstance(gens[0], LocalOperator) else _DenseTable)(gens)
-    ident = table.key(gens[0] * gens[0].inv())
+    for i, g in enumerate(gens):
+        if _singular(g):
+            raise ValueError(f"generators[{i}] is singular (determinant 0)")
+    ident = table.key(table.identity)
     gkeys = [table.key(g) for g in gens]
     elements: dict = {ident: None}
     frontier = []
@@ -128,6 +132,15 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
                 nxt.append(p)
         frontier = nxt
     return MatrixGroup(tuple(gens), table.elements(elements), cap)
+
+
+@lru_cache(maxsize=1 << 12)
+def _singular(g) -> bool:
+    """Whether a dense gate or product operator has determinant 0; cached,
+    because the closures of one process share most generator factors."""
+    if isinstance(g, LocalOperator):
+        return g.scalar.is_zero() or any(_singular(f) for f in g.factors)
+    return g.det().is_zero()
 
 
 _INT64_MAX = 1 << 63
@@ -194,6 +207,7 @@ class _DenseTable:
         if first.shape[0] != first.shape[1]:
             raise DimensionMismatch(f"cannot close {first.shape} matrices")
         self.n = first.n
+        self.identity = Matrix.identity(first.shape[0], first.n)
         self.ids = _PackedIds()
         self._actions = None
 
@@ -254,6 +268,7 @@ class _ProductTable:
             if g.dims != first.dims or g.n != first.n:
                 raise DimensionMismatch("operator product shape/conductor mismatch")
         self.n = first.n
+        self.identity = LocalOperator.identity(first.dims, first.n)
         self.scalars, self._scalar_ids = [], {}
         self.factors, self._factor_packs = [], _PackedIds()
         self._packed = []  # per factor id: (packed rows, den, right action, its bound)
@@ -304,10 +319,8 @@ class _ProductTable:
         d = p.shape[1]
         p = p.reshape(len(pairs), d * d, -1)
         dens = [a[1] * b[1] for a, b in zip(left, right)]
-        nonzero = np.abs(p).max(axis=2).astype(bool)
-        if not nonzero.any(axis=1).all():
-            raise ValueError("zero factor in local operator")
-        first = nonzero.argmax(axis=1).tolist()
+        # factors of invertible generators: every product has a nonzero entry
+        first = np.abs(p).max(axis=2).astype(bool).argmax(axis=1).tolist()
         leads = [Cyclotomic(self.n, p[k, j].tolist(), den)
                  for k, (j, den) in enumerate(zip(first, dens))]
         invs = [self._inverse_action(c) for c in leads]
@@ -417,7 +430,7 @@ def mu_matrix(g: LocalOperator, code) -> Matrix:
     its squared norm equals the sum of |<u_i| g |u_j>|^2 over i."""
     table, norms = code.packed.restriction(g)
     for j, norm in enumerate(norms):
-        if sum((row[j].conj() * row[j] for row in table), Cyclotomic.zero(g.n)) != norm:
+        if not in_span([row[j] for row in table], norm):
             raise NotInNormalizer(f"operator maps basis vector {j} outside the code")
     return Matrix(g.n, table)
 

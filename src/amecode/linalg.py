@@ -188,11 +188,7 @@ class Matrix:
 
     def is_identity(self) -> bool:
         r, c = self.shape
-        if r != c:
-            return False
-        one, zero = Cyclotomic.one(self.n), Cyclotomic.zero(self.n)
-        return all(self.rows[i][j] == (one if i == j else zero)
-                   for i in range(r) for j in range(c))
+        return r == c and self.rows == _identity(r, self.n).rows
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)
@@ -245,6 +241,12 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.shape[0]}x{self.shape[1]}, N={self.n})"
+
+
+@lru_cache(maxsize=None)
+def _identity(size: int, n: int) -> Matrix:
+    """Matrix.identity, built once per size and conductor."""
+    return Matrix.identity(size, n)
 
 
 # -- packed integer kernel --------------------------------------------------

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import prod
 
-from .cyclo import Cyclotomic
+import numpy as np
+
 from .linalg import Matrix
-from .tensor import (LocalOperator, PackedBasis, PureState, inner, orthonormalize,
-                     partial_trace)
+from .tensor import (LocalOperator, PackedBasis, PureState, _density, _reduction, gram,
+                     in_span, orthonormal_defect, orthonormalize)
 
 
 class CodeSubspace:
@@ -32,12 +34,9 @@ class CodeSubspace:
         for v in basis:
             if v.dims != dims:
                 raise ValueError(f"basis state dims {v.dims} != {dims}")
-        for i, u in enumerate(basis):
-            for j, v in enumerate(basis):
-                val = inner(u, v)
-                want = Cyclotomic.one(u.n) if i == j else Cyclotomic.zero(u.n)
-                if val != want:
-                    raise ValueError(f"basis not orthonormal at pair ({i},{j})")
+        pair = orthonormal_defect(basis)
+        if pair is not None:
+            raise ValueError(f"basis not orthonormal at pair ({pair[0]},{pair[1]})")
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "local_dim", local_dim)
         object.__setattr__(self, "basis", basis)
@@ -63,17 +62,18 @@ class CodeSubspace:
         return self._packed
 
     def contains(self, v: PureState) -> bool:
-        w = v
-        for b in self.basis:
-            c = inner(b, v)
-            if not c.is_zero():
-                w = w - b.scale(c)
-        return w.is_zero()
+        g = gram(self.basis + (v,))
+        return in_span([row[-1] for row in g[:-1]], g[-1][-1])
 
     def span_equal(self, other: CodeSubspace) -> bool:
-        return (self.dimension == other.dimension
-                and all(other.contains(b) for b in self.basis)
-                and all(self.contains(b) for b in other.basis))
+        """One Gram table of both bases; each basis must lie in the other's
+        span."""
+        k = self.dimension
+        if other.dimension != k:
+            return False
+        g = gram(self.basis + other.basis)
+        return (all(in_span([row[j] for row in g[k:]], g[j][j]) for j in range(k))
+                and all(in_span([row[j] for row in g[:k]], g[j][j]) for j in range(k, 2 * k)))
 
     def to_dict(self) -> dict:
         return {
@@ -92,13 +92,14 @@ class CodeSubspace:
 @dataclass(frozen=True)
 class ErrorBasisElement:
     """A Pauli product error X^a Z^b per site; weight counts the
-    non-identity factors (recomputed, never trusted)."""
+    non-identity factors of the operator (computed once from them, never
+    taken from the exponents)."""
 
     op: LocalOperator
     exponents: tuple
     label: str
 
-    @property
+    @cached_property
     def weight(self) -> int:
         return self.op.weight()
 
@@ -218,24 +219,35 @@ class UniformReport:
 
 def r_uniform_check(v: PureState, r: int) -> UniformReport:
     """Exactly decide whether every r-site reduction of the normalized state
-    is (1/D^r) * identity; the reported deviation is a float diagnostic."""
+    is (1/D^r) * identity; the reported deviation is a float diagnostic.
+
+    A reduction g / den passes when its integer numerators vanish off the
+    diagonal and agree on it: its trace is then the rational <v|v>, so the
+    common diagonal entry is <v|v> / dim.  The normalized reduction and its
+    deviation are built only for a subset that fails; a passing one
+    deviates by exactly 0.0."""
     sites = v.sites
     if not 1 <= r <= sites:
         raise ValueError(f"r={r} out of range 1..{sites}")
-    ns = v.norm_sq()
-    if ns == 0:
+    if v.is_zero():
         raise ValueError("zero state")
+    ns = None
     uniform = True
     worst_subset = None
     worst = 0.0
     for keep in combinations(range(1, sites + 1), r):
-        rho = partial_trace(v, keep).scale(Fraction(1, 1) / ns)
-        dim = prod(v.dims[s - 1] for s in keep)
-        target = Matrix.identity(dim, v.n).scale(Fraction(1, dim))
-        if rho.mat != target:
+        kdims, g, den = _reduction(v, keep)
+        dim = len(g)
+        diagonal = np.eye(dim, dtype=bool)
+        if not g[~diagonal].any() and (g[diagonal] == g[0, 0]).all():
+            dev = 0.0
+        else:
             uniform = False
-        dev = max(abs(x - y) for rw, tw in zip(rho.mat.to_complex(), target.to_complex())
-                  for x, y in zip(rw, tw))
+            ns = v.norm_sq() if ns is None else ns
+            rho = _density(v.n, kdims, g, den).scale(Fraction(1, 1) / ns)
+            target = Matrix.identity(dim, v.n).scale(Fraction(1, dim))
+            dev = max(abs(x - y) for rw, tw in zip(rho.mat.to_complex(), target.to_complex())
+                      for x, y in zip(rw, tw))
         if dev >= worst:
             worst = dev
             worst_subset = keep if dev > 0 or worst_subset is None else worst_subset

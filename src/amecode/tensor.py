@@ -19,7 +19,7 @@ import numpy as np
 
 from .cyclo import ConductorMismatch, Cyclotomic, sqrt_of_rational
 from .linalg import (Matrix, _col_bound, _compact, _matmul, _max_abs, _scaled, _structure,
-                     pack, right_actions)
+                     pack, right_actions, unpack)
 
 
 class DimensionMismatch(ValueError):
@@ -84,8 +84,7 @@ class PureState:
         return all(a.is_zero() for a in self.amps)
 
     def norm_sq(self) -> Fraction:
-        v = inner(self, self)
-        return v.as_fraction()
+        return gram([self])[0][0].as_fraction()
 
     def conj(self) -> PureState:
         return PureState(self.n, self.dims, [a.conj() for a in self.amps])
@@ -347,6 +346,72 @@ def _unpack(n: int, dims, x, den: int) -> PureState:
                                for c in x.reshape(-1, x.shape[-1]).tolist()])
 
 
+def _pack_states(states):
+    """(x, den): states of one dims and conductor packed as numerators of
+    shape (K, *dims, deg) over one denominator."""
+    n, dims = states[0].n, states[0].dims
+    for v in states:
+        _check_dims(states[0], v)
+        if v.n != n:
+            raise ConductorMismatch(f"conductor {n} vs {v.n}")
+    packs = [_pack(v) for v in states]
+    den = lcm(*(d for _, d in packs))
+    return _compact(np.stack([_scaled(p, den // d) for p, d in packs])), den
+
+
+@lru_cache(maxsize=None)
+def _gram_maps(n: int):
+    """(C, bound of C, T2, bound of T2): x @ C conjugates coefficient
+    vectors, and T2 maps the deg*deg products x[a] * y[b] to the
+    coefficients of x * y."""
+    t, conj = _structure(n)
+    deg = t.shape[0]
+    t2 = t.reshape(deg * deg, deg)
+    return conj, _col_bound(conj), _compact(t2), _col_bound(t2)
+
+
+def _gram(x, n: int):
+    """Numerators over den**2 of the Gram matrix of rows x packed over den,
+    shape (K, t, deg): g[i, j] = sum_t x[i, t] * conj(x[j, t]), shape
+    (K, K, deg).  One conjugation, one contraction over t and one map of
+    the deg x deg coefficient products to deg, each bound-checked."""
+    conj, conj_bound, t2, t2_bound = _gram_maps(n)
+    k, width, deg = x.shape
+    cx = _matmul(x, conj, conj_bound)
+    rows = x.transpose(0, 2, 1).reshape(k * deg, width)
+    cols = cx.transpose(1, 0, 2).reshape(width, k * deg)
+    p = _matmul(rows, cols, width * _max_abs(cx))
+    p = p.reshape(k, deg, k, deg).transpose(0, 2, 1, 3).reshape(k, k, deg * deg)
+    return _matmul(p, t2, t2_bound)
+
+
+def gram(states) -> list[list[Cyclotomic]]:
+    """The table [<u_i|u_j>] of states of one dims and conductor, by one
+    packed contraction; field elements are built only for its entries."""
+    states = tuple(states)
+    n = states[0].n
+    x, den = _pack_states(states)
+    g = _gram(x.reshape(len(states), -1, x.shape[-1]), n)
+    # g[i, j] = <u_j|u_i>, so the table is g transposed
+    return [[Cyclotomic(n, c, den * den) for c in col] for col in g.transpose(1, 0, 2).tolist()]
+
+
+def in_span(coeffs, norm: Cyclotomic) -> bool:
+    """Whether a vector lies in the span of an orthonormal basis b_i, given
+    its coefficients <b_i|v> and its squared norm <v|v>: exactly when
+    <v|v> = sum_i |<b_i|v>|^2 (Pythagoras)."""
+    return sum((c.conj() * c for c in coeffs), Cyclotomic.zero(norm.n)) == norm
+
+
+def orthonormal_defect(states):
+    """The first pair (i, j), in row-major order, with <u_i|u_j> != delta_ij,
+    or None when the states are orthonormal."""
+    g = gram(states)
+    one, zero = Cyclotomic.one(g[0][0].n), Cyclotomic.zero(g[0][0].n)
+    return next(((i, j) for i, row in enumerate(g) for j, val in enumerate(row)
+                 if val != (one if i == j else zero)), None)
+
+
 def _check_operands(op: LocalOperator, v: PureState):
     if op.dims != v.dims:
         raise DimensionMismatch(f"operator dims {op.dims} vs state dims {v.dims}")
@@ -416,12 +481,8 @@ class PackedBasis:
         if not states:
             raise ValueError("empty basis")
         n, dims = states[0].n, states[0].dims
-        for v in states:
-            if v.dims != dims or v.n != n:
-                raise ValueError("basis states must share dims and conductor")
-        packs = [_pack(v) for v in states]
-        den = lcm(*(d for _, d in packs))
-        x = np.stack([_scaled(p, den // d).astype(object) for p, d in packs])
+        x, den = _pack_states(states)
+        x = x.astype(object)
         t, conj = _structure(n)
         deg = t.shape[0]
         # bra[(a, u), (i, s)] = sum_t conj(u_i)[a, t] T[t, u, s], so that
@@ -454,16 +515,12 @@ class PackedBasis:
     def restriction(self, op: LocalOperator):
         """(table, norms): the matrix_elements table and <op u_j|op u_j>
         for every j.  For an orthonormal basis, op|u_j> lies in the span
-        exactly when sum_i |table[i][j]|^2 equals norms[j]."""
+        exactly when in_span([row[j] for row in table], norms[j])."""
         w, den = self._images(op)
-        t, conj = _structure(self.n)
-        deg = t.shape[0]
-        w3 = w.reshape(len(self.states), -1, deg)
-        cw = _matmul(w3, conj, _col_bound(conj))
-        gram = _matmul(cw.transpose(0, 2, 1), w3, w3.shape[1] * _max_abs(w3))
-        t2 = t.reshape(deg * deg, deg)
-        norms = _matmul(gram.reshape(len(self.states), -1), t2, _col_bound(t2)).tolist()
-        return self._table(w, den), [Cyclotomic(self.n, c, den * den) for c in norms]
+        k = len(self.states)
+        g = _gram(w.reshape(k, -1, self.x.shape[-1]), self.n)
+        return self._table(w, den), [Cyclotomic(self.n, g[j, j].tolist(), den * den)
+                                     for j in range(k)]
 
 
 class DensityOperator:
@@ -532,7 +589,7 @@ def partial_trace(obj, keep) -> DensityOperator:
     """Reduce a PureState (as |v><v|) or DensityOperator onto the 1-based
     sites in `keep`, tracing out the rest."""
     if isinstance(obj, PureState):
-        return _partial_trace_state(obj, keep)
+        return _density(obj.n, *_reduction(obj, keep))
     if isinstance(obj, DensityOperator):
         return _partial_trace_density(obj, keep)
     raise TypeError(f"cannot partial-trace {type(obj).__name__}")
@@ -554,32 +611,22 @@ def _all_multi(dims):
             yield (head,) + tail
 
 
-def _partial_trace_state(v: PureState, keep) -> DensityOperator:
+def _reduction(v: PureState, keep):
+    """(kdims, g, den): the reduction of |v><v| onto the 1-based sites in
+    `keep` is g / den, where g holds integer numerators of shape
+    (dim, dim, deg), dim the product of kdims.  It is the Gram matrix of the
+    rows of the matricization M[keep, traced] of v's packed amplitudes."""
     keep_pos = _keep_positions(keep, v.sites)
     trace_pos = [p for p in range(v.sites) if p not in keep_pos]
     kdims = [v.dims[p] for p in keep_pos]
-    tdims = [v.dims[p] for p in trace_pos]
-    kn, tn = prod(kdims), prod(tdims)
-    # M[keep, traced] rearrangement of the amplitude tensor
-    m = [[None] * tn for _ in range(kn)]
-    for multi in _all_multi(v.dims):
-        a = v.amps[_flat_index(multi, v.dims)]
-        ki = _flat_index([multi[p] for p in keep_pos], kdims)
-        ti = _flat_index([multi[p] for p in trace_pos], tdims)
-        m[ki][ti] = a
-    zero = Cyclotomic.zero(v.n)
-    rows = []
-    for i in range(kn):
-        row = []
-        for j in range(kn):
-            acc = zero
-            for t in range(tn):
-                x, y = m[i][t], m[j][t]
-                if not (x.is_zero() or y.is_zero()):
-                    acc = acc + x * y.conj()
-            row.append(acc)
-        rows.append(row)
-    return DensityOperator(kdims, Matrix(v.n, rows))
+    x, den = _pack(v)
+    m = x.transpose(keep_pos + trace_pos + [v.sites]).reshape(prod(kdims), -1, x.shape[-1])
+    return kdims, _gram(m, v.n), den * den
+
+
+def _density(n: int, kdims, g, den: int) -> DensityOperator:
+    """The DensityOperator on kdims with entries g / den."""
+    return DensityOperator(kdims, unpack(n, g[None], den)[0])
 
 
 def _partial_trace_density(rho: DensityOperator, keep) -> DensityOperator:

@@ -100,13 +100,36 @@ def test_cli_group_close_cap_exceeded(tmp_path, capsys):
 
 
 def test_cli_group_close_zero_factor(tmp_path, capsys):
-    # N = [[0, 1], [0, 0]] is canonical, but N * N has a zero factor
+    # N = [[0, 1], [0, 0]] is canonical, but N * N would have a zero factor:
+    # the singular generator is rejected before the search
     x = LocalOperator(12, 1, [Matrix(12, [[0, 1], [1, 0]])])
     nil = LocalOperator(12, 1, [Matrix(12, [[0, 1], [0, 0]])])
     gens = tmp_path / "nil.ops"
     dump([x, nil], gens)
     assert main(["group", "close", "--gens", str(gens)]) == 2
-    assert "error: zero factor in local operator" in capsys.readouterr().err
+    assert "error: generators[1] is singular (determinant 0)" in capsys.readouterr().err
+
+
+_PERMUTATION = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+_SINGULAR = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("rows, at", [([_SINGULAR], 0), ([_PERMUTATION, _SINGULAR], 1)],
+                         ids=["first", "after-permutation"])
+def test_cli_group_close_singular_matrix(tmp_path, capsys, rows, at):
+    gens = tmp_path / "singular.mats"
+    dump([Matrix(12, r) for r in rows], gens)
+    assert main(["group", "close", "--gens", str(gens)]) == 2
+    assert capsys.readouterr().err == f"error: generators[{at}] is singular (determinant 0)\n"
+
+
+def test_cli_group_close_singular_factor(tmp_path, capsys):
+    # diag(1, 0) is idempotent: its closure never meets a zero factor
+    gens = tmp_path / "idempotent.ops"
+    dump([LocalOperator(12, 1, [Matrix(12, [[0, 1], [1, 0]]), Matrix(12, [[1, 0], [0, 0]])])],
+         gens)
+    assert main(["group", "close", "--gens", str(gens)]) == 2
+    assert "error: generators[0] is singular (determinant 0)" in capsys.readouterr().err
 
 
 def test_cli_group_verify_cosets(capsys):

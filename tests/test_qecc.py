@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -172,3 +173,39 @@ def test_code_subspace_validation():
     code = CodeSubspace(3, 3, [s1, s2])
     assert code.contains(s1 + s2.scale(root_of_unity(1, N)))
     assert not code.contains(catalog.ket("001", 3, N))
+
+
+def _reference_first_defect(basis):
+    """The pair the field-arithmetic orthonormality loop named first."""
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            if inner(u, v) != (1 if i == j else 0):
+                return (i, j)
+    return None
+
+
+_S1, _S2, _S3 = catalog.code_basis()
+
+
+@pytest.mark.parametrize("basis, pair", [
+    ([_S1, _S2, _S1], (0, 2)),
+    ([_S2, _S1, _S3.scale(2)], (2, 2)),
+    ([_S1, _S2 + _S3], (1, 1)),
+    ([_S3, _S1, _S1 + _S2], (1, 2)),
+], ids=["repeated", "scaled", "unnormalized-sum", "overlap"])
+def test_non_orthonormal_code_names_reference_pair(basis, pair):
+    assert _reference_first_defect(basis) == pair
+    with pytest.raises(ValueError, match=rf"at pair \({pair[0]},{pair[1]}\)$"):
+        CodeSubspace(3, 3, basis)
+
+
+def test_contains_and_span_equal_by_gram(code332):
+    s1, s2, s3 = code332.basis
+    w = root_of_unity(1, N)
+    code = CodeSubspace(3, 3, [s1, s2])
+    assert code.contains(s1.scale(w) - s2.scale(3))
+    assert not code.contains(s1 + s3.scale(Fraction(1, 1000)))
+    assert not code.contains(catalog.ket("000", 3, N))
+    assert code.span_equal(CodeSubspace(3, 3, [s2.scale(w), s1]))
+    assert not code.span_equal(CodeSubspace(3, 3, [s1, s3]))
+    assert not code.span_equal(code332)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import prod
@@ -7,10 +8,10 @@ import pytest
 from amecode import catalog
 from amecode.cyclo import ConductorMismatch, Cyclotomic, root_of_unity
 from amecode.linalg import Matrix
-from amecode.qecc import pauli_error_basis
+from amecode.qecc import UniformReport, pauli_error_basis, r_uniform_check
 from amecode.tensor import (DensityOperator, DimensionMismatch, LocalOperator,
                             PackedBasis, PureState, apply, contract_site,
-                            fixed_by, inner, matricize, orthonormalize,
+                            fixed_by, gram, inner, matricize, orthonormalize,
                             partial_trace)
 
 N = 12
@@ -355,3 +356,128 @@ def test_packed_basis_generic_states():
         assert table == [[inner(u, w) for w in images] for u in states]
         assert packed.matrix_elements(g) == table
         assert norms == [inner(w, w) for w in images]
+
+
+# -- partial traces and Gram tables against term-by-term field arithmetic ----
+
+
+def reference_partial_trace(v, keep):
+    """The per-amplitude loop the packed Gram kernel replaced: rearrange the
+    amplitudes to M[keep, traced], then rho[i][j] = sum_t M[i][t] conj(M[j][t])
+    one field multiply-add at a time."""
+    keep_pos = sorted(s - 1 for s in keep)
+    trace_pos = [p for p in range(v.sites) if p not in keep_pos]
+    kdims = [v.dims[p] for p in keep_pos]
+    tdims = [v.dims[p] for p in trace_pos]
+    kn, tn = prod(kdims), prod(tdims)
+
+    def flat(multi, dims):
+        idx = 0
+        for m, d in zip(multi, dims):
+            idx = idx * d + m
+        return idx
+
+    m = [[None] * tn for _ in range(kn)]
+    for multi in itertools.product(*(range(d) for d in v.dims)):
+        a = v.amps[flat(multi, v.dims)]
+        m[flat([multi[p] for p in keep_pos], kdims)][flat([multi[p] for p in trace_pos],
+                                                          tdims)] = a
+    zero = Cyclotomic.zero(v.n)
+    rows = []
+    for i in range(kn):
+        row = []
+        for j in range(kn):
+            acc = zero
+            for t in range(tn):
+                x, y = m[i][t], m[j][t]
+                if not (x.is_zero() or y.is_zero()):
+                    acc = acc + x * y.conj()
+            row.append(acc)
+        rows.append(row)
+    return DensityOperator(kdims, Matrix(v.n, rows))
+
+
+def reference_r_uniform(v, r):
+    """The UniformReport of the field-arithmetic r-uniformity check: every
+    reduction normalized, compared with I/dim and measured in floats."""
+    ns = v.norm_sq()
+    uniform, worst_subset, worst = True, None, 0.0
+    for keep in itertools.combinations(range(1, v.sites + 1), r):
+        rho = reference_partial_trace(v, keep).scale(Fraction(1, 1) / ns)
+        dim = prod(v.dims[s - 1] for s in keep)
+        target = Matrix.identity(dim, v.n).scale(Fraction(1, dim))
+        if rho.mat != target:
+            uniform = False
+        dev = max(abs(x - y) for rw, tw in zip(rho.mat.to_complex(), target.to_complex())
+                  for x, y in zip(rw, tw))
+        if dev >= worst:
+            worst = dev
+            worst_subset = keep if dev > 0 or worst_subset is None else worst_subset
+    return UniformReport(uniform, worst_subset, worst)
+
+
+def _all_keep_sets(sites):
+    return [set(c) for r in range(1, sites + 1)
+            for c in itertools.combinations(range(1, sites + 1), r)]
+
+
+def test_partial_trace_matches_reference_on_dense_image(phi_unit):
+    # I (x) (q1 * circulant * zzz), a normalizer word through the circulant
+    # coset representative: each slice <i|_1 becomes a generic code state,
+    # so the image has 27 nonzero amplitudes with irrational entries to
+    # phi's 9 rational ones
+    q1, circulant, _ = catalog.coset_representatives(N)
+    word = q1 * circulant * catalog.zzz(3, 3, N)
+    a = LocalOperator(N, word.scalar, [Matrix.identity(3, N), *word.factors])
+    image = apply(a, phi_unit)
+    assert sum(not x.is_zero() for x in image.amps) == 27
+    assert not all(x.is_rational() for x in image.amps)
+    for keep in _all_keep_sets(4):
+        assert partial_trace(image, keep) == reference_partial_trace(image, keep)
+
+
+def test_partial_trace_matches_reference_mixed_dims():
+    rng = random.Random(11)
+    v = PureState(N, (2, 3, 2), [_random_cyc(rng, N) for _ in range(12)])
+    for keep in _all_keep_sets(3):
+        assert partial_trace(v, keep) == reference_partial_trace(v, keep)
+
+
+def test_partial_trace_large_numerators_stay_exact():
+    # numerators near 2**61 overflow int64 in the Gram contraction
+    rng = random.Random(12)
+    big = 1 << 61
+    v = PureState(N, (3, 3), [Cyclotomic(N, [big - rng.randrange(1000) for _ in range(4)], 7)
+                              for _ in range(9)])
+    for keep in ({1}, {2}, {1, 2}):
+        assert partial_trace(v, keep) == reference_partial_trace(v, keep)
+    assert gram([v, v.conj()]) == [[inner(a, b) for b in (v, v.conj())] for a in (v, v.conj())]
+
+
+def test_gram_matches_inner():
+    rng = random.Random(13)
+    states = [PureState(N, (3, 2), [_random_cyc(rng, N) for _ in range(6)]) for _ in range(4)]
+    assert gram(states) == [[inner(a, b) for b in states] for a in states]
+    with pytest.raises(DimensionMismatch):
+        gram([states[0], catalog.ket("01", 3, N)])
+
+
+def _bell_pairs(pairs):
+    """The product of qutrit Bell pairs (unnormalized) on the given site pairs."""
+    amps = []
+    for multi in itertools.product(range(3), repeat=4):
+        amps.append(int(all(multi[a - 1] == multi[b - 1] for a, b in pairs)))
+    return PureState(N, (3,) * 4, amps)
+
+
+@pytest.mark.parametrize("state", ["bell-12-34", "bell-14-23", "ket-0000", "monomial"])
+def test_r_uniform_report_matches_reference(state, phi_unit):
+    v = {"bell-12-34": lambda: _bell_pairs([(1, 2), (3, 4)]),
+         "bell-14-23": lambda: _bell_pairs([(1, 4), (2, 3)]),
+         "ket-0000": lambda: catalog.ket("0000", 3, N),
+         "monomial": lambda: _random_monomial_state((3, 3, 3, 3), random.Random(14))}[state]()
+    for r in (1, 2):
+        rep = r_uniform_check(v, r)
+        assert rep == reference_r_uniform(v, r)
+    assert not r_uniform_check(v, 2).uniform
+    assert r_uniform_check(phi_unit, 2) == reference_r_uniform(phi_unit, 2)
