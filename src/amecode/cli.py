@@ -4,6 +4,12 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage,
 input or I/O error (a closure that exceeds its cap included).  Reports are
 printed as text by default or JSON with --format json; --out writes to a
 file instead of stdout.
+
+`main` parses with one parser per process, built by `build_parser` on the
+first call: `parse_args` returns a fresh namespace and argparse makes its
+help formatters at call time, so reusing the parser changes no output.
+The subcommand handlers are bound when the parser is built, so replacing
+a `cmd_*` function after the first `main` call has no effect.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import json
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 
 from . import serialize
 from .groups import ClosureCapExceeded
@@ -119,7 +126,7 @@ def cmd_group(args) -> int:
                "closure_verified": g.verify_closure(seed=args.seed)}, args)
         return 0
     if args.group_cmd == "verify-weyl":
-        w = weyl_group(args.conductor, cap=args.cap or 6480)
+        w = weyl_group(args.conductor, cap=6480 if args.cap is None else args.cap)
         printed = catalog.weyl_generator_matrices(args.conductor)
         from .groups import weyl_generators
         match = all(a == b for a, b in zip(weyl_generators(args.conductor), printed))
@@ -140,6 +147,13 @@ def cmd_group(args) -> int:
     raise KeyError(args.group_cmd)
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--point: zero denominator in {text!r}") from None
+
+
 def cmd_invariants(args) -> int:
     from .invariants import CartanPoint, check_weyl_invariance, eval_invariants
     from .groups import weyl_generators
@@ -148,7 +162,7 @@ def cmd_invariants(args) -> int:
         parts = args.point.split(",")
         if len(parts) != 3:
             raise ValueError("--point needs three comma-separated rationals a,b,c")
-        coords = [Fraction(p) for p in parts]
+        coords = [_rational(p) for p in parts]
         p = CartanPoint.of(args.conductor, *coords)
         t = eval_invariants(p)
         _emit({"point": [str(c) for c in coords],
@@ -256,10 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

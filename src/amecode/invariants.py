@@ -86,8 +86,11 @@ def check_weyl_invariance(gate: Matrix, trials: int = 50, seed: int = 0,
     more than 2*height values, so a nonzero difference polynomial survives a
     single trial with probability at most 12/(2*height) (Schwartz-Zippel);
     `trials` independent points make a false pass astronomically unlikely,
-    and a reported failure is a certificate.
+    and a reported failure is a certificate.  Fewer than one trial would
+    pass vacuously and raises ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
     for _ in range(trials):
         p = random_rational_point(gate.n, rng, height)

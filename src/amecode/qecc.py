@@ -2,14 +2,16 @@
 r-uniformity, the quantum Singleton bound, and stabilizer fixed spaces.
 
 Everything here is exact: a condition holds iff the relevant field elements
-reduce to literal zeros, with no tolerances anywhere.
+reduce to literal zeros, with no tolerances anywhere.  Each Pauli error
+basis is built once per process and shared as an immutable tuple, so
+repeated `kl_check` and `distance` calls sweep the same error objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 from math import prod
 
@@ -109,16 +111,23 @@ def error_label(exponents) -> str:
 
 
 def pauli_error_basis(n: int, d: int, max_weight: int,
-                      conductor: int | None = None) -> list[ErrorBasisElement]:
+                      conductor: int | None = None) -> tuple[ErrorBasisElement, ...]:
     """All weight <= max_weight Pauli products on n sites of prime local
-    dimension d, identity included, in deterministic order."""
-    from . import catalog
+    dimension d, identity included, in deterministic order.  Built once
+    per (n, d, max_weight, conductor) in a process; the tuple is shared by
+    every caller."""
     from .cyclo import default_conductor
     if d < 2 or any(d % p == 0 for p in range(2, d)):
         raise ValueError(f"local dimension {d} must be prime")
     if not 0 <= max_weight <= n:
         raise ValueError(f"max_weight {max_weight} out of range 0..{n}")
-    nn = conductor or default_conductor(d)
+    return _pauli_error_basis(n, d, max_weight, conductor or default_conductor(d))
+
+
+@cache
+def _pauli_error_basis(n: int, d: int, max_weight: int,
+                       nn: int) -> tuple[ErrorBasisElement, ...]:
+    from . import catalog
     single = {(a, b): catalog.pauli_power(d, nn, a, b)
               for a in range(d) for b in range(d)}
     ident = single[(0, 0)]
@@ -133,7 +142,7 @@ def pauli_error_basis(n: int, d: int, max_weight: int,
                 factors = [single[e] if e != (0, 0) else ident for e in exps]
                 op = LocalOperator(nn, 1, factors)
                 out.append(ErrorBasisElement(op, tuple(exps), error_label(exps)))
-    return out
+    return tuple(out)
 
 
 @dataclass

@@ -77,8 +77,8 @@ class SuiteContext:
 
     @property
     def weyl(self):
-        return self._get("weyl", lambda: weyl_group(self.conductor,
-                                                    cap=self.cap or 6480))
+        return self._get("weyl", lambda: weyl_group(
+            self.conductor, cap=6480 if self.cap is None else self.cap))
 
     @property
     def phi_unit(self):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from amecode import cli
 from amecode.cli import main
 from amecode.linalg import Matrix
 from amecode.serialize import dump, shipped_path
@@ -211,3 +212,79 @@ def test_cli_ingest_malformed_json(tmp_path, capsys):
     zero.write_text(json.dumps(data))
     assert main(["ingest", str(zero)]) == 2
     assert "$.amps[17].coeffs[2]: zero denominator" in capsys.readouterr().err
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "kl", "--code", str(shipped_path("c332.code")), "--format", "json"],
+    ["invariants", "eval", "--point=1/2,-3,7", "--format", "json"],
+    ["group", "close", "--gens", str(shipped_path("weyl-generators.ops")), "--cap", "10"],
+    ["suite", "definitely-not-a-suite"],
+    ["code", "kl"],
+], ids=["code-kl", "invariants-eval", "cap-exceeded", "unknown-suite", "missing-option"])
+def test_cli_same_argv_twice_same_result(argv, capsys):
+    # one parser serves every call of the process: no state carries over
+    assert _run(argv, capsys) == _run(list(argv), capsys)
+
+
+def _fresh(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    out, err = capsys.readouterr()
+    return 2 if exc.value.code else 0, out, err
+
+
+def test_cli_usage_and_help_after_success(capsys):
+    # the shared parser prints what a freshly built one prints
+    assert _run(["invariants", "eval", "--point", "1,1,1"], capsys)[0] == 0
+    for argv in (["invariants", "eval"], ["--help"], ["code", "--help"], ["--help"]):
+        code, out, err = _run(argv, capsys)
+        assert (code, out, err) == _fresh(argv, capsys)
+        assert code == (0 if "--help" in argv else 2)
+    assert "the following arguments are required: --point" in _run(["invariants", "eval"],
+                                                                    capsys)[2]
+
+
+def test_cli_builds_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["invariants", "eval", "--point", "1,2,3"], ["suite", "nope"],
+                     ["--help"], ["group", "verify-cosets"]):
+            main(argv)
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_cli_invariants_eval_zero_denominator(capsys):
+    assert _run(["invariants", "eval", "--point=1/0,1,1"], capsys) == \
+        (2, "", "error: --point: zero denominator in '1/0'\n")
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_cli_check_weyl_rejects_no_trials(trials, capsys):
+    assert _run(["invariants", "check-weyl", "--trials", trials], capsys) == \
+        (2, "", f"error: trials must be >= 1, got {trials}\n")
+
+
+@pytest.mark.parametrize("argv", [["suite", "weyl"], ["group", "verify-weyl"],
+                                  ["group", "close", "--gens",
+                                   str(shipped_path("weyl-generators.ops"))]],
+                         ids=["suite-weyl", "group-verify-weyl", "group-close"])
+def test_cli_cap_zero_is_a_cap(argv, capsys):
+    # --cap 0 is a cap of zero elements, not the default
+    assert _run(argv + ["--cap", "0"], capsys) == (2, "", "error: closure exceeded cap 0\n")

@@ -72,6 +72,13 @@ def test_random_weyl_elements_preserve_invariants(weyl):
         assert check_weyl_invariance(g, trials=3, seed=rng.randrange(10 ** 6))
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_invariance_rejects_no_trials(trials):
+    # zero trials would pass any gate vacuously
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        check_weyl_invariance(weyl_generators()[0], trials=trials)
+
+
 def test_non_gate_fails():
     bad = Matrix(N, [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
     assert not check_weyl_invariance(bad, trials=10, seed=0)

@@ -6,8 +6,9 @@ import pytest
 
 from amecode import catalog
 from amecode.cyclo import default_conductor, root_of_unity
-from amecode.qecc import (CodeSubspace, distance, kl_check, pauli_error_basis,
-                          r_uniform_check, singleton_check, stabilizer_subspace)
+from amecode.qecc import (CodeSubspace, _pauli_error_basis, distance, kl_check,
+                          pauli_error_basis, r_uniform_check, singleton_check,
+                          stabilizer_subspace)
 from amecode.tensor import LocalOperator, apply, inner
 
 N = 12
@@ -38,6 +39,26 @@ def test_error_basis_rejects_non_prime():
         pauli_error_basis(2, 4, 1)
     with pytest.raises(ValueError):
         pauli_error_basis(2, 3, 3)
+
+
+def test_error_basis_built_once_per_key():
+    basis = pauli_error_basis(3, 3, 1)
+    assert isinstance(basis, tuple)
+    # conductor=None is the default conductor, so both calls share one key
+    assert pauli_error_basis(3, 3, 1, conductor=12) is basis
+    assert pauli_error_basis(3, 3, 1, conductor=36) is not basis
+    fresh = _pauli_error_basis.__wrapped__(3, 3, 1, 12)
+    assert [(e.op, e.exponents, e.label) for e in fresh] == \
+        [(e.op, e.exponents, e.label) for e in basis]
+
+
+@pytest.mark.parametrize("name, d", [("332", 2), ("332", 3), ("442", 2)])
+def test_kl_check_default_basis_matches_explicit(name, d):
+    # the shared basis sweeps exactly as an explicit list of the same errors
+    code = catalog.code_332() if name == "332" else catalog.code_442()
+    errors = list(pauli_error_basis(code.n_sites, code.local_dim, d - 1,
+                                    conductor=code.conductor))
+    assert kl_check(code, d) == kl_check(code, d, errors=errors)
 
 
 def test_code332_kl(code332):
