@@ -126,7 +126,7 @@ def cmd_group(args) -> int:
                "closure_verified": g.verify_closure(seed=args.seed)}, args)
         return 0
     if args.group_cmd == "verify-weyl":
-        w = weyl_group(args.conductor, cap=6480 if args.cap is None else args.cap)
+        w = weyl_group(args.conductor, cap=args.cap)
         printed = catalog.weyl_generator_matrices(args.conductor)
         from .groups import weyl_generators
         match = all(a == b for a, b in zip(weyl_generators(args.conductor), printed))
@@ -135,7 +135,7 @@ def cmd_group(args) -> int:
                "generator_entries_match": match, "passed": ok}, args)
         return 0 if ok else 1
     if args.group_cmd == "verify-local-symmetry":
-        rep = local_symmetry_report(args.conductor, seed=args.seed)
+        rep = local_symmetry_report(args.conductor, seed=args.seed, cap=args.cap)
         ok = rep.operator_order == 5832
         _emit({**asdict(rep), "expected_operator_order": 5832,
                "orders_consistent": rep.orders_consistent, "passed": ok}, args)
@@ -239,11 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--gens", required=True)
     c.add_argument("--cap", type=int, default=100000)
     c.add_argument("--seed", type=int, default=0)
-    for name in ("verify-weyl", "verify-local-symmetry", "verify-cosets"):
+    for name in ("verify-weyl", "verify-local-symmetry"):
         v = g.add_parser(name, parents=[common])
         v.add_argument("--cap", type=int, default=None)
         v.add_argument("--seed", type=int, default=0)
         v.add_argument("--conductor", type=int, default=12)
+    v = g.add_parser("verify-cosets", parents=[common])
+    v.add_argument("--conductor", type=int, default=12)
     s.set_defaults(fn=cmd_group)
 
     s = sub.add_parser("invariants", help="evaluate or test the invariants")

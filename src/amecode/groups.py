@@ -397,10 +397,10 @@ def weyl_generators(n: int = 12) -> tuple[Matrix, Matrix, Matrix]:
     return tuple(reflection(v, 3, n) for v in catalog.reflection_vectors(n))
 
 
-def weyl_group(n: int = 12, cap: int = 6480) -> MatrixGroup:
+def weyl_group(n: int = 12, cap: int | None = None) -> MatrixGroup:
     """Closure of the three reflection generators; order 648.  Built once
-    per (conductor, cap) in a process."""
-    return _weyl_group(n, cap)
+    per (conductor, cap) in a process; cap None is 6480."""
+    return _weyl_group(n, 6480 if cap is None else cap)
 
 
 @cache
@@ -483,9 +483,10 @@ def verify_coset_representatives(reps=None, n: int = 12) -> CosetReport:
     return CosetReport(all(matches) and all(sus), matches, sus, mismatches)
 
 
-def transversal_group(code=None, n: int = 12, cap: int = 6480) -> MatrixGroup:
+def transversal_group(code=None, n: int = 12, cap: int | None = None) -> MatrixGroup:
     """Closure of the code restrictions of the two stabilizer generators and
-    the three coset representatives; equals the reflection group."""
+    the three coset representatives; equals the reflection group.  cap None
+    is 6480."""
     from . import catalog
     if code is None:
         code = catalog.code_332(n)
@@ -495,16 +496,16 @@ def transversal_group(code=None, n: int = 12, cap: int = 6480) -> MatrixGroup:
         m = mu_matrix(g, code)
         if m not in images:
             images.append(m)
-    return closure(images, cap=cap)
+    return closure(images, cap=6480 if cap is None else cap)
 
 
 # -- the local symmetry group ------------------------------------------------
 
 
-def local_symmetry_group(n: int = 12, cap: int = 58320) -> MatrixGroup:
+def local_symmetry_group(n: int = 12, cap: int | None = None) -> MatrixGroup:
     """Closure of the five four-site generators of the symmetry group of the
     perfect tensor.  Every generator is checked to fix the state exactly
-    first.
+    first.  cap None is 58320.
 
     The exact closure has 1944 distinct product operators.  The published
     count 5832 = 648 * 9 enumerates the three-site normalizer (see
@@ -518,15 +519,15 @@ def local_symmetry_group(n: int = 12, cap: int = 58320) -> MatrixGroup:
     for i, fixed in enumerate(fixed_by(gens, phi)):
         if not fixed:
             raise ValueError(f"generator {i + 1} does not fix the perfect tensor")
-    return closure(gens, cap=cap)
+    return closure(gens, cap=58320 if cap is None else cap)
 
 
-def normalizer_group_332(n: int = 12, cap: int = 58320) -> MatrixGroup:
+def normalizer_group_332(n: int = 12, cap: int | None = None) -> MatrixGroup:
     """The group of three-site product operators preserving the code:
     closure of the two stabilizer generators and the three coset
     representatives; order 5832 = 648 * 9.  Built once per (conductor, cap)
-    in a process."""
-    return _normalizer_group_332(n, cap)
+    in a process; cap None is 58320."""
+    return _normalizer_group_332(n, 58320 if cap is None else cap)
 
 
 @cache
@@ -560,8 +561,8 @@ class LocalSymmetryReport:
         return self.operator_order * self.scalar_kernel_order == self.normalizer_order
 
 
-def local_symmetry_report(n: int = 12, sample_size: int = 100,
-                          seed: int = 0) -> LocalSymmetryReport:
+def local_symmetry_report(n: int = 12, sample_size: int = 100, seed: int = 0,
+                          cap: int | None = None) -> LocalSymmetryReport:
     """Structural verification of the local symmetry group: generator and
     element fixing of the perfect tensor (every element, exactly), the
     conj(restriction) tensor g form on a sample, and the 3-to-1 relation to
@@ -573,16 +574,17 @@ def local_symmetry_report(n: int = 12, sample_size: int = 100,
     (generator_lifts_match), so its image is the whole operator closure.
     Its kernel holds the central scalars w^k * I counted in
     scalar_kernel_order; when operator_order * scalar_kernel_order equals
-    normalizer_order, the kernel is exactly those scalars."""
+    normalizer_order, the kernel is exactly those scalars.  cap bounds both
+    closures; None keeps their defaults."""
     from . import catalog
     phi = catalog.ame_state(n, normalized=False)
     code = catalog.code_332(n)
-    group = local_symmetry_group(n)
+    group = local_symmetry_group(n, cap)
     gens_fix = all(fixed_by(group.generators, phi))
     all_fix = all(fixed_by(group.elements, phi))
     sample = group.sample(sample_size, seed=seed)
     form_ok = all(has_conjugate_restriction_form(g, code) is not None for g in sample)
-    norm = normalizer_group_332(n)
+    norm = normalizer_group_332(n, cap)
     w = root_of_unity(n // 3, n)
     ident = Matrix.identity(3, n)
     scalars = sum(1 for k in range(3)
@@ -655,16 +657,17 @@ def sl_factorable(op: LocalOperator) -> bool:
     return t == Cyclotomic.one(op.n)
 
 
-def centralizer_containment_check(n: int = 12) -> CentralizerReport:
+def centralizer_containment_check(n: int = 12, cap: int | None = None) -> CentralizerReport:
     """Consistency facts for the stabilizer group acting on the code: all
     nine elements fix the basis pointwise, each is a phase times a
     determinant-1 product, and its order times the order of the reflection
     group equals the order of the normalizer (9 * 648 == 5832), all three
     computed by closure.  The converse inclusion (no other determinant-1
-    products fix the code) is not re-derived here."""
+    products fix the code) is not re-derived here.  cap bounds the three
+    closures; None keeps their defaults (90 for the stabilizer group)."""
     from . import catalog
     x3, z3 = catalog.xxx(3, 3, n), catalog.zzz(3, 3, n)
-    group = closure([x3, z3], cap=90)
+    group = closure([x3, z3], cap=90 if cap is None else cap)
     basis = catalog.code_basis(n)
     fixes = all(all(fixed_by(group.elements, s)) for s in basis)
     slfac = all(sl_factorable(g) for g in group.elements)
@@ -675,5 +678,5 @@ def centralizer_containment_check(n: int = 12) -> CentralizerReport:
         special_linear_factorable=slfac,
         generators_commute=commute,
         order_matches_quotient=(
-            group.order * weyl_group(n).order == normalizer_group_332(n).order),
+            group.order * weyl_group(n, cap).order == normalizer_group_332(n, cap).order),
     )

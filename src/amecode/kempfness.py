@@ -9,10 +9,11 @@ renormalization, and a backtracking line search, so the squared norm is
 non-increasing along every run.
 
 This module is deliberately floating point; tolerances default to 1e-8 for
-criticality and 1e-6 for flow convergence.  The sampled checks work on
-stacks of matrices, but every matrix still goes through its own LAPACK or
-BLAS call, so their floats are those of one matrix at a time, and a single
-matrix is a stack of one.
+criticality and 1e-6 for flow convergence.  The sampled checks, the
+criticality test and the flows work on stacks of matrices and states (the
+flows of one call advance in lockstep), but every matrix still goes through
+its own LAPACK or BLAS call, so their floats are those of one matrix and
+one state at a time, and a single state is a stack of one.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def gell_mann_basis(d: int):
 
 
 @lru_cache(maxsize=None)
-def _gell_mann_cached(d: int):
+def _gell_mann_cached(d: int) -> np.ndarray:
+    """The basis as one read-only (d*d - 1, d, d) stack."""
     out = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -70,22 +72,68 @@ def _gell_mann_cached(d: int):
         m[l, l] = -l
         m *= math.sqrt(2.0 / (l * (l + 1)))
         out.append(m)
-    return tuple(out)
+    stack = np.array(out)
+    stack.flags.writeable = False
+    return stack
+
+
+def _positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _stack(states) -> np.ndarray:
+    """The tensors of states that share dims, as one (S, *dims) array."""
+    dims = states[0].dims
+    if any(s.dims != dims for s in states):
+        raise ValueError("states must share dims")
+    return np.array([s.vec for s in states]).reshape(len(states), *dims)
+
+
+def _reductions(t: np.ndarray):
+    """Normalized single-site reduced densities of each row of t, shape
+    (S, *dims): one (S, d, d) stack per site.
+
+    Site k is the (d, rest) @ (rest, d) product over the conjugate that
+    tensordot forms for a single state, divided by the row's own vdot
+    norm, so a stack of one gives the floats of one state."""
+    ns = np.array(_row_norms_sq(t))
+    if not np.all(np.isfinite(ns)):
+        raise ValueError("state norm is not finite")
+    if np.any(ns <= 0):
+        raise ValueError("zero state")
+    out = []
+    for k in range(1, t.ndim):
+        a = np.moveaxis(t, k, 1)
+        a = a.reshape(len(t), a.shape[1], -1)
+        b = np.ascontiguousarray(a.conj().transpose(0, 2, 1))
+        out.append(a @ b / ns[:, None, None])
+    return out
+
+
+def _expectations(rhos):
+    """tr(rho L_a) for each row of each site's stack and each Gell-Mann
+    matrix L_a: one (S, d*d - 1) complex array per site."""
+    return [np.trace(rho[:, None] @ _gell_mann_cached(rho.shape[-1])[None],
+                     axis1=2, axis2=3) for rho in rhos]
+
+
+def _lie_residuals(rhos) -> list:
+    """Largest |tr(rho_k L_a)| over the sites and the Gell-Mann basis, per row."""
+    # hypot is the scalar complex abs; np.abs on a complex array takes a
+    # vectorized route that can differ from it in the last bit
+    return [float(r) for r in np.max(
+        [np.hypot(e.real, e.imag).max(axis=1) for e in _expectations(rhos)], axis=0)]
+
+
+def _centered(rho: np.ndarray) -> np.ndarray:
+    """rho - I/d for each matrix of a (S, d, d) stack."""
+    return rho - np.eye(rho.shape[-1]) / rho.shape[-1]
 
 
 def site_reductions(state: FloatState):
     """Normalized single-site reduced densities."""
-    t = state.tensor()
-    ns = state.norm_sq()
-    if ns <= 0:
-        raise ValueError("zero state")
-    sites = len(state.dims)
-    out = []
-    for k in range(sites):
-        axes = [i for i in range(sites) if i != k]
-        rho = np.tensordot(t, t.conj(), axes=(axes, axes)) / ns
-        out.append(rho)
-    return out
+    return [rho[0] for rho in _reductions(state.tensor()[None])]
 
 
 @dataclass
@@ -95,29 +143,23 @@ class CriticalityReport:
     residual_marginal: float
 
 
-def _lie_residual(rhos, dims) -> float:
-    """Largest |tr(rho_k L_a)| over the sites and the Gell-Mann basis."""
-    res = 0.0
-    for rho, d in zip(rhos, dims):
-        for lam in _gell_mann_cached(d):
-            res = max(res, float(abs(np.trace(rho @ lam))))
-    return res
+def _criticality(states, tol: float) -> list:
+    """is_critical of each of states, which share dims, as one stack."""
+    _positive("tol", tol)
+    rhos = _reductions(_stack(states))
+    lie = _lie_residuals(rhos)
+    marg = np.max([np.abs(np.linalg.eigvalsh(_centered(rho))).max(axis=1) for rho in rhos],
+                  axis=0)
+    return [CriticalityReport(bool(l <= tol and m <= tol), l, float(m))
+            for l, m in zip(lie, marg)]
 
 
 def is_critical(state: FloatState, tol: float = 1e-8) -> CriticalityReport:
     """Evaluate both criticality conditions: vanishing traceless
     expectations (residual_lie) and maximally mixed single-site reductions
-    in spectral norm (residual_marginal); critical iff both <= tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rhos = site_reductions(state)
-    res_lie = _lie_residual(rhos, state.dims)
-    res_marg = 0.0
-    for rho, d in zip(rhos, state.dims):
-        dev = rho - np.eye(d) / d
-        res_marg = max(res_marg, float(np.max(np.abs(np.linalg.eigvalsh(dev)))))
-    return CriticalityReport(bool(res_lie <= tol and res_marg <= tol),
-                             res_lie, res_marg)
+    in spectral norm (residual_marginal); critical iff both <= tol, which
+    must be finite and positive."""
+    return _criticality([state], tol)[0]
 
 
 def _apply_stack(mats, t: np.ndarray) -> np.ndarray:
@@ -208,9 +250,12 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
+def _expm_hermitian(h: np.ndarray, t) -> np.ndarray:
+    """exp(t h) for a Hermitian h, or for each matrix of an (S, d, d) stack
+    with t a scalar or one factor per matrix."""
     w, u = np.linalg.eigh(h)
-    return (u * np.exp(t * w)) @ u.conj().T
+    e = np.exp(np.asarray(t)[..., None] * w)
+    return (u * e[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 @dataclass
@@ -231,47 +276,80 @@ class FlowReport:
 def norm_minimization_flow(state: FloatState, max_iters: int = 5000,
                            step: float = 1.0, tol: float = 1e-7) -> FlowReport:
     """Minimize the squared norm over the orbit of `state` under products of
-    determinant-1 matrices.
+    determinant-1 matrices: the flow of norm_minimization_flows for one
+    state."""
+    return norm_minimization_flows([state], max_iters, step, tol)[0]
+
+
+def norm_minimization_flows(states, max_iters: int = 5000, step: float = 1.0,
+                            tol: float = 1e-7) -> list:
+    """One norm-minimizing flow per state; the states must share dims.
 
     Each iteration moves every site by exp(-eta * (rho_k - I/d_k)) with
-    backtracking on eta, then renormalizes determinants.  Halts when the
-    traceless-expectation residual of the current state drops below tol.
-    Runs that drive the norm toward zero without ever meeting the residual
-    (orbits whose infimum is not attained) end with converged=False and the
-    descent trace as evidence.
+    backtracking on eta, then renormalizes determinants.  A flow halts when
+    the traceless-expectation residual of its current state drops below
+    tol.  Runs that drive the norm toward zero without ever meeting the
+    residual (orbits whose infimum is not attained) end with
+    converged=False and the descent trace as evidence, as do runs whose
+    line search shrinks eta to 1e-14 and runs that reach max_iters.
+
+    The flows still running advance in lockstep, one candidate each per
+    round, through stacked LAPACK and BLAS calls that treat every matrix on
+    its own; each flow keeps its own eta, norm trace and accept/halve
+    decisions, so its report is the one it would get alone.
     """
-    if max_iters < 1 or step <= 0 or tol <= 0:
-        raise ValueError("parameters must be positive")
-    cur = state
-    norms = [cur.norm_sq()]
-    eta = step
-    rhos = site_reductions(cur)
-    residual = _lie_residual(rhos, cur.dims)
-    iterations = 0
-    converged = residual <= tol
-    while not converged and iterations < max_iters:
-        iterations += 1
-        hs = [rho - np.eye(d) / d for rho, d in zip(rhos, cur.dims)]
-        accepted = None
-        while eta > 1e-14:
-            mats = [_renorm_det(_expm_hermitian(h, -eta)) for h in hs]
-            cand = apply_sitewise(mats, cur)
-            if cand.norm_sq() <= norms[-1] * (1 + 1e-12):
-                accepted = cand
-                break
-            eta *= 0.5
-        if accepted is None:
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
+    _positive("step", step)
+    _positive("tol", tol)
+    states = list(states)
+    if not states:
+        return []
+    t = _stack(states)
+    dims = t.shape[1:]
+    cur = t.reshape(len(t), -1)
+    norms = [[n] for n in _row_norms_sq(cur)]
+    rhos = _reductions(t)
+    residual = _lie_residuals(rhos)
+    converged = [r <= tol for r in residual]
+    eta = [step] * len(t)
+    iterations = [0 if c else 1 for c in converged]
+    hs = [_centered(rho) for rho in rhos]
+    running = [i for i, c in enumerate(converged) if not c]
+    while running:
+        # a flow whose line search has shrunk eta to nothing stops
+        running = [i for i in running if eta[i] > 1e-14]
+        if not running:
             break
-        cur = accepted
-        norms.append(cur.norm_sq())
-        if norms[-1] < 1e-30:  # norm collapse: infimum not attained on the orbit
-            converged = False
-            break
-        eta = min(eta * 1.5, step)
-        rhos = site_reductions(cur)
-        residual = _lie_residual(rhos, cur.dims)
-        converged = residual <= tol
-    return FlowReport(norms[0], norms[-1], iterations, residual, converged, norms)
+        mats = [_renorm_det(_expm_hermitian(h[running], -np.array([eta[i] for i in running])))
+                for h in hs]
+        cand = _apply_stack(mats, cur[running].reshape(len(running), *dims))
+        cand = cand.reshape(len(running), -1)
+        kept, moved = [], []
+        for i, row, n in zip(running, cand, _row_norms_sq(cand)):
+            if n > norms[i][-1] * (1 + 1e-12):
+                eta[i] *= 0.5  # rejected: the same iteration retries next round
+                kept.append(i)
+                continue
+            norms[i].append(n)
+            if n < 1e-30:  # norm collapse: infimum not attained on the orbit
+                continue
+            cur[i] = row
+            eta[i] = min(eta[i] * 1.5, step)
+            moved.append(i)
+        if moved:
+            rhos = _reductions(cur[moved].reshape(len(moved), *dims))
+            for h, rho in zip(hs, rhos):
+                h[moved] = _centered(rho)
+            for i, r in zip(moved, _lie_residuals(rhos)):
+                residual[i] = r
+                converged[i] = r <= tol
+                if not converged[i] and iterations[i] < max_iters:
+                    iterations[i] += 1
+                    kept.append(i)
+        running = sorted(kept)
+    return [FlowReport(n[0], n[-1], it, r, c, n)
+            for n, it, r, c in zip(norms, iterations, residual, converged)]
 
 
 @dataclass
@@ -311,12 +389,7 @@ class GradientReport:
 def log_norm_gradient(state: FloatState):
     """Per-site gradient of log <v|v> along the Hermitian traceless basis:
     entries 2 * tr(rho_k L_a) (real)."""
-    out = []
-    for k, rho in enumerate(site_reductions(state)):
-        d = state.dims[k]
-        out.append(np.array([2.0 * np.trace(rho @ lam).real
-                             for lam in _gell_mann_cached(d)]))
-    return out
+    return [2.0 * e[0].real for e in _expectations(_reductions(state.tensor()[None]))]
 
 
 def gradient_check(seed: int = 0, pairs: int = 20, h: float = 1e-5,
@@ -404,20 +477,24 @@ def criticality_equivalence(count: int = 100, seed: int = 0,
     are represented away from the tolerance boundary."""
     rng = np.random.default_rng(seed)
     pool = critical_state_pool()
-    agreements = 0
-    disagreements = []
     dims_cycle = [(3, 3, 3), (3, 3, 3, 3), (2, 2, 2)]
+    states = []
     for i in range(count):
         if i % 2 == 0:
-            state = FloatState.random(dims_cycle[i % len(dims_cycle)], rng)
+            states.append(FloatState.random(dims_cycle[i % len(dims_cycle)], rng))
         else:
             base = pool[(i // 2) % len(pool)]
             mats = [_random_unitary(d, rng) for d in base.dims]
-            state = apply_sitewise(mats, base)
-        rep = is_critical(state, tol)
-        lie_says = rep.residual_lie <= tol
-        marg_says = rep.residual_marginal <= tol
-        if lie_says == marg_says:
+            states.append(apply_sitewise(mats, base))
+    reports = {}
+    for dims in dict.fromkeys(s.dims for s in states):  # one stack per dims
+        idx = [i for i, s in enumerate(states) if s.dims == dims]
+        reports.update(zip(idx, _criticality([states[i] for i in idx], tol)))
+    agreements = 0
+    disagreements = []
+    for i in range(count):
+        rep = reports[i]
+        if (rep.residual_lie <= tol) == (rep.residual_marginal <= tol):
             agreements += 1
         else:
             disagreements.append((i, rep.residual_lie, rep.residual_marginal))

@@ -283,8 +283,39 @@ def test_cli_check_weyl_rejects_no_trials(trials, capsys):
 
 @pytest.mark.parametrize("argv", [["suite", "weyl"], ["group", "verify-weyl"],
                                   ["group", "close", "--gens",
-                                   str(shipped_path("weyl-generators.ops"))]],
-                         ids=["suite-weyl", "group-verify-weyl", "group-close"])
+                                   str(shipped_path("weyl-generators.ops"))],
+                                  ["suite", "code332"], ["suite", "local-symmetry"],
+                                  ["group", "verify-local-symmetry"]],
+                         ids=["suite-weyl", "group-verify-weyl", "group-close",
+                              "suite-code332", "suite-local-symmetry",
+                              "group-verify-local-symmetry"])
 def test_cli_cap_zero_is_a_cap(argv, capsys):
     # --cap 0 is a cap of zero elements, not the default
     assert _run(argv + ["--cap", "0"], capsys) == (2, "", "error: closure exceeded cap 0\n")
+
+
+@pytest.mark.parametrize("flag", ["--cap", "--seed"])
+def test_cli_verify_cosets_takes_no_cap_or_seed(flag, capsys):
+    # the cosets are checked without a closure or a sample
+    code, out, err = _run(["group", "verify-cosets", flag, "0"], capsys)
+    assert code == 2 and f"unrecognized arguments: {flag} 0" in err
+
+
+@pytest.mark.parametrize("cmd", ["critical", "flow"])
+def test_cli_kempfness_rejects_state_of_infinite_norm(cmd, tmp_path, capsys):
+    # an exact coefficient beyond the float range becomes inf amplitudes
+    data = json.loads(shipped_path("phi.state").read_text())
+    data["amps"][0]["coeffs"][0] = "1" + "0" * 400
+    huge = tmp_path / "huge.state"
+    huge.write_text(json.dumps(data))
+    assert _run(["kempfness", cmd, "--state", str(huge)], capsys) == \
+        (2, "", "error: state norm is not finite\n")
+
+
+@pytest.mark.parametrize("cmd", ["critical", "flow"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_cli_kempfness_rejects_bad_tol(cmd, tol, capsys):
+    code, out, err = _run(["kempfness", cmd, "--state", str(shipped_path("phi.state")),
+                           f"--tol={tol}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: tol must be finite and positive, got {float(tol)!r}\n"

@@ -326,13 +326,26 @@ def test_centralizer_containment():
 
 def test_centralizer_quotient_follows_computed_orders(monkeypatch):
     def group_of_order(k):
-        return lambda n: SimpleNamespace(order=k)
+        return lambda n, cap=None: SimpleNamespace(order=k)
 
     monkeypatch.setattr(groups, "normalizer_group_332", group_of_order(1944))
     rep = centralizer_containment_check()
     assert not rep.order_matches_quotient and not rep.ok
     monkeypatch.setattr(groups, "weyl_group", group_of_order(216))
     assert centralizer_containment_check().order_matches_quotient  # 9 * 216 == 1944
+
+
+def test_group_checks_pass_their_cap_on(code332):
+    # None keeps each closure's own default; a cap is read by every closure
+    with pytest.raises(ClosureCapExceeded, match="cap 647"):
+        transversal_group(code332, cap=647)
+    # the 9 and 648-element closures fit, the 5832-element normalizer does not
+    with pytest.raises(ClosureCapExceeded, match="cap 648"):
+        centralizer_containment_check(cap=648)
+    # the 1944-element operator closure fits, the normalizer does not
+    with pytest.raises(ClosureCapExceeded, match="cap 1944"):
+        local_symmetry_report(sample_size=1, cap=1944)
+    assert transversal_group(code332, cap=648).order == 648
 
 
 def test_sl_factorable():

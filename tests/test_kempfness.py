@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from amecode import catalog
-from amecode.kempfness import (FloatState, GradientReport, InequalityReport,
+from amecode.kempfness import (CriticalityReport, EquivalenceReport, FloatState,
+                               FlowReport, GradientReport, InequalityReport,
                                apply_sitewise, criticality_equivalence,
                                critical_state_pool, gell_mann_basis,
                                gradient_check, is_critical,
                                kempf_ness_inequality_test, log_norm_gradient,
-                               norm_minimization_flow, random_group_element,
-                               random_group_elements, site_reductions)
+                               norm_minimization_flow, norm_minimization_flows,
+                               random_group_element, random_group_elements,
+                               site_reductions)
 from amecode.kempfness import _expm_hermitian, _gell_mann_cached, _random_unitary
 
 
@@ -99,16 +101,66 @@ def _reference_gradient_check(seed, pairs, h=1e-5, dims=(3, 3, 3)):
     return GradientReport(pairs, max_rel, float(max_anti))
 
 
+def _reference_site_reductions(state):
+    t = state.tensor()
+    ns = state.norm_sq()
+    sites = len(state.dims)
+    out = []
+    for k in range(sites):
+        axes = [i for i in range(sites) if i != k]
+        out.append(np.tensordot(t, t.conj(), axes=(axes, axes)) / ns)
+    return out
+
+
+def _reference_lie_residual(rhos, dims):
+    res = 0.0
+    for rho, d in zip(rhos, dims):
+        for lam in _gell_mann_cached(d):
+            res = max(res, float(abs(np.trace(rho @ lam))))
+    return res
+
+
+def _reference_is_critical(state, tol=1e-8):
+    rhos = _reference_site_reductions(state)
+    res_lie = _reference_lie_residual(rhos, state.dims)
+    res_marg = 0.0
+    for rho, d in zip(rhos, state.dims):
+        dev = rho - np.eye(d) / d
+        res_marg = max(res_marg, float(np.max(np.abs(np.linalg.eigvalsh(dev)))))
+    return CriticalityReport(bool(res_lie <= tol and res_marg <= tol), res_lie, res_marg)
+
+
+def _reference_criticality_equivalence(count, seed, tol=1e-8):
+    rng = np.random.default_rng(seed)
+    pool = critical_state_pool()
+    agreements = 0
+    disagreements = []
+    dims_cycle = [(3, 3, 3), (3, 3, 3, 3), (2, 2, 2)]
+    for i in range(count):
+        if i % 2 == 0:
+            state = FloatState.random(dims_cycle[i % len(dims_cycle)], rng)
+        else:
+            base = pool[(i // 2) % len(pool)]
+            mats = [_random_unitary(d, rng) for d in base.dims]
+            state = _reference_apply(mats, base)
+        rep = _reference_is_critical(state, tol)
+        if (rep.residual_lie <= tol) == (rep.residual_marginal <= tol):
+            agreements += 1
+        else:
+            disagreements.append((i, rep.residual_lie, rep.residual_marginal))
+    return EquivalenceReport(count, agreements, disagreements)
+
+
 def _reference_flow(state, max_iters=5000, step=1.0, tol=1e-7):
     cur = state
     norms = [cur.norm_sq()]
     eta = step
-    residual = is_critical(cur, tol).residual_lie
+    residual = _reference_lie_residual(_reference_site_reductions(cur), cur.dims)
     iterations = 0
     converged = residual <= tol
     while not converged and iterations < max_iters:
         iterations += 1
-        rhos = site_reductions(cur)
+        rhos = _reference_site_reductions(cur)
         hs = [rho - np.eye(d) / d for rho, d in zip(rhos, cur.dims)]
         accepted = None
         while eta > 1e-14:
@@ -125,9 +177,9 @@ def _reference_flow(state, max_iters=5000, step=1.0, tol=1e-7):
         if norms[-1] < 1e-30:
             break
         eta = min(eta * 1.5, step)
-        residual = is_critical(cur, tol).residual_lie
+        residual = _reference_lie_residual(_reference_site_reductions(cur), cur.dims)
         converged = residual <= tol
-    return norms, iterations, residual, converged
+    return FlowReport(norms[0], norms[-1], iterations, residual, converged, norms)
 
 
 def test_gell_mann_basis():
@@ -320,6 +372,89 @@ def test_flow_matches_reference_loop():
     starts = [apply_sitewise(random_group_element(phi.dims, rng), phi) for _ in range(3)]
     starts.append(FloatState.from_exact(catalog.ket("001", 2, 24)))
     for v in starts:
-        rep = norm_minimization_flow(v, max_iters=400, tol=1e-8)
-        assert ((rep.norm_trace, rep.iterations, rep.criticality_residual, rep.converged)
+        assert (norm_minimization_flow(v, max_iters=400, tol=1e-8)
                 == _reference_flow(v, max_iters=400, tol=1e-8))
+
+
+def _seeded_starts(seed, count):
+    """The starts of the suite's flows: random orbit points of phi."""
+    phi = FloatState.from_exact(catalog.ame_state())
+    rng = np.random.default_rng(seed)
+    return [apply_sitewise(random_group_element(phi.dims, rng, scale=1.0), phi)
+            for _ in range(count)]
+
+
+def test_flows_match_reference_loop_per_state():
+    phi = FloatState.from_exact(catalog.ame_state())
+    # 20 seeded starts with phi itself, which stops at once
+    batch = _seeded_starts(0, 20) + [phi]
+    reps = norm_minimization_flows(batch, tol=1e-8)
+    assert reps == [_reference_flow(v, tol=1e-8) for v in batch]
+    assert reps[-1].iterations == 0 and reps[-1].converged
+    assert {r.iterations for r in reps[:-1]} != {reps[0].iterations}  # uneven lengths
+    # every start cut at max_iters, next to phi
+    batch = _seeded_starts(1, 3) + [phi]
+    reps = norm_minimization_flows(batch, max_iters=3, tol=1e-8)
+    assert reps == [_reference_flow(v, max_iters=3, tol=1e-8) for v in batch]
+    assert [r.iterations for r in reps] == [3, 3, 3, 0]
+    # the collapse case on its own dims, next to generic starts that converge
+    rng = np.random.default_rng(5)
+    batch = [FloatState.from_exact(catalog.ket("001", 2, 24)),
+             *(FloatState.random((2, 2, 2), rng) for _ in range(3))]
+    reps = norm_minimization_flows(batch, max_iters=400, tol=1e-8)
+    assert reps == [_reference_flow(v, max_iters=400, tol=1e-8) for v in batch]
+    assert reps[0].final_norm_sq < 1e-3 and not reps[0].converged
+    # a step too small for the line search ends each flow in its first iteration
+    batch = _seeded_starts(2, 2)
+    reps = norm_minimization_flows(batch, step=1e-15)
+    assert reps == [_reference_flow(v, step=1e-15) for v in batch]
+    assert all(r.iterations == 1 and len(r.norm_trace) == 1 for r in reps)
+
+
+def test_flows_batch_edges():
+    starts = _seeded_starts(3, 2)
+    assert norm_minimization_flows(starts[:1], tol=1e-8) == [
+        norm_minimization_flow(starts[0], tol=1e-8)]
+    assert norm_minimization_flows([]) == []
+    k001 = FloatState.from_exact(catalog.ket("001", 2, 24))
+    with pytest.raises(ValueError, match="share dims"):
+        norm_minimization_flows([starts[0], k001])
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": math.inf}, {"tol": -1.0},
+                                    {"step": math.nan}, {"step": math.inf}, {"step": 0.0},
+                                    {"max_iters": 0}])
+def test_flows_reject_bad_parameters(kwargs):
+    phi = FloatState.from_exact(catalog.ame_state())
+    with pytest.raises(ValueError):
+        norm_minimization_flows([phi], **kwargs)
+    with pytest.raises(ValueError):
+        norm_minimization_flow(phi, **kwargs)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
+def test_is_critical_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        is_critical(FloatState.from_exact(catalog.ame_state()), tol)
+
+
+def test_is_critical_matches_reference_loop():
+    rng = np.random.default_rng(11)
+    states = [FloatState.from_exact(catalog.ame_state()),
+              FloatState.from_exact(catalog.ket("000", 3, 12)),
+              *(FloatState.random(dims, rng)
+                for dims in ((2, 2, 2), (3, 3, 3), (3, 3, 3, 3), (9, 2)) for _ in range(3))]
+    states += [apply_sitewise([_random_unitary(d, rng) for d in base.dims], base)
+               for base in critical_state_pool()]
+    for v in states:
+        for tol in (1e-8, 1e-6):
+            assert is_critical(v, tol) == _reference_is_critical(v, tol)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            site_reductions(v), _reference_site_reductions(v)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_criticality_equivalence_matches_reference_loop(seed):
+    for count in (1, 7, 100):
+        assert (criticality_equivalence(count, seed=seed)
+                == _reference_criticality_equivalence(count, seed))
