@@ -242,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("verify-weyl", "verify-local-symmetry"):
         v = g.add_parser(name, parents=[common])
         v.add_argument("--cap", type=int, default=None)
-        v.add_argument("--seed", type=int, default=0)
+        if name == "verify-local-symmetry":
+            v.add_argument("--seed", type=int, default=0)
         v.add_argument("--conductor", type=int, default=12)
     v = g.add_parser("verify-cosets", parents=[common])
     v.add_argument("--conductor", type=int, default=12)

@@ -416,7 +416,7 @@ def pauli_group(d: int, sites: int, n: int, cap: int | None = None) -> MatrixGro
             facs = [Matrix.identity(d, n)] * sites
             facs[k] = m
             gens.append(LocalOperator(n, 1, facs))
-    return closure(gens, cap=cap or 10 * d ** (2 * sites + 1))
+    return closure(gens, cap=10 * d ** (2 * sites + 1) if cap is None else cap)
 
 
 # -- code-space restriction --------------------------------------------------

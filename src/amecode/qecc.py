@@ -1,10 +1,23 @@
-"""Error bases, Knill-Laflamme verification, exact distance by brute force,
-r-uniformity, the quantum Singleton bound, and stabilizer fixed spaces.
+"""Error bases, Knill-Laflamme verification, exact distance, r-uniformity,
+the quantum Singleton bound, and stabilizer fixed spaces.
 
 Everything here is exact: a condition holds iff the relevant field elements
-reduce to literal zeros, with no tolerances anywhere.  Each Pauli error
-basis is built once per process and shared as an immutable tuple, so
-repeated `kl_check` and `distance` calls sweep the same error objects.
+reduce to literal zeros, with no tolerances anywhere.
+
+The code checks rest on one identity.  Matricize each codeword u_i over a
+site set S and its complement, as M_i; then for every operator E_S on S
+
+    <u_i|E_S|u_j> = tr(E_S R_S[j, i]),   R_S[j, i] = M_j M_i^dagger,
+
+and all the blocks R_S are one packed Gram contraction of the K stacked
+matricizations (`tensor._reduction`).  `kl_check` forms R_S once per error
+support and gets the tables of all errors on S from one integer contraction
+with the packed errors; `distance` needs no errors at all, since the delta
+condition holds for every operator on S exactly when R_S[j, i] =
+delta_ij R_S[0, 0].  Decisions are made on integer numerators, and field
+elements are built only for the entries a `KLReport` lists in `violations`.
+Each Pauli error basis is built once per process and shared as an
+immutable tuple: it supplies `kl_check`'s default errors and their labels.
 """
 
 from __future__ import annotations
@@ -13,13 +26,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
-from .linalg import Matrix
-from .tensor import (LocalOperator, PackedBasis, PureState, _density, _reduction, gram,
-                     in_span, orthonormal_defect, orthonormalize)
+from .cyclo import Cyclotomic
+from .linalg import Matrix, _matmul
+from .tensor import (LocalOperator, PackedBasis, PureState, _check_operands, _dense_packed,
+                     _density, _local_elements, _reduction, _unpack, gram, in_span,
+                     orthonormal_defect, orthonormalize)
 
 
 class CodeSubspace:
@@ -93,17 +108,21 @@ class CodeSubspace:
 
 @dataclass(frozen=True)
 class ErrorBasisElement:
-    """A Pauli product error X^a Z^b per site; weight counts the
-    non-identity factors of the operator (computed once from them, never
-    taken from the exponents)."""
+    """A Pauli product error X^a Z^b per site; support lists the 0-based
+    sites of the non-identity factors of the operator and weight counts them
+    (computed once from the factors, never taken from the exponents)."""
 
     op: LocalOperator
     exponents: tuple
     label: str
 
     @cached_property
+    def support(self) -> tuple[int, ...]:
+        return tuple(p for p, f in enumerate(self.op.factors) if not f.is_identity())
+
+    @property
     def weight(self) -> int:
-        return self.op.weight()
+        return len(self.support)
 
 
 def error_label(exponents) -> str:
@@ -152,7 +171,6 @@ class KLReport:
     distance: int
     is_code: bool
     is_pure: bool
-    c_table: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
 
     def to_dict(self, code: CodeSubspace) -> dict:
@@ -169,52 +187,69 @@ class KLReport:
 
 def kl_check(code: CodeSubspace, d: int, errors=None) -> KLReport:
     """Check <u_i|E|u_j> = c(E) delta_ij for every error of weight < d;
-    pure additionally means c(E) = 0 for 0 < wt(E) < d."""
+    pure additionally means c(E) = 0 for 0 < wt(E) < d.
+
+    The errors (the Pauli basis of weight < d, or an explicit list) are
+    grouped by their support S, in their order.  Each group needs one
+    _reduction of the codewords onto S, the blocks R_S[j, i] = M_j M_i^dagger
+    of their matricizations over S and its complement, since
+    <u_i|E_S|u_j> = tr(E_S R_S[j, i]); then one integer contraction of R_S
+    with the packed errors gives every K x K table of the group.  Each error
+    is decided on those integers; `violations`, in the errors' order, is the
+    only place where values are built as field elements."""
     if d < 1:
         raise ValueError("distance must be >= 1")
     if errors is None:
         errors = pauli_error_basis(code.n_sites, code.local_dim, d - 1,
                                    conductor=code.conductor)
-    k = code.dimension
-    is_code = True
+    errors = [e for e in errors if e.weight < d]
+    k, n = code.dimension, code.conductor
+    groups: dict = {}
+    for idx, e in enumerate(errors):
+        _check_operands(e.op, code.basis[0])
+        groups.setdefault(e.support, []).append(idx)
+    eye = np.eye(k, dtype=bool)
     is_pure = True
-    c_table: dict = {}
-    violations = []
-    for e in errors:
-        if e.weight >= d:
-            continue
-        table = code.packed.matrix_elements(e.op)
-        consistent = True
-        c = table[0][0]
-        for i in range(k):
-            for j in range(k):
-                val = table[i][j]
-                if i != j:
-                    if not val.is_zero():
-                        consistent = False
-                        violations.append((e.label, i, j, val))
-                elif val != c:
-                    consistent = False
-                    violations.append((e.label, i, i, val))
-        if consistent:
-            c_table[e.label] = c
-            if e.weight > 0 and not c.is_zero():
-                is_pure = False
-        else:
-            is_code = False
+    flagged = {}
+    for support, idxs in groups.items():
+        _, g, rden = _reduction(code.basis, support)
+        vals, dens = _local_elements([errors[i].op for i in idxs], support, g, k)
+        nonzero = (vals != 0).any(axis=-1)
+        bad = np.where(eye, (vals != vals[:, :1, :1]).any(axis=-1), nonzero)
+        # a flagged error also fails is_code, which is_pure is joined with
+        if support and nonzero[:, 0, 0].any():
             is_pure = False
-    return KLReport(d, is_code, is_pure and is_code, c_table, violations)
+        for c in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
+            flagged[idxs[c]] = (vals[c], dens[c] * rden, bad[c])
+    violations = [(errors[idx].label, i, j, Cyclotomic(n, vals[i, j].tolist(), den))
+                  for idx, (vals, den, bad) in sorted(flagged.items())
+                  for i, j in np.argwhere(bad).tolist()]
+    return KLReport(d, not flagged, is_pure and not flagged, violations)
+
+
+def _kl_holds_on(basis, keep_pos) -> bool:
+    """Whether <u_i|E|u_j> = c(E) delta_ij for every operator E on the
+    sites keep_pos: exactly when R_S[j, i] = delta_ij R_S[0, 0]."""
+    k = len(basis)
+    _, g, _ = _reduction(basis, keep_pos)
+    dim = len(g) // k
+    blocks = g.reshape(k, dim, k, dim, -1).transpose(0, 2, 1, 3, 4)
+    eye = np.eye(k, dtype=bool)
+    return not (blocks[~eye] != 0).any() and (blocks[eye] == blocks[0, 0]).all()
 
 
 def distance(code: CodeSubspace) -> int:
-    """Largest d with a passing Knill-Laflamme sweep, by brute force over
-    increasing d.  Capped at n+1, past which no new errors exist (the cap
-    is only reachable for one-dimensional codes, where the delta condition
-    is vacuous)."""
-    errors = pauli_error_basis(code.n_sites, code.local_dim, code.n_sites,
-                               conductor=code.conductor)
+    """Largest d with a passing Knill-Laflamme sweep, over increasing d.
+    The sweep at d + 1 holds exactly when every operator on every d-site
+    subset S satisfies the delta condition, that is R_S[j, i] =
+    delta_ij R_S[0, 0]; smaller subsets are partial traces of these, so
+    each candidate is decided from the size-d subsets alone, with no error
+    basis and so for any local dimension.  Capped at n+1, past which no new
+    errors exist (the cap is only reachable for one-dimensional codes, where
+    the delta condition is vacuous)."""
+    n = code.n_sites
     d = 1
-    while d <= code.n_sites and kl_check(code, d + 1, errors=errors).is_code:
+    while d <= n and all(_kl_holds_on(code.basis, s) for s in combinations(range(n), d)):
         d += 1
     return d
 
@@ -245,7 +280,7 @@ def r_uniform_check(v: PureState, r: int) -> UniformReport:
     worst_subset = None
     worst = 0.0
     for keep in combinations(range(1, sites + 1), r):
-        kdims, g, den = _reduction(v, keep)
+        kdims, g, den = _reduction((v,), [p - 1 for p in keep])
         dim = len(g)
         diagonal = np.eye(dim, dtype=bool)
         if not g[~diagonal].any() and (g[diagonal] == g[0, 0]).all():
@@ -285,19 +320,20 @@ def stabilizer_subspace(generators, cap: int = 10_000,
         if not g.is_unitary():
             raise ValueError("stabilizer generators must be unitary")
     group = closure(gens, cap=cap)
-    dim = prod(dims)
-    acc = gens[0].to_dense().scale(0)
-    for g in group.elements:
-        acc = acc + g.to_dense()
-    proj = acc.scale(Fraction(1, group.order))
+    # sum_g g as numerators over den, one weighted sum per chunk; column j
+    # is the image sum_g g|j>
+    acc, den = 0, 1
+    for e, dens in _dense_packed(group.elements, range(len(dims))):
+        total = lcm(den, *dens)
+        weights = np.array([total // dn for dn in dens], dtype=object)
+        part = _matmul(np.moveaxis(e, 0, -1), weights, int(weights.sum()))
+        acc, den = acc * (total // den) + part.astype(object), total
+    den *= group.order
+    cols = [_unpack(nn, dims, acc[:, j], den) for j in range(prod(dims))
+            if (acc[:, j] != 0).any()]
     # image basis from projector columns, orthonormalized exactly
-    cols = []
-    for j in range(dim):
-        col = tuple(proj.rows[i][j] for i in range(dim))
-        if any(not e.is_zero() for e in col):
-            cols.append(PureState(nn, dims, col))
     basis = orthonormalize(cols, drop_dependent=True)
-    expected = proj.trace().as_fraction()
+    expected = Cyclotomic(nn, np.trace(acc).tolist(), den).as_fraction()
     if expected.denominator != 1 or len(basis) != expected.numerator:
         raise ArithmeticError("projector rank does not match its trace")
     d0 = dims[0]

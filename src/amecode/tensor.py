@@ -311,6 +311,7 @@ def _canon_inv(f: Matrix) -> tuple[Cyclotomic, Matrix]:
 # linalg's packed matrix kernel, which the dense closures of groups use too.
 
 _FIX_CHUNK = 32  # operators whose images fixed_by holds at once (bounds peak memory)
+_DENSE_ENTRIES = 1 << 18  # operator entries _dense_packed expands at once (bounds peak memory)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -470,6 +471,59 @@ def fixed_by(ops, v: PureState) -> list[bool]:
     return out
 
 
+def _dense_packed(ops, positions):
+    """Yields (e, dens) for consecutive chunks of the operators: each one's
+    scalar times the tensor product of its factors at the 0-based
+    positions, as numerators e[c] of shape (dim, dim, deg) over dens[c].
+    A chunk holds about _DENSE_ENTRIES entries.  Starting from the packed
+    1 x 1 identity, the scalar and then each factor multiply in through
+    their cached actions, one bound-checked matmul per position."""
+    deg = len(ops[0].scalar.coeffs)
+    dim = prod(ops[0].factors[p].shape[0] for p in positions)
+    step = max(1, _DENSE_ENTRIES // (dim * dim))
+    for start in range(0, len(ops), step):
+        chunk = ops[start:start + step]
+        e = np.zeros((len(chunk), 1, 1, deg), dtype=np.int64)
+        e[..., 0] = 1
+        dens = [1] * len(chunk)
+        for acts in ([_scalar_action(op.scalar) for op in chunk],
+                     *([_action(op.factors[p]) for op in chunk] for p in positions)):
+            c, rows, cols, _ = e.shape
+            d = acts[0][0].shape[0] // deg
+            # the action A[(y, t), (x, s)] multiplies zeta^t by the entry f[x, y]
+            m = np.stack([a[0] for a in acts]).reshape(c, d, deg, d, deg)
+            m = m.transpose(0, 2, 1, 3, 4).reshape(c, deg, d * d * deg)
+            e = _matmul(e.reshape(c, rows * cols, deg), m, max(a[2] for a in acts))
+            e = e.reshape(c, rows, cols, d, d, deg).transpose(0, 1, 4, 2, 3, 5)
+            e = e.reshape(c, rows * d, cols * d, deg)
+            dens = [dn * a[1] for dn, a in zip(dens, acts)]
+        yield e, dens
+
+
+def _local_elements(ops, positions, g, k: int):
+    """(vals, dens): the numerators vals[c], shape (K, K, deg), of
+    <u_i| E_c |u_j> = tr(E_c R[j, i]) for product operators E_c that act as
+    the identity off the 0-based positions, given the blocks g of K states
+    from _reduction(states, positions).  vals[c] is over dens[c] times the
+    denominator of g.  Per chunk of operators, one contraction over the
+    dim x dim entries and one map of the coefficient products, both
+    bound-checked."""
+    _, _, t2, t2_bound = _gram_maps(ops[0].n)
+    dim = len(g) // k
+    deg = g.shape[-1]
+    # r[(a, b), (i, j, u)] = R[j, i][b, a]
+    r = g.reshape(k, dim, k, dim, deg).transpose(3, 1, 2, 0, 4).reshape(dim * dim, -1)
+    r_bound = dim * dim * _max_abs(r)
+    vals, dens = [], []
+    for e, chunk_dens in _dense_packed(ops, positions):
+        c = len(e)
+        p = _matmul(e.transpose(0, 3, 1, 2).reshape(c * deg, dim * dim), r, r_bound)
+        p = p.reshape(c, deg, k * k, deg).transpose(0, 2, 1, 3).reshape(c, k * k, deg * deg)
+        vals.append(_matmul(p, t2, t2_bound).reshape(c, k, k, deg))
+        dens += chunk_dens
+    return np.concatenate(vals), dens
+
+
 class PackedBasis:
     """States u_1..u_K on one dims and conductor, packed once, for the
     matrix elements <u_i| g |u_j> of many product operators g."""
@@ -507,13 +561,8 @@ class PackedBasis:
         den *= self.den
         return [[Cyclotomic(self.n, vals[j][i], den) for j in range(k)] for i in range(k)]
 
-    def matrix_elements(self, op: LocalOperator) -> list[list[Cyclotomic]]:
-        """The K x K table [<u_i| op |u_j>]; field elements are built only
-        for its entries."""
-        return self._table(*self._images(op))
-
     def restriction(self, op: LocalOperator):
-        """(table, norms): the matrix_elements table and <op u_j|op u_j>
+        """(table, norms): the K x K table [<u_i| op |u_j>] and <op u_j|op u_j>
         for every j.  For an orthonormal basis, op|u_j> lies in the span
         exactly when in_span([row[j] for row in table], norms[j])."""
         w, den = self._images(op)
@@ -589,7 +638,7 @@ def partial_trace(obj, keep) -> DensityOperator:
     """Reduce a PureState (as |v><v|) or DensityOperator onto the 1-based
     sites in `keep`, tracing out the rest."""
     if isinstance(obj, PureState):
-        return _density(obj.n, *_reduction(obj, keep))
+        return _density(obj.n, *_reduction((obj,), _keep_positions(keep, obj.sites)))
     if isinstance(obj, DensityOperator):
         return _partial_trace_density(obj, keep)
     raise TypeError(f"cannot partial-trace {type(obj).__name__}")
@@ -611,17 +660,21 @@ def _all_multi(dims):
             yield (head,) + tail
 
 
-def _reduction(v: PureState, keep):
-    """(kdims, g, den): the reduction of |v><v| onto the 1-based sites in
-    `keep` is g / den, where g holds integer numerators of shape
-    (dim, dim, deg), dim the product of kdims.  It is the Gram matrix of the
-    rows of the matricization M[keep, traced] of v's packed amplitudes."""
-    keep_pos = _keep_positions(keep, v.sites)
-    trace_pos = [p for p in range(v.sites) if p not in keep_pos]
-    kdims = [v.dims[p] for p in keep_pos]
-    x, den = _pack(v)
-    m = x.transpose(keep_pos + trace_pos + [v.sites]).reshape(prod(kdims), -1, x.shape[-1])
-    return kdims, _gram(m, v.n), den * den
+def _reduction(states, keep_pos):
+    """(kdims, g, den): the blocks R[j, i] = M_j M_i^dagger of states
+    u_1..u_K, where M_i is the matricization M[keep, traced] of u_i's packed
+    amplitudes over the sites at the sorted 0-based positions keep_pos
+    (possibly none).  g / den holds them as integer numerators of shape
+    (K*dim, K*dim, deg), indexed ((j, b), (i, a)) with dim the product of
+    kdims: the Gram matrix of the rows of the K stacked matricizations.  For
+    one state, g / den is its reduction |v><v| onto keep_pos."""
+    x, den = _pack_states(states)
+    sites = x.ndim - 2
+    trace_pos = [p for p in range(sites) if p not in keep_pos]
+    kdims = [x.shape[p + 1] for p in keep_pos]
+    m = x.transpose([0] + [p + 1 for p in (*keep_pos, *trace_pos)] + [sites + 1])
+    m = m.reshape(len(states) * prod(kdims), -1, x.shape[-1])
+    return kdims, _gram(m, states[0].n), den * den
 
 
 def _density(n: int, kdims, g, den: int) -> DensityOperator:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -299,6 +300,22 @@ def test_cli_verify_cosets_takes_no_cap_or_seed(flag, capsys):
     # the cosets are checked without a closure or a sample
     code, out, err = _run(["group", "verify-cosets", flag, "0"], capsys)
     assert code == 2 and f"unrecognized arguments: {flag} 0" in err
+
+
+def test_cli_verify_weyl_takes_no_seed(capsys):
+    # the closure and the generator comparison draw no sample
+    code, out, err = _run(["group", "verify-weyl", "--seed", "0"], capsys)
+    assert code == 2 and "unrecognized arguments: --seed 0" in err
+
+
+def test_cli_code_kl_violations_are_byte_stable(capsys):
+    # the 66 violations of the d=3 sweep, each with its exact value
+    code, out, err = _run(["code", "kl", "--code", str(shipped_path("c332.code")),
+                           "--distance", "3", "--format", "json"], capsys)
+    assert (code, err) == (1, "")
+    assert len(json.loads(out)["violations"]) == 66
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6415a6c07c6e052a363ec9ff3f2274ab4cf5f9a8c4edaf8855dfaf8e95342249"
 
 
 @pytest.mark.parametrize("cmd", ["critical", "flow"])

@@ -170,6 +170,13 @@ def test_closure_cap():
         closure([x, z], cap=10)
 
 
+def test_pauli_group_cap_zero_is_a_cap():
+    # None is the default cap of 10 * d**(2 * sites + 1); 0 is a cap of zero
+    assert pauli_group(3, 1, N).cap == 270
+    with pytest.raises(ClosureCapExceeded, match="cap 0"):
+        pauli_group(3, 1, N, cap=0)
+
+
 def test_closure_group_axioms(weyl):
     assert weyl.verify_closure(sample_size=200, seed=1)
     ident = Matrix.identity(3, N)

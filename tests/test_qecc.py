@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
-from amecode import catalog
-from amecode.cyclo import default_conductor, root_of_unity
+from amecode import catalog, tensor
+from amecode.cyclo import ConductorMismatch, default_conductor, root_of_unity
+from amecode.groups import closure
+from amecode.linalg import Matrix
 from amecode.qecc import (CodeSubspace, _pauli_error_basis, distance, kl_check,
                           pauli_error_basis, r_uniform_check, singleton_check,
                           stabilizer_subspace)
-from amecode.tensor import LocalOperator, apply, inner
+from amecode.tensor import (DimensionMismatch, LocalOperator, PureState, _reduction, apply, inner,
+                            orthonormalize)
 
 N = 12
 N2 = default_conductor(2)
@@ -65,13 +68,23 @@ def test_code332_kl(code332):
     rep = kl_check(code332, 2)
     assert rep.is_code and rep.is_pure
     assert not rep.violations
-    # purity: every nontrivial weight<2 error has c(E) = 0
-    for label, c in rep.c_table.items():
-        if label != "X0Z0.X0Z0.X0Z0":
-            assert c.is_zero()
+    # purity: every nontrivial weight-1 error has <u_i|E|u_j> = 0
+    errors = pauli_error_basis(3, 3, 1)[1:]
+    assert len(errors) == 24
+    for e in errors:
+        assert all(inner(u, apply(e.op, w)).is_zero()
+                   for u in code332.basis for w in code332.basis)
     rep3 = kl_check(code332, 3)
     assert not rep3.is_code
     assert rep3.violations
+
+
+def test_kl_check_rejects_mismatched_errors(code332):
+    errors = pauli_error_basis(2, 3, 1)
+    with pytest.raises(DimensionMismatch):
+        kl_check(code332, 2, errors=errors)
+    with pytest.raises(ConductorMismatch):
+        kl_check(code332, 2, errors=pauli_error_basis(3, 3, 1, conductor=36))
 
 
 def test_kl_trivial_code():
@@ -230,3 +243,172 @@ def test_contains_and_span_equal_by_gram(code332):
     assert code.span_equal(CodeSubspace(3, 3, [s2.scale(w), s1]))
     assert not code.span_equal(CodeSubspace(3, 3, [s1, s3]))
     assert not code.span_equal(code332)
+
+
+# -- references: the per-error sweep and the dense projector -------------------
+
+
+def _reference_kl(code, d, errors=None):
+    """(is_code, is_pure, violations) of the per-error sweep: every table
+    entry <u_i|E|u_j> through apply and inner, decided in field arithmetic."""
+    if errors is None:
+        errors = pauli_error_basis(code.n_sites, code.local_dim, d - 1,
+                                   conductor=code.conductor)
+    k = code.dimension
+    is_code = is_pure = True
+    violations = []
+    for e in errors:
+        weight = e.op.weight()
+        if weight >= d:
+            continue
+        images = [apply(e.op, u) for u in code.basis]
+        table = [[inner(u, w) for w in images] for u in code.basis]
+        c = table[0][0]
+        consistent = True
+        for i in range(k):
+            for j in range(k):
+                val = table[i][j]
+                if (not val.is_zero()) if i != j else val != c:
+                    consistent = False
+                    violations.append((e.label, i, j, val))
+        if not consistent:
+            is_code = is_pure = False
+        elif weight > 0 and not c.is_zero():
+            is_pure = False
+    return is_code, is_pure and is_code, violations
+
+
+def _reference_distance(code):
+    """Largest d whose sweep over the whole weight-n Pauli basis passes."""
+    errors = pauli_error_basis(code.n_sites, code.local_dim, code.n_sites,
+                               conductor=code.conductor)
+    d = 1
+    while d <= code.n_sites and _reference_kl(code, d + 1, errors)[0]:
+        d += 1
+    return d
+
+
+def _reference_stabilizer(generators):
+    """The fixed-space basis from the dense group-average projector: the
+    to_dense() matrices of the closure summed in field arithmetic."""
+    group = closure(list(generators), cap=10_000)
+    first = group.elements[0]
+    dims, nn, dim = first.dims, first.n, prod(first.dims)
+    acc = first.to_dense().scale(0)
+    for g in group.elements:
+        acc = acc + g.to_dense()
+    proj = acc.scale(Fraction(1, group.order))
+    cols = [PureState(nn, dims, [proj.rows[i][j] for i in range(dim)]) for j in range(dim)]
+    basis = orthonormalize([v for v in cols if not v.is_zero()], drop_dependent=True)
+    assert len(basis) == proj.trace().as_fraction()
+    return tuple(basis)
+
+
+def _normalizer_images(count, seed):
+    """Images of the ((3,3,2))_3 code under words in the monomial normalizer
+    generators around the circulant coset representative."""
+    rng = random.Random(seed)
+    q1, circulant, q3 = catalog.coset_representatives(N)
+    monomial = [catalog.xxx(3, 3, N), catalog.zzz(3, 3, N), q1, q3]
+    code = catalog.code_332(N)
+    out = []
+    for _ in range(count):
+        a = rng.choice(monomial) * circulant * rng.choice(monomial) * rng.choice(monomial)
+        out.append(CodeSubspace(3, 3, [apply(a, u) for u in code.basis]))
+    return out
+
+
+def _large_denominator_code():
+    """((3,3,2))_3 under a rational Householder reflection on site 1 whose
+    denominator is near 2**82, so every packed contraction of its
+    reductions needs Python ints."""
+    v = (2 ** 40 + 1, 3 ** 25, 5 ** 17)
+    norm = sum(x * x for x in v)
+    h = Matrix(N, [[int(i == j) - Fraction(2 * v[i] * v[j], norm) for j in range(3)]
+                   for i in range(3)])
+    ident = Matrix.identity(3, N)
+    op = LocalOperator(N, 1, [h, ident, ident])
+    return CodeSubspace(3, 3, [apply(op, u) for u in catalog.code_332(N).basis])
+
+
+_CODES = {
+    "332": lambda: catalog.code_332(N),
+    "442": catalog.code_442,
+    "trivial": lambda: CodeSubspace(3, 3, [catalog.ket("000", 3, N)]),
+    "repetition": lambda: CodeSubspace(3, 2, [catalog.ket("000", 2, N2),
+                                              catalog.ket("111", 2, N2)]),
+    "large-denominators": _large_denominator_code,
+    **{f"image{i}": (lambda i=i: _normalizer_images(5, 17)[i]) for i in range(5)},
+}
+_KL_CASES = ([("332", d) for d in range(1, 5)] + [("442", d) for d in range(1, 6)]
+             + [("trivial", d) for d in range(1, 5)] + [("repetition", d) for d in range(1, 5)]
+             + [("large-denominators", d) for d in range(1, 4)]
+             + [(f"image{i}", d) for i in range(5) for d in range(1, 4)])
+
+
+@pytest.mark.parametrize("name, d", _KL_CASES, ids=[f"{n}-d{d}" for n, d in _KL_CASES])
+def test_kl_check_matches_reference_loop(name, d):
+    code = _CODES[name]()
+    rep = kl_check(code, d)
+    assert (rep.is_code, rep.is_pure, rep.violations) == _reference_kl(code, d)
+
+
+@pytest.mark.parametrize("name", ["332", "442", "trivial", "repetition",
+                                  "large-denominators", "image0"])
+def test_distance_matches_reference_loop(name):
+    code = _CODES[name]()
+    assert distance(code) == _reference_distance(code)
+
+
+def test_large_denominator_code_takes_python_ints():
+    code = _large_denominator_code()
+    assert _reduction(code.basis, (0,))[1].dtype == object
+    rep = kl_check(code, 3)
+    assert not rep.is_code
+    assert max(v.den for *_, v in rep.violations).bit_length() > 64
+
+
+def test_kl_check_explicit_z_errors_match_reference(code332):
+    # only the Z-type errors, supports interleaved against the basis order:
+    # each listed error is decided alone, and only the listed ones count
+    errors = [e for e in pauli_error_basis(3, 3, 3) if all(a == 0 for a, _ in e.exponents)]
+    assert len(errors) == 27
+    errors = errors[::2] + errors[1::2]
+    # the Z^b (x) Z^b (x) Z^b stabilizers act as 1 on the code: a code, not pure
+    stabilizers = [e for e in errors if len(set(e.exponents)) == 1]
+    assert len(stabilizers) == 3
+    verdicts = []
+    for d in range(1, 5):
+        for errs in (errors, stabilizers):
+            rep = kl_check(code332, d, errors=errs)
+            assert (rep.is_code, rep.is_pure, rep.violations) == _reference_kl(code332, d, errs)
+            verdicts.append((rep.is_code, rep.is_pure))
+    assert verdicts[-2:] == [(False, False), (True, False)]
+
+
+def _hadamard_pair():
+    """H (x) H, scalar 1/2 on two integer factors: its group {I, H (x) H}
+    sums elements over the denominators 1 and 2."""
+    h = [[1, 1], [1, -1]]
+    return [LocalOperator(N2, Fraction(1, 2), [h, h])]
+
+
+@pytest.mark.parametrize("gens", [
+    lambda: [catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)],
+    lambda: [catalog.xxx(2, 4, N2), catalog.zzz(2, 4, N2)],
+    lambda: [LocalOperator.identity((2,), N2)],
+    lambda: [LocalOperator.identity((3, 3), N)],
+    lambda: _hadamard_pair(),
+], ids=["332", "442", "identity-qubit", "identity-qutrits", "hadamard-pair"])
+def test_stabilizer_subspace_matches_dense_projector(gens):
+    assert stabilizer_subspace(gens()).basis == _reference_stabilizer(gens())
+
+
+def test_chunked_expansion_matches_reference(monkeypatch, code332):
+    # one operator per chunk: the tables and the sums do not change
+    monkeypatch.setattr(tensor, "_DENSE_ENTRIES", 1)
+    for d in (2, 3):
+        rep = kl_check(code332, d)
+        assert (rep.is_code, rep.is_pure, rep.violations) == _reference_kl(code332, d)
+    for gens in ([catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)], _hadamard_pair()):
+        assert stabilizer_subspace(gens).basis == _reference_stabilizer(gens)

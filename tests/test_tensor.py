@@ -10,9 +10,9 @@ from amecode.cyclo import ConductorMismatch, Cyclotomic, root_of_unity
 from amecode.linalg import Matrix
 from amecode.qecc import UniformReport, pauli_error_basis, r_uniform_check
 from amecode.tensor import (DensityOperator, DimensionMismatch, LocalOperator,
-                            PackedBasis, PureState, apply, contract_site,
-                            fixed_by, gram, inner, matricize, orthonormalize,
-                            partial_trace)
+                            PackedBasis, PureState, _local_elements,
+                            _reduction, apply, contract_site, fixed_by, gram, inner,
+                            matricize, orthonormalize, partial_trace)
 
 N = 12
 
@@ -331,6 +331,15 @@ def test_kernel_rejects_mismatched_operands():
         apply(LocalOperator.identity((3, 3), 24), v)
 
 
+def _subset_table(states, op):
+    """[<u_i| op |u_j>] from the reduction of the states onto op's support
+    and one contraction with the packed op, as kl_check forms it."""
+    support = tuple(p for p, f in enumerate(op.factors) if not f.is_identity())
+    _, g, rden = _reduction(states, support)
+    vals, dens = _local_elements([op], support, g, len(states))
+    return [[Cyclotomic(op.n, c, dens[0] * rden) for c in row] for row in vals[0].tolist()]
+
+
 def test_packed_table_matches_inner_for_every_error(code332):
     packed = PackedBasis(code332.basis)
     errors = pauli_error_basis(3, 3, 3)
@@ -338,7 +347,8 @@ def test_packed_table_matches_inner_for_every_error(code332):
     for e in errors:
         images = [reference_apply(e.op, u) for u in code332.basis]
         table = [[inner(ui, w) for w in images] for ui in code332.basis]
-        assert packed.matrix_elements(e.op) == table
+        assert packed.restriction(e.op)[0] == table
+        assert _subset_table(code332.basis, e.op) == table
 
 
 def test_packed_basis_generic_states():
@@ -354,8 +364,16 @@ def test_packed_basis_generic_states():
         images = [reference_apply(g, u) for u in states]
         table, norms = packed.restriction(g)
         assert table == [[inner(u, w) for w in images] for u in states]
-        assert packed.matrix_elements(g) == table
+        assert _subset_table(states, g) == table
         assert norms == [inner(w, w) for w in images]
+    # an identity factor leaves its site out of the support and the reduction
+    for pos in range(len(dims)):
+        g = _random_operator(rng, N, dims)
+        factors = list(g.factors)
+        factors[pos] = Matrix.identity(dims[pos], N)
+        g = LocalOperator(N, g.scalar, factors)
+        images = [reference_apply(g, u) for u in states]
+        assert _subset_table(states, g) == [[inner(u, w) for w in images] for u in states]
 
 
 # -- partial traces and Gram tables against term-by-term field arithmetic ----
