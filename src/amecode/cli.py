@@ -23,7 +23,8 @@ from functools import cache
 
 from . import serialize
 from .groups import ClosureCapExceeded
-from .suites import SUITES, SuiteContext, run_suite
+from .suites import (SUITES, SuiteContext, check_coset_representatives, check_local_symmetry,
+                     check_weyl_order, run_suite)
 
 
 def _emit(payload: dict, args) -> None:
@@ -111,8 +112,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_group(args) -> int:
-    from . import catalog
-    from .groups import closure, local_symmetry_report, verify_coset_representatives, weyl_group
+    from .groups import closure
     from .linalg import Matrix
     from .tensor import LocalOperator
 
@@ -125,26 +125,13 @@ def cmd_group(args) -> int:
         _emit({"generators": len(gens), "order": g.order,
                "closure_verified": g.verify_closure(seed=args.seed)}, args)
         return 0
-    if args.group_cmd == "verify-weyl":
-        w = weyl_group(args.conductor, cap=args.cap)
-        printed = catalog.weyl_generator_matrices(args.conductor)
-        from .groups import weyl_generators
-        match = all(a == b for a, b in zip(weyl_generators(args.conductor), printed))
-        ok = w.order == 648 and match
-        _emit({"order": w.order, "expected_order": 648,
-               "generator_entries_match": match, "passed": ok}, args)
-        return 0 if ok else 1
-    if args.group_cmd == "verify-local-symmetry":
-        rep = local_symmetry_report(args.conductor, seed=args.seed, cap=args.cap)
-        ok = rep.operator_order == 5832
-        _emit({**asdict(rep), "expected_operator_order": 5832,
-               "orders_consistent": rep.orders_consistent, "passed": ok}, args)
-        return 0 if ok else 1
-    if args.group_cmd == "verify-cosets":
-        rep = verify_coset_representatives(n=args.conductor)
-        _emit(asdict(rep), args)
-        return 0 if rep.ok else 1
-    raise KeyError(args.group_cmd)
+    # each verification prints its suite check, so the verdict has one source
+    check = {"verify-weyl": check_weyl_order, "verify-local-symmetry": check_local_symmetry,
+             "verify-cosets": check_coset_representatives}[args.group_cmd]
+    result = check(SuiteContext(conductor=args.conductor, cap=getattr(args, "cap", None)))
+    _emit({"name": result.name, "passed": result.passed,
+           "expected": result.expected, "actual": result.actual}, args)
+    return 0 if result.passed else 1
 
 
 def _rational(text: str) -> Fraction:
@@ -242,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("verify-weyl", "verify-local-symmetry"):
         v = g.add_parser(name, parents=[common])
         v.add_argument("--cap", type=int, default=None)
-        if name == "verify-local-symmetry":
-            v.add_argument("--seed", type=int, default=0)
         v.add_argument("--conductor", type=int, default=12)
     v = g.add_parser("verify-cosets", parents=[common])
     v.add_argument("--conductor", type=int, default=12)

@@ -11,6 +11,11 @@ search level is one integer matmul (linalg's packed kernel); product
 operators are keyed by scalar and canonical-factor ids, whose missing
 factor products are formed by the same kernel in one batch per level and
 site and interned the same way.
+
+Every closure keeps its Cayley table, the index of each product h * g_i it
+forms, and `homomorphism` checks a map given on the generators on every
+edge of it, so the maps from the normalizer onto the reflection and local
+symmetry groups are computed on every element, kernels included.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .cyclo import Cyclotomic, root_of_unity
 from .linalg import Matrix, _compact, _matmul, pack, right_actions, unpack
-from .tensor import DimensionMismatch, LocalOperator, PureState, fixed_by, in_span
+from .tensor import DimensionMismatch, LocalOperator, _restriction, fixed_by, in_span
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -51,11 +56,13 @@ class NotInNormalizer(ValueError):
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    """A finite group materialized as its full element set."""
+    """A finite group materialized as its full element set.  table[h, i] is
+    the index of elements[h] * generators[i]; element 0 is the identity."""
 
     generators: tuple
     elements: tuple
     cap: int
+    table: np.ndarray = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
@@ -65,15 +72,15 @@ class MatrixGroup:
         return g in self._index
 
     @property
-    def _index(self):
+    def _index(self) -> dict:
         idx = self.__dict__.get("_idx")
         if idx is None:
-            idx = frozenset(self.elements)
+            idx = {g: k for k, g in enumerate(self.elements)}
             self.__dict__["_idx"] = idx
         return idx
 
     def set_equal(self, other: MatrixGroup) -> bool:
-        return self._index == other._index
+        return self._index.keys() == other._index.keys()
 
     def sample(self, k: int, seed: int = 0) -> list:
         rng = random.Random(seed)
@@ -101,6 +108,8 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
     _ProductTable): each level's products h * g, for h in the frontier and
     g in the generators, are formed in one batch and visited in (h, g)
     order, and the elements are built once at the end in search order.
+    The frontiers run through the elements in index order, so the products,
+    in the order formed, are the rows of the table after the identity's.
     Raises ClosureCapExceeded if more than `cap` elements appear, which
     signals a non-finite or mis-specified group, and ValueError naming the
     first singular generator (determinant 0; for an operator, a zero scalar
@@ -113,25 +122,28 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
     for i, g in enumerate(gens):
         if _singular(g):
             raise ValueError(f"generators[{i}] is singular (determinant 0)")
-    ident = table.key(table.identity)
     gkeys = [table.key(g) for g in gens]
-    elements: dict = {ident: None}
+    elements: dict = {table.key(table.identity): 0}  # key -> index
     frontier = []
     for g in gkeys:
         if g not in elements:
-            elements[g] = None
+            elements[g] = len(elements)
             frontier.append(g)
+    rows = [elements[g] for g in gkeys]  # the table, row-major; row 0 is the identity's
     while frontier:
         nxt = []
         for p in table.products(frontier, gkeys):
-            if p not in elements:
+            k = elements.get(p)
+            if k is None:
                 if len(elements) >= cap:
                     raise ClosureCapExceeded(f"closure exceeded cap {cap}",
                                              lambda: table.elements(elements))
-                elements[p] = None
+                k = elements[p] = len(elements)
                 nxt.append(p)
+            rows.append(k)
         frontier = nxt
-    return MatrixGroup(tuple(gens), table.elements(elements), cap)
+    return MatrixGroup(tuple(gens), table.elements(elements), cap,
+                       np.array(rows, dtype=np.int32).reshape(-1, len(gens)))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -362,6 +374,69 @@ class _ProductTable:
         return out
 
 
+# -- homomorphisms ------------------------------------------------------------
+
+
+def _discovery_edges(group: MatrixGroup) -> tuple[list, list]:
+    """(parent, gen): element k > 0 first occurs in group.table, row-major,
+    as elements[parent[k]] * generators[gen[k]], so parent[k] < k."""
+    values, first = np.unique(group.table, return_index=True)
+    parent, gen = np.zeros((2, group.order), dtype=np.int64)
+    parent[values], gen[values] = np.divmod(first, group.table.shape[1])
+    return parent.tolist(), gen.tolist()
+
+
+def _right_multiplication(group: MatrixGroup, edges, k: int):
+    """The index array r with elements[r[h]] == elements[h] * elements[k]:
+    the table columns of k's discovery word, composed."""
+    if k == 0:
+        return np.arange(group.order)
+    parent, gen = edges
+    return group.table[_right_multiplication(group, edges, parent[k]), gen[k]]
+
+
+def homomorphism(source: MatrixGroup, target: MatrixGroup, images):
+    """The homomorphism sending source.generators[i] to images[i], as an
+    index array phi (source element k to target element phi[k]), or None
+    when the images define none.
+
+    phi is propagated along each element's discovery edge, phi(h * g_i) =
+    phi(h) * images[i], with right multiplication read from target.table;
+    then the same equation is checked on every edge of source.table, one
+    comparison per generator.  When all agree, phi is well defined and
+    multiplicative, as every element is a word in the generators.  Raises
+    ValueError for an image that is not in the target."""
+    if len(images) != len(source.generators):
+        raise ValueError(f"need {len(source.generators)} images, got {len(images)}")
+    edges = _discovery_edges(target)
+    right = []
+    for i, t in enumerate(images):
+        if t not in target:
+            raise ValueError(f"images[{i}] is not in the target group")
+        right.append(_right_multiplication(target, edges, target._index[t]))
+    parent, gen = _discovery_edges(source)
+    columns = [r.tolist() for r in right]
+    phi = [0] * source.order
+    for k in range(1, source.order):
+        phi[k] = columns[gen[k]][phi[parent[k]]]
+    phi = np.array(phi)
+    if all(np.array_equal(phi[source.table[:, i]], r[phi]) for i, r in enumerate(right)):
+        return phi
+    return None
+
+
+def image_fibres_kernel(source: MatrixGroup, phi):
+    """(image order, the distinct fibre sizes over the image, the kernel as
+    a set of source elements) of the homomorphism phi; for phi None, no
+    homomorphism, (0, (), set())."""
+    if phi is None:
+        return 0, (), set()
+    counts = np.bincount(phi)
+    fibres = counts[counts > 0]
+    return (len(fibres), tuple(np.unique(fibres).tolist()),
+            {source.elements[k] for k in np.flatnonzero(phi == 0).tolist()})
+
+
 # -- complex reflections and the gate group ---------------------------------
 
 
@@ -428,7 +503,7 @@ def mu_matrix(g: LocalOperator, code) -> Matrix:
     Raises NotInNormalizer when g does not preserve the span, checked
     exactly: against the orthonormal basis, g|u_j> lies in the span iff
     its squared norm equals the sum of |<u_i| g |u_j>|^2 over i."""
-    table, norms = code.packed.restriction(g)
+    table, norms = _restriction(g, code.basis)
     for j, norm in enumerate(norms):
         if not in_span([row[j] for row in table], norm):
             raise NotInNormalizer(f"operator maps basis vector {j} outside the code")
@@ -538,93 +613,47 @@ def _normalizer_group_332(n: int, cap: int) -> MatrixGroup:
     return closure(gens, cap=cap)
 
 
-def lifts_match(normalizer_gens, symmetry_gens, code) -> bool:
-    """Whether each normalizer generator a lifts to the symmetry generator at
-    the same position: conj(mu(a)) (x) a == g."""
-    return len(normalizer_gens) == len(symmetry_gens) and all(
-        LocalOperator(a.n, a.scalar, [mu_matrix(a, code).conj(), *a.factors]) == g
-        for a, g in zip(normalizer_gens, symmetry_gens))
-
-
 @dataclass
 class LocalSymmetryReport:
     operator_order: int
     normalizer_order: int
-    scalar_kernel_order: int
     generators_fix_state: bool
     all_elements_fix_state: bool
-    sample_has_restriction_form: bool
-    generator_lifts_match: bool
-
-    @property
-    def orders_consistent(self) -> bool:
-        return self.operator_order * self.scalar_kernel_order == self.normalizer_order
+    lift_is_homomorphism: bool
+    image_order: int
+    fibre_sizes: tuple
+    kernel_is_scalars: bool
 
 
-def local_symmetry_report(n: int = 12, sample_size: int = 100, seed: int = 0,
-                          cap: int | None = None) -> LocalSymmetryReport:
-    """Structural verification of the local symmetry group: generator and
-    element fixing of the perfect tensor (every element, exactly), the
-    conj(restriction) tensor g form on a sample, and the 3-to-1 relation to
-    the normalizer.
-
-    The relation is computed, not sampled.  A -> conj(mu(A)) (x) A is a
-    homomorphism on the normalizer (mu is multiplicative on code-preserving
-    operators) that sends its generators to the symmetry generators
-    (generator_lifts_match), so its image is the whole operator closure.
-    Its kernel holds the central scalars w^k * I counted in
-    scalar_kernel_order; when operator_order * scalar_kernel_order equals
-    normalizer_order, the kernel is exactly those scalars.  cap bounds both
-    closures; None keeps their defaults."""
+def local_symmetry_report(n: int = 12, cap: int | None = None) -> LocalSymmetryReport:
+    """Structural verification of the local symmetry group: every generator
+    and every element fixes the perfect tensor exactly, and A -> conj(mu(A))
+    (x) A, given on the normalizer generators by their lifts, is checked as
+    a homomorphism from the normalizer on every edge of its table.  Its
+    image, fibres and kernel are read off exactly; the kernel is compared
+    with the central scalars w^k * I as a set.  cap bounds both closures;
+    None keeps their defaults."""
     from . import catalog
     phi = catalog.ame_state(n, normalized=False)
     code = catalog.code_332(n)
     group = local_symmetry_group(n, cap)
-    gens_fix = all(fixed_by(group.generators, phi))
-    all_fix = all(fixed_by(group.elements, phi))
-    sample = group.sample(sample_size, seed=seed)
-    form_ok = all(has_conjugate_restriction_form(g, code) is not None for g in sample)
     norm = normalizer_group_332(n, cap)
+    lifts = [LocalOperator(n, a.scalar, [mu_matrix(a, code).conj(), *a.factors])
+             for a in norm.generators]
+    lift = homomorphism(norm, group, lifts)
+    image, fibres, kernel = image_fibres_kernel(norm, lift)
     w = root_of_unity(n // 3, n)
     ident = Matrix.identity(3, n)
-    scalars = sum(1 for k in range(3)
-                  if LocalOperator(n, w ** k, [ident] * 3) in norm)
     return LocalSymmetryReport(
         operator_order=group.order,
         normalizer_order=norm.order,
-        scalar_kernel_order=scalars,
-        generators_fix_state=gens_fix,
-        all_elements_fix_state=all_fix,
-        sample_has_restriction_form=form_ok,
-        generator_lifts_match=lifts_match(norm.generators, group.generators, code),
+        generators_fix_state=all(fixed_by(group.generators, phi)),
+        all_elements_fix_state=all(fixed_by(group.elements, phi)),
+        lift_is_homomorphism=lift is not None,
+        image_order=image,
+        fibre_sizes=fibres,
+        kernel_is_scalars=kernel == {LocalOperator(n, w ** k, [ident] * 3) for k in range(3)},
     )
-
-
-def fixes_state(g: LocalOperator, v: PureState) -> bool:
-    return fixed_by([g], v)[0]
-
-
-def has_conjugate_restriction_form(g: LocalOperator, code=None):
-    """Whether a four-site operator factors as conj(code restriction of its
-    last-three-site part) on site 1, up to a positive real scale.
-
-    Returns the three-site part's code restriction when the form holds,
-    else None."""
-    from . import catalog
-    if code is None:
-        code = catalog.code_332(g.n)
-    rest = LocalOperator(g.n, g.scalar, g.factors[1:], _canonical=True)
-    try:
-        v = mu_matrix(rest, code)
-    except NotInNormalizer:
-        return None
-    w = v.conj()
-    ratio = g.factors[0].scalar_multiple_of(w)
-    if ratio is None or not ratio.is_real():
-        return None
-    if ratio.to_complex().real <= 0:
-        return None
-    return v
 
 
 # -- stabilizer/centralizer consistency ---------------------------------------
@@ -636,13 +665,18 @@ class CentralizerReport:
     fixes_code_pointwise: bool
     special_linear_factorable: bool
     generators_commute: bool
-    order_matches_quotient: bool
+    mu_is_homomorphism: bool
+    mu_image_order: int
+    weyl_order: int
+    mu_fibre_sizes: tuple
+    kernel_is_centralizer: bool
 
     @property
     def ok(self) -> bool:
         return (self.order == 9 and self.fixes_code_pointwise
                 and self.special_linear_factorable and self.generators_commute
-                and self.order_matches_quotient)
+                and self.mu_is_homomorphism and self.mu_image_order == self.weyl_order
+                and self.kernel_is_centralizer)
 
 
 def sl_factorable(op: LocalOperator) -> bool:
@@ -660,23 +694,28 @@ def sl_factorable(op: LocalOperator) -> bool:
 def centralizer_containment_check(n: int = 12, cap: int | None = None) -> CentralizerReport:
     """Consistency facts for the stabilizer group acting on the code: all
     nine elements fix the basis pointwise, each is a phase times a
-    determinant-1 product, and its order times the order of the reflection
-    group equals the order of the normalizer (9 * 648 == 5832), all three
-    computed by closure.  The converse inclusion (no other determinant-1
-    products fix the code) is not re-derived here.  cap bounds the three
+    determinant-1 product, and the group is the kernel of the code
+    restriction mu, checked as a homomorphism from the normalizer onto the
+    reflection group on every edge of the normalizer's table; so no other
+    normalizer element acts trivially on the code.  cap bounds the three
     closures; None keeps their defaults (90 for the stabilizer group)."""
     from . import catalog
     x3, z3 = catalog.xxx(3, 3, n), catalog.zzz(3, 3, n)
     group = closure([x3, z3], cap=90 if cap is None else cap)
     basis = catalog.code_basis(n)
-    fixes = all(all(fixed_by(group.elements, s)) for s in basis)
-    slfac = all(sl_factorable(g) for g in group.elements)
-    commute = x3 * z3 == z3 * x3
+    norm = normalizer_group_332(n, cap)
+    weyl = weyl_group(n, cap)
+    code = catalog.code_332(n)
+    mu = homomorphism(norm, weyl, [mu_matrix(a, code) for a in norm.generators])
+    image, fibres, kernel = image_fibres_kernel(norm, mu)
     return CentralizerReport(
         order=group.order,
-        fixes_code_pointwise=fixes,
-        special_linear_factorable=slfac,
-        generators_commute=commute,
-        order_matches_quotient=(
-            group.order * weyl_group(n, cap).order == normalizer_group_332(n, cap).order),
+        fixes_code_pointwise=all(all(fixed_by(group.elements, s)) for s in basis),
+        special_linear_factorable=all(sl_factorable(g) for g in group.elements),
+        generators_commute=x3 * z3 == z3 * x3,
+        mu_is_homomorphism=mu is not None,
+        mu_image_order=image,
+        weyl_order=weyl.order,
+        mu_fibre_sizes=fibres,
+        kernel_is_centralizer=kernel == set(group.elements),
     )

@@ -32,7 +32,7 @@ import numpy as np
 
 from .cyclo import Cyclotomic
 from .linalg import Matrix, _matmul
-from .tensor import (LocalOperator, PackedBasis, PureState, _check_operands, _dense_packed,
+from .tensor import (LocalOperator, PureState, _canon_factor, _check_operands, _dense_packed,
                      _density, _local_elements, _reduction, _unpack, gram, in_span,
                      orthonormal_defect, orthonormalize)
 
@@ -41,7 +41,7 @@ class CodeSubspace:
     """Orthonormal exact basis of a subspace with claimed parameters
     ((n, K, d))_D."""
 
-    __slots__ = ("n_sites", "local_dim", "basis", "claimed_d", "_packed")
+    __slots__ = ("n_sites", "local_dim", "basis", "claimed_d")
 
     def __init__(self, n_sites: int, local_dim: int, basis, claimed_d: int | None = None):
         basis = tuple(basis)
@@ -58,7 +58,6 @@ class CodeSubspace:
         object.__setattr__(self, "local_dim", local_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "claimed_d", claimed_d)
-        object.__setattr__(self, "_packed", None)
 
     def __setattr__(self, *a):
         raise AttributeError("CodeSubspace is immutable")
@@ -70,13 +69,6 @@ class CodeSubspace:
     @property
     def conductor(self) -> int:
         return self.basis[0].n
-
-    @property
-    def packed(self) -> PackedBasis:
-        """The basis packed once for matrix elements of product operators."""
-        if self._packed is None:
-            object.__setattr__(self, "_packed", PackedBasis(self.basis))
-        return self._packed
 
     def contains(self, v: PureState) -> bool:
         g = gram(self.basis + (v,))
@@ -147,10 +139,11 @@ def pauli_error_basis(n: int, d: int, max_weight: int,
 def _pauli_error_basis(n: int, d: int, max_weight: int,
                        nn: int) -> tuple[ErrorBasisElement, ...]:
     from . import catalog
-    single = {(a, b): catalog.pauli_power(d, nn, a, b)
+    # each of the d^2 factors is made canonical once: (lead, canonical factor)
+    single = {(a, b): _canon_factor(catalog.pauli_power(d, nn, a, b))
               for a in range(d) for b in range(d)}
-    ident = single[(0, 0)]
     nontrivial = [(a, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)]
+    one = Cyclotomic.one(nn)
     out = []
     for w in range(max_weight + 1):
         for sites in combinations(range(n), w):
@@ -158,8 +151,10 @@ def _pauli_error_basis(n: int, d: int, max_weight: int,
                 exps = [(0, 0)] * n
                 for pos, e in zip(sites, assignment):
                     exps[pos] = e
-                factors = [single[e] if e != (0, 0) else ident for e in exps]
-                op = LocalOperator(nn, 1, factors)
+                scalar = one  # the identity's lead is 1
+                for e in assignment:
+                    scalar = scalar * single[e][0]
+                op = LocalOperator(nn, scalar, [single[e][1] for e in exps], _canonical=True)
                 out.append(ErrorBasisElement(op, tuple(exps), error_label(exps)))
     return tuple(out)
 

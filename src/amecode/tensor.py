@@ -524,52 +524,21 @@ def _local_elements(ops, positions, g, k: int):
     return np.concatenate(vals), dens
 
 
-class PackedBasis:
-    """States u_1..u_K on one dims and conductor, packed once, for the
-    matrix elements <u_i| g |u_j> of many product operators g."""
-
-    __slots__ = ("n", "dims", "states", "x", "den", "_bra", "_bra_bound")
-
-    def __init__(self, states):
-        states = tuple(states)
-        if not states:
-            raise ValueError("empty basis")
-        n, dims = states[0].n, states[0].dims
-        x, den = _pack_states(states)
-        x = x.astype(object)
-        t, conj = _structure(n)
-        deg = t.shape[0]
-        # bra[(a, u), (i, s)] = sum_t conj(u_i)[a, t] T[t, u, s], so that
-        # (w @ bra)[i, s] are the coefficients of <u_i|w> times den
-        bra = np.tensordot(np.matmul(x, conj.astype(object)), t, axes=([-1], [0]))
-        bra = bra.reshape(len(states), -1, deg, deg).transpose(1, 2, 0, 3)
-        bra = bra.reshape(-1, len(states) * deg)
-        self.n, self.dims, self.states, self.den = n, dims, states, den
-        self.x = _compact(x)
-        self._bra, self._bra_bound = _compact(bra), _col_bound(bra)
-
-    def _images(self, op: LocalOperator):
-        """op|u_j> for every j, flattened to shape (K, amps * deg), and
-        their denominator."""
-        _check_operands(op, self.states[0])
-        images, dens = _apply_packed([op], self.x, self.den)
-        return images.reshape(len(self.states), -1), dens[0]
-
-    def _table(self, w, den: int) -> list[list[Cyclotomic]]:
-        k = len(self.states)
-        vals = _matmul(w, self._bra, self._bra_bound).reshape(k, k, -1).tolist()
-        den *= self.den
-        return [[Cyclotomic(self.n, vals[j][i], den) for j in range(k)] for i in range(k)]
-
-    def restriction(self, op: LocalOperator):
-        """(table, norms): the K x K table [<u_i| op |u_j>] and <op u_j|op u_j>
-        for every j.  For an orthonormal basis, op|u_j> lies in the span
-        exactly when in_span([row[j] for row in table], norms[j])."""
-        w, den = self._images(op)
-        k = len(self.states)
-        g = _gram(w.reshape(k, -1, self.x.shape[-1]), self.n)
-        return self._table(w, den), [Cyclotomic(self.n, g[j, j].tolist(), den * den)
-                                     for j in range(k)]
+def _restriction(op: LocalOperator, states):
+    """(table, norms): [<u_i| op |u_j>] and every <op u_j|op u_j>, by one
+    _apply_packed of op on the stacked states u_1..u_K and one _gram of the
+    states stacked over their images."""
+    _check_operands(op, states[0])
+    x, den = _pack_states(states)
+    images, dens = _apply_packed([op], x, den)
+    k = len(states)
+    rows = np.concatenate([_scaled(x, dens[0]), _scaled(images, den)])
+    g = _gram(_compact(rows).reshape(2 * k, -1, x.shape[-1]), op.n)
+    den = (den * dens[0]) ** 2
+    # g[a, b] = <row_b|row_a>, and the images are rows k..2k-1
+    vals = g[k:].tolist()
+    return ([[Cyclotomic(op.n, vals[j][i], den) for j in range(k)] for i in range(k)],
+            [Cyclotomic(op.n, vals[j][k + j], den) for j in range(k)])
 
 
 class DensityOperator:

@@ -4,10 +4,11 @@ line (run with -s or check the captured output on failure).
 Criterion 8 checks that the five four-site symmetry generators generate the
 local symmetry group and that this group is tied to the published order 5832
 by a computed map (suites.check_local_symmetry_relation): the generators and
-every element fix the state, sampled elements have the conjugated-restriction
-form, the three-site normalizer has order 5832, A -> conj(mu(A)) (x) A sends
-its five generators to the five symmetry generators, and its kernel is the 3
-central scalars w^k * I, so the closure has 5832 / 3 = 1944 elements.
+every element fix the state, the three-site normalizer has order 5832, and
+A -> conj(mu(A)) (x) A, checked on every edge of the normalizer's Cayley
+table, is a homomorphism onto the closure whose fibres have 3 elements and
+whose kernel is the 3 central scalars w^k * I, so the closure has
+5832 / 3 = 1944 elements.
 
 The literal clause "the closure of the five generators has order 5832" is not
 asserted here: a closure of product operators cannot have that order, since

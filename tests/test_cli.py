@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from amecode import cli
+from amecode import cli, suites
 from amecode.cli import main
 from amecode.linalg import Matrix
 from amecode.serialize import dump, shipped_path
@@ -306,6 +306,25 @@ def test_cli_verify_weyl_takes_no_seed(capsys):
     # the closure and the generator comparison draw no sample
     code, out, err = _run(["group", "verify-weyl", "--seed", "0"], capsys)
     assert code == 2 and "unrecognized arguments: --seed 0" in err
+
+
+def test_cli_verify_local_symmetry_takes_no_seed(capsys):
+    # the relation is computed on every element, so nothing is sampled
+    code, out, err = _run(["group", "verify-local-symmetry", "--seed", "0"], capsys)
+    assert code == 2 and "unrecognized arguments: --seed 0" in err
+
+
+@pytest.mark.parametrize("cmd, check, status", [
+    ("verify-weyl", suites.check_weyl_order, 0),
+    ("verify-local-symmetry", suites.check_local_symmetry, 1),
+    ("verify-cosets", suites.check_coset_representatives, 0),
+])
+def test_cli_group_verify_prints_the_suite_check(cmd, check, status, capsys):
+    code, out, err = _run(["group", cmd, "--format", "json"], capsys)
+    expected = check(SuiteContext())
+    assert (code, err) == (status, "")
+    assert json.loads(out) == {"name": expected.name, "passed": expected.passed,
+                               "expected": expected.expected, "actual": expected.actual}
 
 
 def test_cli_code_kl_violations_are_byte_stable(capsys):

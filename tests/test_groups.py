@@ -1,21 +1,20 @@
 import random
 from fractions import Fraction
 from math import lcm
-from types import SimpleNamespace
 
 import pytest
 
 from amecode import catalog, groups
 from amecode.cyclo import Cyclotomic, root_of_unity
 from amecode.groups import (ClosureCapExceeded, GeneratorTypeError, NotInNormalizer, closure,
-                            centralizer_containment_check, fixes_state,
-                            has_conjugate_restriction_form, lifts_match,
-                            local_symmetry_group, local_symmetry_report, mu_matrix,
+                            centralizer_containment_check, homomorphism,
+                            image_fibres_kernel, local_symmetry_group,
+                            local_symmetry_report, mu_matrix,
                             normalizer_group_332, pauli_group, reflection,
                             sl_factorable, transversal_group,
                             verify_coset_representatives, weyl_generators, weyl_group)
 from amecode.linalg import Matrix
-from amecode.tensor import DimensionMismatch, LocalOperator, apply
+from amecode.tensor import DimensionMismatch, LocalOperator, apply, fixed_by
 
 N = 12
 
@@ -272,7 +271,7 @@ def test_local_symmetry_generators_published_form():
     assert g2.factors[0].is_identity()
     phi = catalog.ame_state(normalized=False)
     for g in (g1, g2, g3, g4, g5):
-        assert fixes_state(g, phi)
+        assert fixed_by([g], phi) == [True]
         assert g.is_unitary()
 
 
@@ -290,56 +289,43 @@ def test_local_symmetry_group_structure(local_sym, code332):
 
 def test_local_symmetry_elements_fix_state(local_sym, phi_rowform):
     sample = local_sym.sample(100, seed=7)
-    assert all(fixes_state(g, phi_rowform) for g in sample)
-
-
-def test_local_symmetry_conjugate_restriction_form(local_sym, code332):
-    sample = local_sym.sample(40, seed=5)
-    for g in sample:
-        assert has_conjugate_restriction_form(g, code332) is not None
-    # a product operator that is not a symmetry lacks the form
-    x1 = LocalOperator(N, 1, [catalog.pauli_x(3, N), Matrix.identity(3, N),
-                              Matrix.identity(3, N), Matrix.identity(3, N)])
-    assert has_conjugate_restriction_form(x1, code332) is None
+    assert all(fixed_by(sample, phi_rowform))
 
 
 def test_local_symmetry_report():
-    rep = local_symmetry_report(sample_size=50, seed=3)
+    rep = local_symmetry_report()
     assert rep.operator_order == 1944
     assert rep.normalizer_order == 5832
-    assert rep.scalar_kernel_order == 3
-    assert rep.orders_consistent
     assert rep.generators_fix_state
     assert rep.all_elements_fix_state is True
-    assert rep.sample_has_restriction_form
-    assert rep.generator_lifts_match
-    # the clause can fail: swapped generators pair q1's lift with g4
-    code = catalog.code_332()
-    norm_gens = [catalog.xxx(3, 3, N), catalog.zzz(3, 3, N),
-                 *catalog.coset_representatives()]
-    g1, g2, g3, g4, g5 = catalog.local_symmetry_generators()
-    assert lifts_match(norm_gens, [g1, g2, g3, g4, g5], code)
-    assert not lifts_match(norm_gens, [g1, g2, g4, g3, g5], code)
+    assert rep.lift_is_homomorphism
+    assert rep.image_order == 1944 and rep.fibre_sizes == (3,)
+    assert rep.kernel_is_scalars
 
 
 def test_centralizer_containment():
     rep = centralizer_containment_check()
     assert rep.ok
     assert rep.order == 9
-    assert rep.order_matches_quotient
+    assert rep.mu_is_homomorphism
+    assert rep.mu_image_order == rep.weyl_order == 648
+    assert rep.mu_fibre_sizes == (9,)
+    assert rep.kernel_is_centralizer
     x3, z3 = catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)
     assert x3 * z3 == z3 * x3  # xi^3 = 1 makes the tensor cubes commute
 
 
 def test_centralizer_quotient_follows_computed_orders(monkeypatch):
-    def group_of_order(k):
-        return lambda n, cap=None: SimpleNamespace(order=k)
-
-    monkeypatch.setattr(groups, "normalizer_group_332", group_of_order(1944))
+    # the verdict reads the computed map: on the subgroup generated by X^x3,
+    # Z^x3 and q1, mu is a homomorphism with the right kernel, but its image
+    # is the 3-element group of r1, not the reflection group
+    x3, z3 = catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)
+    sub = closure([x3, z3, catalog.coset_representatives()[0]])
+    monkeypatch.setattr(groups, "normalizer_group_332", lambda n, cap=None: sub)
     rep = centralizer_containment_check()
-    assert not rep.order_matches_quotient and not rep.ok
-    monkeypatch.setattr(groups, "weyl_group", group_of_order(216))
-    assert centralizer_containment_check().order_matches_quotient  # 9 * 216 == 1944
+    assert rep.mu_is_homomorphism and rep.kernel_is_centralizer
+    assert (rep.mu_image_order, rep.mu_fibre_sizes, sub.order) == (3, (9,), 27)
+    assert not rep.ok
 
 
 def test_group_checks_pass_their_cap_on(code332):
@@ -351,8 +337,109 @@ def test_group_checks_pass_their_cap_on(code332):
         centralizer_containment_check(cap=648)
     # the 1944-element operator closure fits, the normalizer does not
     with pytest.raises(ClosureCapExceeded, match="cap 1944"):
-        local_symmetry_report(sample_size=1, cap=1944)
+        local_symmetry_report(cap=1944)
     assert transversal_group(code332, cap=648).order == 648
+
+
+# -- the Cayley table and homomorphisms -----------------------------------------
+
+
+def _assert_table_rows(group, rows):
+    """table[h, i] is the index of elements[h] * generators[i], multiplied
+    directly, for every listed row h."""
+    index = {g: k for k, g in enumerate(group.elements)}
+    for h in rows:
+        assert [index[group.elements[h] * g] for g in group.generators] == \
+            group.table[h].tolist()
+
+
+def test_closure_table_is_right_multiplication(weyl):
+    assert weyl.table.shape == (648, 3)
+    _assert_table_rows(weyl, range(weyl.order))
+    centralizer = closure([catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)])
+    _assert_table_rows(centralizer, range(centralizer.order))
+    norm = normalizer_group_332()
+    _assert_table_rows(norm, random.Random(4).sample(range(norm.order), 200))
+    # row 0 is the identity's, so it lists the generators
+    assert norm.elements[0] == LocalOperator.identity((3, 3, 3), N)
+    assert [norm.elements[k] for k in norm.table[0]] == list(norm.generators)
+
+
+def test_right_multiplication_follows_discovery_words(weyl):
+    rng = random.Random(6)
+    edges = groups._discovery_edges(weyl)
+    for k in rng.sample(range(weyl.order), 10):
+        r = groups._right_multiplication(weyl, edges, k)
+        for h in rng.sample(range(weyl.order), 10):
+            assert weyl.elements[r[h]] == weyl.elements[h] * weyl.elements[k]
+
+
+def test_identity_and_inner_automorphism_of_weyl(weyl):
+    assert homomorphism(weyl, weyl, list(weyl.generators)).tolist() == list(range(648))
+    # conjugation by an element that is no generator: images are no generators
+    c = weyl.elements[100]
+    conj = homomorphism(weyl, weyl, [c * r * c.inv() for r in weyl.generators])
+    index = {g: k for k, g in enumerate(weyl.elements)}
+    for k in random.Random(8).sample(range(648), 30):
+        assert conj[k] == index[c * weyl.elements[k] * c.inv()]
+    image, fibres, kernel = image_fibres_kernel(weyl, conj)
+    assert (image, fibres, kernel) == (648, (1,), {Matrix.identity(3, N)})
+
+
+def test_trivial_map_has_the_whole_source_as_kernel(weyl):
+    phi = homomorphism(weyl, weyl, [Matrix.identity(3, N)] * 3)
+    assert image_fibres_kernel(weyl, phi) == (1, (648,), set(weyl.elements))
+
+
+def test_mu_is_a_homomorphism_onto_the_reflection_group(code332, weyl):
+    norm = normalizer_group_332()
+    mu = homomorphism(norm, weyl, [mu_matrix(a, code332) for a in norm.generators])
+    image, fibres, kernel = image_fibres_kernel(norm, mu)
+    assert image == 648 and fibres == (9,)
+    assert kernel == set(closure([catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)]).elements)
+    for k in random.Random(2).sample(range(norm.order), 20):
+        assert weyl.elements[mu[k]] == mu_matrix(norm.elements[k], code332)
+
+
+def _lift(a, code):
+    return LocalOperator(N, a.scalar, [mu_matrix(a, code).conj(), *a.factors])
+
+
+def test_lift_is_a_homomorphism_onto_the_local_symmetries(code332, local_sym):
+    norm = normalizer_group_332()
+    lifts = [_lift(a, code332) for a in norm.generators]
+    assert lifts == list(catalog.local_symmetry_generators())
+    lift = homomorphism(norm, local_sym, lifts)
+    image, fibres, kernel = image_fibres_kernel(norm, lift)
+    assert image == 1944 and fibres == (3,)
+    w = root_of_unity(4, N)
+    assert kernel == {LocalOperator(N, w ** k, [Matrix.identity(3, N)] * 3) for k in range(3)}
+    for k in random.Random(3).sample(range(norm.order), 20):
+        assert local_sym.elements[lift[k]] == _lift(norm.elements[k], code332)
+
+
+@pytest.mark.parametrize("images", [
+    lambda r, i: [i, i, r[1], r[0], r[2]],
+    lambda r, i: [i, i, r[0], r[2], r[1]],
+    lambda r, i: [r[0], i, r[0], r[1], r[2]],
+], ids=["q1-q2-swapped", "q2-q3-swapped", "xxx-to-r1"])
+def test_wrong_images_into_the_reflection_group_define_no_homomorphism(images, weyl):
+    r = weyl_generators()
+    assert homomorphism(normalizer_group_332(), weyl, images(r, Matrix.identity(3, N))) is None
+
+
+def test_swapped_lifts_define_no_homomorphism(local_sym):
+    g1, g2, g3, g4, g5 = catalog.local_symmetry_generators()
+    assert homomorphism(normalizer_group_332(), local_sym, [g1, g2, g4, g3, g5]) is None
+
+
+def test_image_outside_the_target_is_an_error(weyl):
+    r1, r2, r3 = weyl_generators()
+    outside = Matrix(N, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match=r"images\[1\] is not in the target"):
+        homomorphism(weyl, weyl, [r1, outside, r3])
+    with pytest.raises(ValueError, match="need 3 images"):
+        homomorphism(weyl, weyl, [r1, r2])
 
 
 def test_sl_factorable():

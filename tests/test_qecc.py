@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb, prod
 
 import pytest
@@ -8,7 +9,8 @@ from amecode import catalog, tensor
 from amecode.cyclo import ConductorMismatch, default_conductor, root_of_unity
 from amecode.groups import closure
 from amecode.linalg import Matrix
-from amecode.qecc import (CodeSubspace, _pauli_error_basis, distance, kl_check,
+from amecode.qecc import (CodeSubspace, ErrorBasisElement, _pauli_error_basis, distance,
+                          error_label, kl_check,
                           pauli_error_basis, r_uniform_check, singleton_check,
                           stabilizer_subspace)
 from amecode.tensor import (DimensionMismatch, LocalOperator, PureState, _reduction, apply, inner,
@@ -53,6 +55,30 @@ def test_error_basis_built_once_per_key():
     fresh = _pauli_error_basis.__wrapped__(3, 3, 1, 12)
     assert [(e.op, e.exponents, e.label) for e in fresh] == \
         [(e.op, e.exponents, e.label) for e in basis]
+
+
+def _reference_error_basis(n, d, max_weight, nn):
+    """Every operator canonicalized from its raw X^a Z^b factors."""
+    nontrivial = [(a, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)]
+    out = []
+    for w in range(max_weight + 1):
+        for sites in combinations(range(n), w):
+            for assignment in product(nontrivial, repeat=w):
+                exps = [(0, 0)] * n
+                for pos, e in zip(sites, assignment):
+                    exps[pos] = e
+                op = LocalOperator(nn, 1, [catalog.pauli_power(d, nn, a, b) for a, b in exps])
+                out.append(ErrorBasisElement(op, tuple(exps), error_label(exps)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 2)])
+def test_error_basis_matches_canonicalizing_each_operator(n, d):
+    nn = default_conductor(d)
+    basis = _pauli_error_basis.__wrapped__(n, d, 2, nn)
+    # ErrorBasisElement equality compares operators (scalar and factors),
+    # exponents and labels
+    assert basis == _reference_error_basis(n, d, 2, nn)
 
 
 @pytest.mark.parametrize("name, d", [("332", 2), ("332", 3), ("442", 2)])
