@@ -23,16 +23,15 @@ w = weyl_group()
 print("closure order:", w.order)
 
 # The published three-site lifts restrict to the generators exactly, and
-# each lift factors into special-unitary matrices (conductor 36).
+# each lift factors into special-unitary matrices (conductor lcm(12, 36)).
 print(verify_coset_representatives())
 
 # The code restriction of each lift, together with the trivial restrictions
 # of the stabilizer generators, closes to the same 648-element group.
-code = catalog.code_332()
-t = transversal_group(code)
+t = transversal_group()
 print("transversal closure order:", t.order,
       " set-equal to the reflection group:", t.set_equal(w))
 
 # Stabilizer elements act trivially on the code.
 print("restriction of Z^x3 is the identity gate:",
-      mu_matrix(catalog.zzz(3, 3, 12), code).is_identity())
+      mu_matrix(catalog.zzz(3, 3, 12), catalog.code_332()).is_identity())

@@ -7,11 +7,16 @@ obtained by contracting its first site, the three reflection generators of
 the order-648 gate group, special-unitary lifts of those generators to
 three-site product operators, and the five four-site generators of the
 local symmetry group of the state.
+
+The states (the perfect tensor in either normalization and the three code
+basis vectors) are built once per conductor in a process and shared:
+PureState is immutable, so every caller may hold the same object.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .cyclo import Cyclotomic, inv_sqrt3, root_of_unity
 from .linalg import Matrix
@@ -73,11 +78,14 @@ _CODE_TERMS = (("000", "111", "222"),
                ("021", "102", "210"))
 
 
+@cache
 def _uniform_superposition(terms, d: int, n: int, amp: Cyclotomic) -> PureState:
-    v = ket(terms[0], d, n).scale(amp)
-    for t in terms[1:]:
-        v = v + ket(t, d, n).scale(amp)
-    return v
+    """amp on each ket of terms (equal-length base-d digit strings), 0 on
+    every other; built once per argument tuple in a process."""
+    amps = [Cyclotomic.zero(n)] * d ** len(terms[0])
+    for t in terms:
+        amps[int(t, d)] = amp
+    return PureState(n, (d,) * len(terms[0]), amps)
 
 
 def ame_state(n: int = 12, normalized: bool = True) -> PureState:
@@ -171,7 +179,7 @@ def coset_representative_su_factors(n: int = 36) -> tuple[tuple[Matrix, ...], ..
 
     The diagonal representatives need the ninth root of unity to push the
     global phase into determinant-1 factors, and the circulant one needs
-    zeta_36, so these live at conductor 36.
+    zeta_36, so the conductor must be a multiple of 36.
     """
     if n % 36 != 0:
         raise ValueError("special-unitary factors need 36 | conductor")

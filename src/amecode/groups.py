@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -467,7 +467,13 @@ def reflection(vector, order: int, n: int) -> Matrix:
 
 
 def weyl_generators(n: int = 12) -> tuple[Matrix, Matrix, Matrix]:
-    """The three order-3 reflections built from the catalog vectors."""
+    """The three order-3 reflections built from the catalog vectors; built
+    once per conductor in a process."""
+    return _weyl_generators(n)
+
+
+@cache
+def _weyl_generators(n: int) -> tuple[Matrix, Matrix, Matrix]:
     from . import catalog
     return tuple(reflection(v, 3, n) for v in catalog.reflection_vectors(n))
 
@@ -521,7 +527,8 @@ class CosetReport:
 def verify_coset_representatives(reps=None, n: int = 12) -> CosetReport:
     """Check that each published representative restricts to its reflection
     generator exactly, and that each admits an exact per-site factorization
-    into special-unitary matrices (materialized at conductor 36)."""
+    into special-unitary matrices, materialized at lcm(n, 36), the smallest
+    conductor holding both the representatives and zeta_36."""
     from . import catalog
     code = catalog.code_332(n)
     targets = weyl_generators(n)
@@ -544,27 +551,27 @@ def verify_coset_representatives(reps=None, n: int = 12) -> CosetReport:
                     if m.rows[a][b] != r.rows[a][b]:
                         mismatches.append(f"rep {i + 1}: entry ({a},{b}) differs")
         matches.append(ok)
-    su_factors = catalog.coset_representative_su_factors(36)
+    su_n = lcm(n, 36)
+    su_factors = catalog.coset_representative_su_factors(su_n)
     for i, (q, trip) in enumerate(zip(reps, su_factors)):
         ok = True
-        if len(reps) == 3 and LocalOperator(36, 1, list(trip)) != q.embed(36):
+        if len(reps) == 3 and LocalOperator(su_n, 1, list(trip)) != q.embed(su_n):
             ok = False
             mismatches.append(f"rep {i + 1}: special-unitary factors do not rebuild it")
         for f in trip:
-            if not (f.is_unitary() and f.det() == Cyclotomic.one(36)):
+            if not (f.is_unitary() and f.det() == Cyclotomic.one(su_n)):
                 ok = False
                 mismatches.append(f"rep {i + 1}: factor not special-unitary")
         sus.append(ok)
     return CosetReport(all(matches) and all(sus), matches, sus, mismatches)
 
 
-def transversal_group(code=None, n: int = 12, cap: int | None = None) -> MatrixGroup:
-    """Closure of the code restrictions of the two stabilizer generators and
-    the three coset representatives; equals the reflection group.  cap None
-    is 6480."""
+def transversal_group(n: int = 12, cap: int | None = None) -> MatrixGroup:
+    """Closure of the restrictions to the ((3,3,2))_3 code of the two
+    stabilizer generators and the three coset representatives; equals the
+    reflection group.  cap None is 6480."""
     from . import catalog
-    if code is None:
-        code = catalog.code_332(n)
+    code = catalog.code_332(n)
     lifts = [catalog.xxx(3, 3, n), catalog.zzz(3, 3, n), *catalog.coset_representatives(n)]
     images = []
     for g in lifts:

@@ -201,22 +201,6 @@ class Matrix:
         return r == c and all(self.rows[i][j] == self.rows[j][i].conj()
                               for i in range(r) for j in range(i, c))
 
-    def scalar_multiple_of(self, other: Matrix):
-        """Return c with self == c * other, or None."""
-        if self.shape != other.shape:
-            return None
-        c = None
-        for r1, r2 in zip(self.rows, other.rows):
-            for a, b in zip(r1, r2):
-                if b.is_zero():
-                    if not a.is_zero():
-                        return None
-                elif c is None:
-                    c = a / b
-        if c is None:
-            return None
-        return c if self == other.scale(c) else None
-
     def to_complex(self):
         return [[a.to_complex() for a in row] for row in self.rows]
 

@@ -123,13 +123,14 @@ def error_label(exponents) -> str:
 
 def pauli_error_basis(n: int, d: int, max_weight: int,
                       conductor: int | None = None) -> tuple[ErrorBasisElement, ...]:
-    """All weight <= max_weight Pauli products on n sites of prime local
-    dimension d, identity included, in deterministic order.  Built once
-    per (n, d, max_weight, conductor) in a process; the tuple is shared by
-    every caller."""
+    """All weight <= max_weight Weyl-Heisenberg products X^a Z^b on n sites
+    of local dimension d, identity included, in deterministic order.  The
+    d^2 single-site X^a Z^b form an operator basis for every d >= 2, prime
+    or not.  Built once per (n, d, max_weight, conductor) in a process; the
+    tuple is shared by every caller."""
     from .cyclo import default_conductor
-    if d < 2 or any(d % p == 0 for p in range(2, d)):
-        raise ValueError(f"local dimension {d} must be prime")
+    if d < 2:
+        raise ValueError(f"local dimension {d} must be at least 2")
     if not 0 <= max_weight <= n:
         raise ValueError(f"max_weight {max_weight} out of range 0..{n}")
     return _pauli_error_basis(n, d, max_weight, conductor or default_conductor(d))

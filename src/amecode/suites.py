@@ -3,7 +3,10 @@
 Each check pins its tolerance here and returns a CheckResult; the CLI and
 the test suite share these implementations.  All randomized checks take
 their seed from the context, so a report is reproducible byte-for-byte up
-to its timing fields.
+to its timing fields.  The context holds only the run's parameters; each
+check asks catalog and groups for the fixed objects it reads (the code, the
+state, the reflections and their group), and those builders make each one
+once per conductor in a process.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import catalog
-from .correspondence import purify_code, roundtrip
+from .correspondence import roundtrip
 from .cyclo import Cyclotomic, root_of_unity
 from .groups import (centralizer_containment_check, local_symmetry_report,
                      transversal_group, verify_coset_representatives,
@@ -56,44 +59,23 @@ class CheckResult:
         return "pass" if self.passed else "fail"
 
 
+@dataclass(frozen=True)
 class SuiteContext:
-    """Shared parameters and lazily built groups for a suite run."""
+    """The parameters of a suite run: the conductor every exact object is
+    built at, the seed of the randomized checks, and the closure cap (None
+    keeps each closure's default)."""
 
-    def __init__(self, conductor: int = 12, seed: int = 0,
-                 cap: int | None = None):
-        self.conductor = conductor
-        self.seed = seed
-        self.cap = cap
-        self._cache: dict = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
-    def code(self):
-        return self._get("code", lambda: catalog.code_332(self.conductor))
-
-    @property
-    def weyl(self):
-        return self._get("weyl", lambda: weyl_group(self.conductor, cap=self.cap))
-
-    @property
-    def phi_unit(self):
-        return self._get("phi_unit", lambda: catalog.ame_state(self.conductor))
-
-    @property
-    def phi_rowform(self):
-        return self._get("phi_rowform",
-                         lambda: catalog.ame_state(self.conductor, normalized=False))
+    conductor: int = 12
+    seed: int = 0
+    cap: int | None = None
 
 
 def check_code332_kl(ctx: SuiteContext) -> CheckResult:
     errors = pauli_error_basis(3, 3, 1, conductor=ctx.conductor)
-    r2 = kl_check(ctx.code, 2)
-    r3 = kl_check(ctx.code, 3)
-    dist = distance(ctx.code)
+    code = catalog.code_332(ctx.conductor)
+    r2 = kl_check(code, 2)
+    r3 = kl_check(code, 3)
+    dist = distance(code)
     passed = (len(errors) == 25 and r2.is_code and r2.is_pure
               and not r3.is_code and dist == 2
               and singleton_check(3, 3, 2, 3))
@@ -106,7 +88,7 @@ def check_code332_kl(ctx: SuiteContext) -> CheckResult:
 
 
 def check_ame_uniform(ctx: SuiteContext) -> CheckResult:
-    rep = r_uniform_check(ctx.phi_unit, 2)
+    rep = r_uniform_check(catalog.ame_state(ctx.conductor), 2)
     subsets = 6
     passed = rep.uniform
     return CheckResult(
@@ -119,11 +101,11 @@ def check_ame_uniform(ctx: SuiteContext) -> CheckResult:
 def check_stabilizer_fixed_space(ctx: SuiteContext) -> CheckResult:
     n = ctx.conductor
     sub = stabilizer_subspace([catalog.xxx(3, 3, n), catalog.zzz(3, 3, n)])
-    passed = sub.dimension == 3 and sub.span_equal(ctx.code)
+    same = sub.span_equal(catalog.code_332(n))
     return CheckResult(
-        "stabilizer-fixed-space", passed,
+        "stabilizer-fixed-space", sub.dimension == 3 and same,
         "fixed space of X^x3, Z^x3 has dimension 3 and equals the code span",
-        f"dimension={sub.dimension} span_equal={sub.span_equal(ctx.code)}")
+        f"dimension={sub.dimension} span_equal={same}")
 
 
 def _sizes(sizes) -> str:
@@ -155,12 +137,12 @@ def check_weyl_order(ctx: SuiteContext) -> CheckResult:
         i3 = Matrix.identity(3, ctx.conductor)
         spectra.append(((g - i3) * (g - i3.scale(w))).is_zero()
                        and g.trace() == 2 + w)
-    passed = ctx.weyl.order == 648 and match and all(spectra)
+    order = weyl_group(ctx.conductor, cap=ctx.cap).order
     return CheckResult(
-        "weyl-group-648", passed,
+        "weyl-group-648", order == 648 and match and all(spectra),
         "reflection formula reproduces the closed-form generators entry for "
         "entry; closure has order 648; generators have eigenvalues {1,1,w}",
-        f"order={ctx.weyl.order} entries_match={match} spectra_ok={all(spectra)}")
+        f"order={order} entries_match={match} spectra_ok={all(spectra)}")
 
 
 def check_coset_representatives(ctx: SuiteContext) -> CheckResult:
@@ -174,11 +156,10 @@ def check_coset_representatives(ctx: SuiteContext) -> CheckResult:
 
 
 def check_transversal(ctx: SuiteContext) -> CheckResult:
-    t = transversal_group(ctx.code, ctx.conductor, cap=ctx.cap)
-    same = t.set_equal(ctx.weyl)
-    passed = t.order == 648 and same
+    t = transversal_group(ctx.conductor, cap=ctx.cap)
+    same = t.set_equal(weyl_group(ctx.conductor, cap=ctx.cap))
     return CheckResult(
-        "transversal-group", passed,
+        "transversal-group", t.order == 648 and same,
         "closure of the code restrictions of the five lifts set-equals the "
         "648-element reflection group",
         f"order={t.order} set_equal={same}")
@@ -256,18 +237,18 @@ def check_invariance(ctx: SuiteContext) -> CheckResult:
 
 
 def check_correspondence(ctx: SuiteContext) -> CheckResult:
-    r_code = roundtrip(ctx.code)
-    r_state = roundtrip(ctx.phi_unit)
-    lifted = purify_code(ctx.code)
-    uniform = r_uniform_check(lifted, 2).uniform
+    # the code's round trip decides the purified state's 2-uniformity
+    r_code = roundtrip(catalog.code_332(ctx.conductor))
+    r_state = roundtrip(catalog.ame_state(ctx.conductor))
     passed = (r_code.roundtrip_exact and r_state.roundtrip_exact
-              and r_code.ame_verified and r_state.kl_verified and uniform)
+              and r_code.ame_verified and r_state.kl_verified)
     return CheckResult(
         "correspondence-roundtrip", passed,
         "code->state->code and state->code->state both recover their input "
         "exactly; the purified code is 2-uniform",
         f"code_roundtrip={r_code.roundtrip_exact} "
-        f"state_roundtrip={r_state.roundtrip_exact} purified_2uniform={uniform}")
+        f"state_roundtrip={r_state.roundtrip_exact} "
+        f"purified_2uniform={r_code.ame_verified}")
 
 
 def check_code442(ctx: SuiteContext) -> CheckResult:
@@ -285,7 +266,7 @@ def check_code442(ctx: SuiteContext) -> CheckResult:
 
 
 def check_kempf_ness(ctx: SuiteContext) -> CheckResult:
-    phi = FloatState.from_exact(ctx.phi_unit)
+    phi = FloatState.from_exact(catalog.ame_state(ctx.conductor))
     ineq = kempf_ness_inequality_test(phi, samples=INEQUALITY_SAMPLES,
                                       seed=ctx.seed, slack=KN_RATIO_SLACK)
     part_a = ineq.all_above_one and ineq.min_ratio >= 1 - KN_RATIO_SLACK

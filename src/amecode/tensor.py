@@ -1,5 +1,5 @@
 """Exact multi-qudit tensor algebra: pure states, factored local operators,
-reduced densities, site contraction and matricization.
+reduced densities and site contraction.
 
 Amplitude order is row-major with site 1 varying slowest, so contracting
 the computational bra <j| against site 1 just slices the amplitude vector.
@@ -145,15 +145,6 @@ def contract_site(bra_index: int, site: int, v: PureState) -> PureState:
     amps = [v.amps[o * block + bra_index * inner_sz + r]
             for o in range(outer_sz) for r in range(inner_sz)]
     return PureState(v.n, v.dims[:pos] + v.dims[pos + 1:], amps)
-
-
-def matricize(v: PureState, site: int) -> Matrix:
-    """Matrix of shape (prod of other dims) x d_site whose column j is
-    contract_site(j, site, v)."""
-    if v.sites < 2:
-        raise ValueError("matricize needs at least 2 sites")
-    cols = [contract_site(j, site, v).amps for j in range(v.dims[site - 1])]
-    return Matrix(v.n, list(zip(*cols)))
 
 
 class LocalOperator:
@@ -562,28 +553,11 @@ class DensityOperator:
     def n(self) -> int:
         return self.mat.n
 
-    @classmethod
-    def from_state(cls, v: PureState, normalize: bool = False) -> DensityOperator:
-        amps = v.amps
-        if normalize:
-            ns = v.norm_sq()
-            if ns == 0:
-                raise ZeroDivisionError("cannot normalize the zero state")
-            scale = Cyclotomic.from_rational(v.n, 1 / ns)
-        else:
-            scale = Cyclotomic.one(v.n)
-        rows = [[scale * a * b.conj() for b in amps] for a in amps]
-        return cls(v.dims, Matrix(v.n, rows))
-
     def trace(self) -> Fraction:
         return self.mat.trace().as_fraction()
 
     def scale(self, c) -> DensityOperator:
         return DensityOperator(self.dims, self.mat.scale(c))
-
-    def proportional_to_identity(self):
-        """The ratio c with mat == c*I, or None."""
-        return self.mat.scalar_multiple_of(Matrix.identity(prod(self.dims), self.n))
 
     def __eq__(self, other):
         if not isinstance(other, DensityOperator):
@@ -604,29 +578,11 @@ def _keep_positions(keep, sites: int) -> list[int]:
 
 
 def partial_trace(obj, keep) -> DensityOperator:
-    """Reduce a PureState (as |v><v|) or DensityOperator onto the 1-based
-    sites in `keep`, tracing out the rest."""
+    """Reduce a PureState, as |v><v|, onto the 1-based sites in `keep`,
+    tracing out the rest."""
     if isinstance(obj, PureState):
         return _density(obj.n, *_reduction((obj,), _keep_positions(keep, obj.sites)))
-    if isinstance(obj, DensityOperator):
-        return _partial_trace_density(obj, keep)
     raise TypeError(f"cannot partial-trace {type(obj).__name__}")
-
-
-def _flat_index(multi, dims) -> int:
-    idx = 0
-    for m, d in zip(multi, dims):
-        idx = idx * d + m
-    return idx
-
-
-def _all_multi(dims):
-    if not dims:
-        yield ()
-        return
-    for head in range(dims[0]):
-        for tail in _all_multi(dims[1:]):
-            yield (head,) + tail
 
 
 def _reduction(states, keep_pos):
@@ -649,36 +605,6 @@ def _reduction(states, keep_pos):
 def _density(n: int, kdims, g, den: int) -> DensityOperator:
     """The DensityOperator on kdims with entries g / den."""
     return DensityOperator(kdims, unpack(n, g[None], den)[0])
-
-
-def _partial_trace_density(rho: DensityOperator, keep) -> DensityOperator:
-    keep_pos = _keep_positions(keep, len(rho.dims))
-    trace_pos = [p for p in range(len(rho.dims)) if p not in keep_pos]
-    kdims = [rho.dims[p] for p in keep_pos]
-    tdims = [rho.dims[p] for p in trace_pos]
-    kn = prod(kdims)
-    zero = Cyclotomic.zero(rho.n)
-    out = [[zero] * kn for _ in range(kn)]
-    for mi in _all_multi(tuple(kdims)):
-        i = _flat_index(mi, kdims)
-        for mj in _all_multi(tuple(kdims)):
-            j = _flat_index(mj, kdims)
-            acc = zero
-            for mt in _all_multi(tuple(tdims)):
-                full_i = [0] * len(rho.dims)
-                full_j = [0] * len(rho.dims)
-                for p, vkeep in zip(keep_pos, mi):
-                    full_i[p] = vkeep
-                for p, vkeep in zip(keep_pos, mj):
-                    full_j[p] = vkeep
-                for p, vtr in zip(trace_pos, mt):
-                    full_i[p] = vtr
-                    full_j[p] = vtr
-                e = rho.mat.rows[_flat_index(full_i, rho.dims)][_flat_index(full_j, rho.dims)]
-                if not e.is_zero():
-                    acc = acc + e
-            out[i][j] = acc
-    return DensityOperator(kdims, Matrix(rho.n, out))
 
 
 def orthonormalize(states, drop_dependent: bool = False) -> list[PureState]:

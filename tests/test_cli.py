@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -325,6 +326,33 @@ def test_cli_group_verify_prints_the_suite_check(cmd, check, status, capsys):
     assert (code, err) == (status, "")
     assert json.loads(out) == {"name": expected.name, "passed": expected.passed,
                                "expected": expected.expected, "actual": expected.actual}
+
+
+def test_suite_all_report_is_pinned():
+    # name, status, expected and actual of every exact check at seed 1; the
+    # two Kempf-Ness checks print floats whose last digits follow LAPACK
+    rep = run_suite("all", SuiteContext(seed=1))
+    rows = [[c.name, c.status, c.expected, c.actual] for c in rep.checks
+            if c.name not in ("kempf-ness-properties", "criticality-equivalence")]
+    assert len(rows) == 11 and rep.exit_status == 1
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "ca7bd35d618ee4dd40f1b481d8232b81f6725659b9b34aa7deea07251d8571f4"
+
+
+def test_suite_context_is_the_run_parameters():
+    ctx = SuiteContext(conductor=24, seed=3, cap=100)
+    assert dataclasses.astuple(ctx) == (24, 3, 100)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.seed = 4
+
+
+def test_suite_all_at_conductor_24(capsys):
+    # the statuses of the default conductor: only the literal 5832 clause fails
+    assert main(["suite", "all", "--conductor", "24", "--format", "json"]) == 1
+    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert len(statuses) == 13
+    assert {name for name, status in statuses.items() if status == "fail"} == \
+        {"local-symmetry-group"}
 
 
 def test_cli_code_kl_violations_are_byte_stable(capsys):

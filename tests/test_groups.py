@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from amecode import catalog, groups
+from amecode import catalog, groups, suites
 from amecode.cyclo import Cyclotomic, root_of_unity
 from amecode.groups import (ClosureCapExceeded, GeneratorTypeError, NotInNormalizer, closure,
                             centralizer_containment_check, homomorphism,
@@ -232,6 +232,19 @@ def test_verify_coset_representatives():
     assert rep.su_factor_checks == [True, True, True]
 
 
+def test_coset_representatives_at_other_conductors():
+    # the special-unitary factors are built at lcm(n, 36), so 24 needs no 36 | n
+    for n in (24, 72):
+        assert suites.check_coset_representatives(suites.SuiteContext(conductor=n)).passed
+
+
+def test_fixed_objects_are_built_once_per_process():
+    assert catalog.ame_state() is catalog.ame_state(12)
+    assert catalog.code_basis() == catalog.code_basis(12)
+    assert all(a is b for a, b in zip(catalog.code_basis(), catalog.code_basis(12)))
+    assert groups.weyl_generators() is groups.weyl_generators(12)
+
+
 def test_coset_su_factors_exact():
     # independent oracle: determinant and unitarity of each factor at 36
     for trip, q in zip(catalog.coset_representative_su_factors(),
@@ -256,7 +269,7 @@ def test_verify_cosets_negative_control():
 
 
 def test_transversal_group(code332, weyl):
-    t = transversal_group(code332)
+    t = transversal_group()
     assert t.order == 648
     assert t.set_equal(weyl)
     # stabilizer elements restrict to the identity gate
@@ -328,17 +341,17 @@ def test_centralizer_quotient_follows_computed_orders(monkeypatch):
     assert not rep.ok
 
 
-def test_group_checks_pass_their_cap_on(code332):
+def test_group_checks_pass_their_cap_on():
     # None keeps each closure's own default; a cap is read by every closure
     with pytest.raises(ClosureCapExceeded, match="cap 647"):
-        transversal_group(code332, cap=647)
+        transversal_group(cap=647)
     # the 9 and 648-element closures fit, the 5832-element normalizer does not
     with pytest.raises(ClosureCapExceeded, match="cap 648"):
         centralizer_containment_check(cap=648)
     # the 1944-element operator closure fits, the normalizer does not
     with pytest.raises(ClosureCapExceeded, match="cap 1944"):
         local_symmetry_report(cap=1944)
-    assert transversal_group(code332, cap=648).order == 648
+    assert transversal_group(cap=648).order == 648
 
 
 # -- the Cayley table and homomorphisms -----------------------------------------

@@ -81,13 +81,6 @@ def test_kron_dims_and_values():
     assert k.rows[0][1].is_zero()
 
 
-def test_scalar_multiple_of():
-    rng = random.Random(4)
-    m = rand_matrix(12, 3, rng)
-    w = root_of_unity(4, 12)
-    assert m.scale(w).scalar_multiple_of(m) == w
-    other = m + Matrix.identity(3, 12)
-    assert other.scalar_multiple_of(m) is None
 
 
 def test_trace_and_mat_vec():

@@ -6,6 +6,7 @@ from math import comb, prod
 import pytest
 
 from amecode import catalog, tensor
+from amecode.correspondence import reduce_state
 from amecode.cyclo import ConductorMismatch, default_conductor, root_of_unity
 from amecode.groups import closure
 from amecode.linalg import Matrix
@@ -39,9 +40,9 @@ def test_error_basis_weights_and_labels():
     assert len(set(labels)) == len(labels)
 
 
-def test_error_basis_rejects_non_prime():
+def test_error_basis_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        pauli_error_basis(2, 4, 1)
+        pauli_error_basis(2, 1, 1)
     with pytest.raises(ValueError):
         pauli_error_basis(2, 3, 3)
 
@@ -72,7 +73,7 @@ def _reference_error_basis(n, d, max_weight, nn):
     return tuple(out)
 
 
-@pytest.mark.parametrize("n, d", [(3, 3), (4, 2)])
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 2), (2, 4)])
 def test_error_basis_matches_canonicalizing_each_operator(n, d):
     nn = default_conductor(d)
     basis = _pauli_error_basis.__wrapped__(n, d, 2, nn)
@@ -370,6 +371,32 @@ _KL_CASES = ([("332", d) for d in range(1, 5)] + [("442", d) for d in range(1, 6
              + [("trivial", d) for d in range(1, 5)] + [("repetition", d) for d in range(1, 5)]
              + [("large-denominators", d) for d in range(1, 4)]
              + [(f"image{i}", d) for i in range(5) for d in range(1, 4)])
+
+
+def _gf4_latin_state():
+    """|i, j, i+j, i+aj>/4 over GF(4) = {0, 1, a, a^2} with a^2 = a + 1: the
+    element x0 + x1 a is the digit x0 + 2 x1, so addition is XOR and
+    a (x0 + x1 a) = x1 + (x0 + x1) a."""
+    def times_a(x):
+        return (x >> 1) | (((x & 1) ^ (x >> 1)) << 1)
+    amps = [0] * 4 ** 4
+    for i in range(4):
+        for j in range(4):
+            amps[((i * 4 + j) * 4 + (i ^ j)) * 4 + (i ^ times_a(j))] = Fraction(1, 4)
+    return PureState(N, (4,) * 4, amps)
+
+
+def test_composite_dimension_gf4_code():
+    # D = 4 is not prime: the Weyl-Heisenberg basis still spans every operator
+    v = _gf4_latin_state()
+    assert v.norm_sq() == 1 and r_uniform_check(v, 2).uniform
+    code = reduce_state(v)
+    assert (code.dimension, code.conductor) == (4, N)
+    r2, r3 = kl_check(code, 2), kl_check(code, 3)
+    assert r2.is_code and r2.is_pure
+    assert not r3.is_code and len(r3.violations) == 1232
+    assert distance(code) == 2
+    assert (r2.is_code, r2.is_pure, r2.violations) == _reference_kl(code, 2)
 
 
 @pytest.mark.parametrize("name, d", _KL_CASES, ids=[f"{n}-d{d}" for n, d in _KL_CASES])

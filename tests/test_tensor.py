@@ -11,8 +11,8 @@ from amecode.linalg import Matrix
 from amecode.qecc import UniformReport, pauli_error_basis, r_uniform_check
 from amecode.tensor import (DensityOperator, DimensionMismatch, LocalOperator,
                             PureState, _local_elements, _reduction, _restriction, apply,
-                            contract_site, fixed_by, gram, inner,
-                            matricize, orthonormalize, partial_trace)
+                            contract_site, fixed_by, gram, inner, orthonormalize,
+                            partial_trace)
 
 N = 12
 
@@ -124,47 +124,21 @@ def test_contract_site_examples(phi_rowform):
         contract_site(0, 5, phi_rowform)
 
 
-def test_matricize_columns_match_contractions():
-    rng = random.Random(1)
-    dims = (2, 3, 2)
-    amps = [Cyclotomic(N, [rng.randint(-3, 3) for _ in range(4)], rng.randint(1, 3))
-            for _ in range(12)]
-    v = PureState(N, dims, amps)
-    for site in (1, 2, 3):
-        m = matricize(v, site)
-        for j in range(dims[site - 1]):
-            col = [m.rows[i][j] for i in range(m.shape[0])]
-            assert tuple(col) == contract_site(j, site, v).amps
-
-
-def test_matricize_gram_identity(phi_rowform):
-    m = matricize(phi_rowform, 1)
-    assert (m.dagger() * m).is_identity()
-
-
-def test_matricize_single_ket():
-    m = matricize(catalog.ket("00", 2, 24), 1)
-    nonzero = [(i, j) for i in range(2) for j in range(2)
-               if not m.rows[i][j].is_zero()]
-    assert nonzero == [(0, 0)]
-
-
 def test_partial_trace_of_perfect_tensor(phi_unit, phi_rowform):
     rho = partial_trace(phi_unit, {3, 4})
-    c = rho.proportional_to_identity()
-    assert c is not None and c.as_fraction() == Fraction(1, 9)
-    # unnormalized variant reduces to the sum of code projectors
+    assert rho.mat == Matrix.identity(9, N).scale(Fraction(1, 9))
+    # unnormalized variant reduces to the sum of code projectors |s><s|
     rho234 = partial_trace(phi_rowform, {2, 3, 4})
     acc = None
     for s in catalog.code_basis():
-        m = DensityOperator.from_state(s).mat
+        m = Matrix(N, [[a * b.conj() for b in s.amps] for a in s.amps])
         acc = m if acc is None else acc + m
     assert rho234.mat == acc
 
 
 def test_partial_trace_product_state():
     rho = partial_trace(catalog.ket("000", 3, N), {1})
-    assert rho.proportional_to_identity() is None
+    assert rho.mat == Matrix(N, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     assert rho.trace() == 1
 
 
@@ -181,15 +155,13 @@ def test_partial_trace_preserves_trace_and_hermiticity(phi_unit):
     v = _random_monomial_state((3, 3, 3), rng)
     if v.is_zero():
         v = catalog.ket("000", 3, N)
-    rho = DensityOperator.from_state(v, normalize=True)
-    assert rho.trace() == 1
-    for keep in ({1}, {2}, {1, 3}):
-        red = partial_trace(rho, keep)
+    for keep in ({1}, {2}, {1, 3}, {1, 2, 3}):
+        red = partial_trace(v, keep).scale(Fraction(1, 1) / v.norm_sq())
         assert red.trace() == 1
         assert red.mat.is_hermitian()
-    # density-path and state-path agree
-    assert partial_trace(rho, {2, 3}) == partial_trace(v, {2, 3}).scale(
-        Fraction(1, 1) / v.norm_sq())
+    # only a pure state is reduced
+    with pytest.raises(TypeError):
+        partial_trace(partial_trace(v, {1, 2}), {1})
 
 
 def test_density_constructor_rejects_non_hermitian():
