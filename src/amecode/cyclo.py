@@ -301,9 +301,6 @@ class Cyclotomic:
             raise ValueError(f"{self!r} is not rational")
         return Fraction(self.coeffs[0], self.den)
 
-    def is_real(self) -> bool:
-        return self.conj() == self
-
     def to_complex(self) -> complex:
         """Float embedding at zeta = exp(2*pi*i/N).
 

@@ -1,4 +1,4 @@
-"""Finite matrix groups by closure: qudit Pauli groups, the order-648
+"""Finite matrix groups by closure: the order-648
 reflection group acting on code coordinates, its realization as transversal
 gates, the order-5832 three-site normalizer of the code, and the local
 symmetry group of the perfect tensor, which has 1944 elements as product
@@ -16,6 +16,10 @@ Every closure keeps its Cayley table, the index of each product h * g_i it
 forms, and `homomorphism` checks a map given on the generators on every
 edge of it, so the maps from the normalizer onto the reflection and local
 symmetry groups are computed on every element, kernels included.
+
+Only `closure` takes a cap, for generators from outside the program.  The
+paper's groups have fixed generators and known orders, so each passes a
+constant: ten times the order the paper gives it.
 """
 
 from __future__ import annotations
@@ -35,16 +39,6 @@ from .tensor import DimensionMismatch, LocalOperator, _restriction, fixed_by, in
 class ClosureCapExceeded(RuntimeError):
     """More elements than the cap allows."""
 
-    def __init__(self, message: str, found=tuple):
-        super().__init__(message)
-        self._found = found
-
-    @property
-    def elements(self) -> tuple:
-        """The cap elements found first, in search order; built only when
-        read, so that hitting the cap stays cheap."""
-        return self._found()
-
 
 class GeneratorTypeError(TypeError):
     """Closure generators must be all Matrix or all LocalOperator."""
@@ -61,7 +55,6 @@ class MatrixGroup:
 
     generators: tuple
     elements: tuple
-    cap: int
     table: np.ndarray = field(compare=False, repr=False)
 
     @property
@@ -136,13 +129,12 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
             k = elements.get(p)
             if k is None:
                 if len(elements) >= cap:
-                    raise ClosureCapExceeded(f"closure exceeded cap {cap}",
-                                             lambda: table.elements(elements))
+                    raise ClosureCapExceeded(f"closure exceeded cap {cap}")
                 k = elements[p] = len(elements)
                 nxt.append(p)
             rows.append(k)
         frontier = nxt
-    return MatrixGroup(tuple(gens), table.elements(elements), cap,
+    return MatrixGroup(tuple(gens), table.elements(elements),
                        np.array(rows, dtype=np.int32).reshape(-1, len(gens)))
 
 
@@ -478,26 +470,15 @@ def _weyl_generators(n: int) -> tuple[Matrix, Matrix, Matrix]:
     return tuple(reflection(v, 3, n) for v in catalog.reflection_vectors(n))
 
 
-def weyl_group(n: int = 12, cap: int | None = None) -> MatrixGroup:
+def weyl_group(n: int = 12) -> MatrixGroup:
     """Closure of the three reflection generators; order 648.  Built once
-    per (conductor, cap) in a process; cap None is 6480."""
-    return _weyl_group(n, 6480 if cap is None else cap)
+    per conductor in a process."""
+    return _weyl_group(n)
 
 
 @cache
-def _weyl_group(n: int, cap: int) -> MatrixGroup:
-    return closure(weyl_generators(n), cap=cap)
-
-
-def pauli_group(d: int, sites: int, n: int, cap: int | None = None) -> MatrixGroup:
-    from . import catalog
-    gens = []
-    for k in range(sites):
-        for m in (catalog.pauli_x(d, n), catalog.pauli_z(d, n)):
-            facs = [Matrix.identity(d, n)] * sites
-            facs[k] = m
-            gens.append(LocalOperator(n, 1, facs))
-    return closure(gens, cap=10 * d ** (2 * sites + 1) if cap is None else cap)
+def _weyl_group(n: int) -> MatrixGroup:
+    return closure(weyl_generators(n), cap=6480)
 
 
 # -- code-space restriction --------------------------------------------------
@@ -566,10 +547,10 @@ def verify_coset_representatives(reps=None, n: int = 12) -> CosetReport:
     return CosetReport(all(matches) and all(sus), matches, sus, mismatches)
 
 
-def transversal_group(n: int = 12, cap: int | None = None) -> MatrixGroup:
+def transversal_group(n: int = 12) -> MatrixGroup:
     """Closure of the restrictions to the ((3,3,2))_3 code of the two
     stabilizer generators and the three coset representatives; equals the
-    reflection group.  cap None is 6480."""
+    reflection group."""
     from . import catalog
     code = catalog.code_332(n)
     lifts = [catalog.xxx(3, 3, n), catalog.zzz(3, 3, n), *catalog.coset_representatives(n)]
@@ -578,16 +559,16 @@ def transversal_group(n: int = 12, cap: int | None = None) -> MatrixGroup:
         m = mu_matrix(g, code)
         if m not in images:
             images.append(m)
-    return closure(images, cap=6480 if cap is None else cap)
+    return closure(images, cap=6480)
 
 
 # -- the local symmetry group ------------------------------------------------
 
 
-def local_symmetry_group(n: int = 12, cap: int | None = None) -> MatrixGroup:
+def local_symmetry_group(n: int = 12) -> MatrixGroup:
     """Closure of the five four-site generators of the symmetry group of the
     perfect tensor.  Every generator is checked to fix the state exactly
-    first.  cap None is 58320.
+    first.
 
     The exact closure has 1944 distinct product operators.  The published
     count 5832 = 648 * 9 enumerates the three-site normalizer (see
@@ -601,23 +582,23 @@ def local_symmetry_group(n: int = 12, cap: int | None = None) -> MatrixGroup:
     for i, fixed in enumerate(fixed_by(gens, phi)):
         if not fixed:
             raise ValueError(f"generator {i + 1} does not fix the perfect tensor")
-    return closure(gens, cap=58320 if cap is None else cap)
+    return closure(gens, cap=58320)
 
 
-def normalizer_group_332(n: int = 12, cap: int | None = None) -> MatrixGroup:
+def normalizer_group_332(n: int = 12) -> MatrixGroup:
     """The group of three-site product operators preserving the code:
     closure of the two stabilizer generators and the three coset
-    representatives; order 5832 = 648 * 9.  Built once per (conductor, cap)
-    in a process; cap None is 58320."""
-    return _normalizer_group_332(n, 58320 if cap is None else cap)
+    representatives; order 5832 = 648 * 9.  Built once per conductor in a
+    process."""
+    return _normalizer_group_332(n)
 
 
 @cache
-def _normalizer_group_332(n: int, cap: int) -> MatrixGroup:
+def _normalizer_group_332(n: int) -> MatrixGroup:
     from . import catalog
     gens = [catalog.xxx(3, 3, n), catalog.zzz(3, 3, n),
             *catalog.coset_representatives(n)]
-    return closure(gens, cap=cap)
+    return closure(gens, cap=58320)
 
 
 @dataclass
@@ -632,19 +613,18 @@ class LocalSymmetryReport:
     kernel_is_scalars: bool
 
 
-def local_symmetry_report(n: int = 12, cap: int | None = None) -> LocalSymmetryReport:
+def local_symmetry_report(n: int = 12) -> LocalSymmetryReport:
     """Structural verification of the local symmetry group: every generator
     and every element fixes the perfect tensor exactly, and A -> conj(mu(A))
     (x) A, given on the normalizer generators by their lifts, is checked as
     a homomorphism from the normalizer on every edge of its table.  Its
     image, fibres and kernel are read off exactly; the kernel is compared
-    with the central scalars w^k * I as a set.  cap bounds both closures;
-    None keeps their defaults."""
+    with the central scalars w^k * I as a set."""
     from . import catalog
     phi = catalog.ame_state(n, normalized=False)
     code = catalog.code_332(n)
-    group = local_symmetry_group(n, cap)
-    norm = normalizer_group_332(n, cap)
+    group = local_symmetry_group(n)
+    norm = normalizer_group_332(n)
     lifts = [LocalOperator(n, a.scalar, [mu_matrix(a, code).conj(), *a.factors])
              for a in norm.generators]
     lift = homomorphism(norm, group, lifts)
@@ -698,20 +678,19 @@ def sl_factorable(op: LocalOperator) -> bool:
     return t == Cyclotomic.one(op.n)
 
 
-def centralizer_containment_check(n: int = 12, cap: int | None = None) -> CentralizerReport:
+def centralizer_containment_check(n: int = 12) -> CentralizerReport:
     """Consistency facts for the stabilizer group acting on the code: all
     nine elements fix the basis pointwise, each is a phase times a
     determinant-1 product, and the group is the kernel of the code
     restriction mu, checked as a homomorphism from the normalizer onto the
     reflection group on every edge of the normalizer's table; so no other
-    normalizer element acts trivially on the code.  cap bounds the three
-    closures; None keeps their defaults (90 for the stabilizer group)."""
+    normalizer element acts trivially on the code."""
     from . import catalog
     x3, z3 = catalog.xxx(3, 3, n), catalog.zzz(3, 3, n)
-    group = closure([x3, z3], cap=90 if cap is None else cap)
+    group = closure([x3, z3], cap=90)
     basis = catalog.code_basis(n)
-    norm = normalizer_group_332(n, cap)
-    weyl = weyl_group(n, cap)
+    norm = normalizer_group_332(n)
+    weyl = weyl_group(n)
     code = catalog.code_332(n)
     mu = homomorphism(norm, weyl, [mu_matrix(a, code) for a in norm.generators])
     image, fibres, kernel = image_fibres_kernel(norm, mu)

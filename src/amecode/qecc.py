@@ -70,10 +70,6 @@ class CodeSubspace:
     def conductor(self) -> int:
         return self.basis[0].n
 
-    def contains(self, v: PureState) -> bool:
-        g = gram(self.basis + (v,))
-        return in_span([row[-1] for row in g[:-1]], g[-1][-1])
-
     def span_equal(self, other: CodeSubspace) -> bool:
         """One Gram table of both bases; each basis must lie in the other's
         span."""
@@ -185,7 +181,8 @@ def kl_check(code: CodeSubspace, d: int, errors=None) -> KLReport:
     """Check <u_i|E|u_j> = c(E) delta_ij for every error of weight < d;
     pure additionally means c(E) = 0 for 0 < wt(E) < d.
 
-    The errors (the Pauli basis of weight < d, or an explicit list) are
+    The errors (the Pauli basis of weight < d, which for d > n + 1 is every
+    weight up to n, or an explicit list) are
     grouped by their support S, in their order.  Each group needs one
     _reduction of the codewords onto S, the blocks R_S[j, i] = M_j M_i^dagger
     of their matricizations over S and its complement, since
@@ -196,7 +193,7 @@ def kl_check(code: CodeSubspace, d: int, errors=None) -> KLReport:
     if d < 1:
         raise ValueError("distance must be >= 1")
     if errors is None:
-        errors = pauli_error_basis(code.n_sites, code.local_dim, d - 1,
+        errors = pauli_error_basis(code.n_sites, code.local_dim, min(d - 1, code.n_sites),
                                    conductor=code.conductor)
     errors = [e for e in errors if e.weight < d]
     k, n = code.dimension, code.conductor
@@ -301,8 +298,7 @@ def singleton_check(n: int, k: int, d: int, local_dim: int) -> bool:
     return k * local_dim ** (2 * (d - 1)) <= local_dim ** n
 
 
-def stabilizer_subspace(generators, cap: int = 10_000,
-                        claimed_d: int | None = None) -> CodeSubspace:
+def stabilizer_subspace(generators, claimed_d: int | None = None) -> CodeSubspace:
     """Orthonormal exact basis of the simultaneous fixed space of the group
     generated by unitary Pauli-group elements, via the group-average
     projector."""
@@ -315,7 +311,7 @@ def stabilizer_subspace(generators, cap: int = 10_000,
             raise ValueError("generators must share dims and conductor")
         if not g.is_unitary():
             raise ValueError("stabilizer generators must be unitary")
-    group = closure(gens, cap=cap)
+    group = closure(gens, cap=10_000)
     # sum_g g as numerators over den, one weighted sum per chunk; column j
     # is the image sum_g g|j>
     acc, den = 0, 1

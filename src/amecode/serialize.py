@@ -111,12 +111,18 @@ def _scalar(data, path: str, n: int) -> Cyclotomic:
         raise IngestError(f"{path}.{exc}") from None
 
 
-def _rows(value, path: str, n: int) -> Matrix:
+def _rows(value, path: str, n: int, square: bool = False) -> Matrix:
     rows = [[_scalar(e, p, n) for e, p in _items(*row)] for row in _items(value, path)]
     try:
-        return Matrix(n, rows)
+        m = Matrix(n, rows)
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None
+    r, c = m.shape
+    if not r or not c:
+        raise IngestError(f"{path}: expected a non-empty matrix, got {r}x{c}")
+    if square and r != c:
+        raise IngestError(f"{path}: expected a square matrix, got {r}x{c}")
+    return m
 
 
 def _state_from_dict(data, path: str = "$") -> PureState:
@@ -132,7 +138,9 @@ def _state_from_dict(data, path: str = "$") -> PureState:
 def _operator_from_dict(data, path: str = "$") -> LocalOperator:
     n = _conductor(data, path)
     scalar = _scalar(*_get(data, "scalar", path), n)
-    factors = [_rows(f, p, n) for f, p in _items(*_get(data, "factors", path))]
+    factors = [_rows(f, p, n, square=True) for f, p in _items(*_get(data, "factors", path))]
+    if not factors:
+        raise IngestError(f"{path}.factors: expected at least one factor")
     try:
         op = LocalOperator(n, scalar, factors)
     except ValueError as exc:

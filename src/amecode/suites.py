@@ -3,10 +3,11 @@
 Each check pins its tolerance here and returns a CheckResult; the CLI and
 the test suite share these implementations.  All randomized checks take
 their seed from the context, so a report is reproducible byte-for-byte up
-to its timing fields.  The context holds only the run's parameters; each
-check asks catalog and groups for the fixed objects it reads (the code, the
-state, the reflections and their group), and those builders make each one
-once per conductor in a process.
+to its timing fields.  The context holds only the run's parameters, the
+conductor and the seed; each check asks catalog and groups for the fixed
+objects it reads (the code, the state, the reflections and their group),
+and those builders make each one once per conductor in a process, closing
+each group under its own fixed cap.
 """
 
 from __future__ import annotations
@@ -62,12 +63,10 @@ class CheckResult:
 @dataclass(frozen=True)
 class SuiteContext:
     """The parameters of a suite run: the conductor every exact object is
-    built at, the seed of the randomized checks, and the closure cap (None
-    keeps each closure's default)."""
+    built at and the seed of the randomized checks."""
 
     conductor: int = 12
     seed: int = 0
-    cap: int | None = None
 
 
 def check_code332_kl(ctx: SuiteContext) -> CheckResult:
@@ -113,7 +112,7 @@ def _sizes(sizes) -> str:
 
 
 def check_centralizer(ctx: SuiteContext) -> CheckResult:
-    rep = centralizer_containment_check(ctx.conductor, cap=ctx.cap)
+    rep = centralizer_containment_check(ctx.conductor)
     return CheckResult(
         "centralizer-order-9", rep.ok,
         "closure of X^x3, Z^x3 has order 9, fixes the code basis pointwise, "
@@ -137,7 +136,7 @@ def check_weyl_order(ctx: SuiteContext) -> CheckResult:
         i3 = Matrix.identity(3, ctx.conductor)
         spectra.append(((g - i3) * (g - i3.scale(w))).is_zero()
                        and g.trace() == 2 + w)
-    order = weyl_group(ctx.conductor, cap=ctx.cap).order
+    order = weyl_group(ctx.conductor).order
     return CheckResult(
         "weyl-group-648", order == 648 and match and all(spectra),
         "reflection formula reproduces the closed-form generators entry for "
@@ -156,8 +155,8 @@ def check_coset_representatives(ctx: SuiteContext) -> CheckResult:
 
 
 def check_transversal(ctx: SuiteContext) -> CheckResult:
-    t = transversal_group(ctx.conductor, cap=ctx.cap)
-    same = t.set_equal(weyl_group(ctx.conductor, cap=ctx.cap))
+    t = transversal_group(ctx.conductor)
+    same = t.set_equal(weyl_group(ctx.conductor))
     return CheckResult(
         "transversal-group", t.order == 648 and same,
         "closure of the code restrictions of the five lifts set-equals the "
@@ -188,7 +187,7 @@ def _local_symmetry_holds(rep) -> bool:
 
 
 def check_local_symmetry(ctx: SuiteContext) -> CheckResult:
-    rep = local_symmetry_report(ctx.conductor, cap=ctx.cap)
+    rep = local_symmetry_report(ctx.conductor)
     return CheckResult(
         "local-symmetry-group",
         rep.operator_order == 5832 and _local_symmetry_holds(rep),
@@ -202,7 +201,7 @@ def check_local_symmetry_relation(ctx: SuiteContext) -> CheckResult:
     (see groups.local_symmetry_report) instead of asserted as the closure's
     own order.  Not part of any suite: the acceptance tests run it, while
     `suite all` keeps check_local_symmetry with the literal order clause."""
-    rep = local_symmetry_report(ctx.conductor, cap=ctx.cap)
+    rep = local_symmetry_report(ctx.conductor)
     return CheckResult(
         "local-symmetry-relation",
         (rep.normalizer_order == 5832 and rep.fibre_sizes == (3,)

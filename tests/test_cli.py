@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -7,6 +8,7 @@ import pytest
 
 from amecode import cli, suites
 from amecode.cli import main
+from amecode.cyclo import Cyclotomic
 from amecode.linalg import Matrix
 from amecode.serialize import dump, shipped_path
 from amecode.suites import SUITES, SuiteContext, run_suite
@@ -57,6 +59,9 @@ def test_cli_code_kl(capsys):
     assert data["is_code"] and data["is_pure"] and data["violations"] == []
     assert main(["code", "kl", "--code", str(shipped_path("c332.code")),
                  "--distance", "3"]) == 1
+    # past n + 1 the sweep reaches every error, as at d = n + 1
+    assert main(["code", "kl", "--code", str(shipped_path("c332.code")),
+                 "--distance", "5"]) == 1
     capsys.readouterr()
 
 
@@ -89,7 +94,17 @@ def test_cli_group_close(capsys):
     code = main(["group", "close", "--gens", str(shipped_path("weyl-generators.ops")),
                  "--cap", "6480"])
     assert code == 0
-    assert "order: 648" in capsys.readouterr().out
+    assert capsys.readouterr().out == "generators: 3\norder: 648\n"
+
+
+def test_cli_group_close_rejects_non_square_factor(tmp_path, capsys):
+    # ingest rejects the factor [[1, 0]] before any determinant is taken
+    one, zero = Cyclotomic.one(12).to_dict(), Cyclotomic.zero(12).to_dict()
+    gens = tmp_path / "bad.op"
+    gens.write_text(json.dumps({"format": "operator", "conductor": 12, "scalar": one,
+                                "factors": [[[one, zero]]]}))
+    assert _run(["group", "close", "--gens", str(gens)], capsys) == \
+        (2, "", f"error: {gens}: $.factors[0]: expected a square matrix, got 1x2\n")
 
 
 def test_cli_group_close_cap_exceeded(tmp_path, capsys):
@@ -283,24 +298,56 @@ def test_cli_check_weyl_rejects_no_trials(trials, capsys):
         (2, "", f"error: trials must be >= 1, got {trials}\n")
 
 
-@pytest.mark.parametrize("argv", [["suite", "weyl"], ["group", "verify-weyl"],
-                                  ["group", "close", "--gens",
-                                   str(shipped_path("weyl-generators.ops"))],
-                                  ["suite", "code332"], ["suite", "local-symmetry"],
-                                  ["group", "verify-local-symmetry"]],
-                         ids=["suite-weyl", "group-verify-weyl", "group-close",
-                              "suite-code332", "suite-local-symmetry",
-                              "group-verify-local-symmetry"])
+@pytest.mark.parametrize("argv", [["group", "close", "--gens",
+                                   str(shipped_path("weyl-generators.ops"))]],
+                         ids=["group-close"])
 def test_cli_cap_zero_is_a_cap(argv, capsys):
     # --cap 0 is a cap of zero elements, not the default
     assert _run(argv + ["--cap", "0"], capsys) == (2, "", "error: closure exceeded cap 0\n")
 
 
-@pytest.mark.parametrize("flag", ["--cap", "--seed"])
-def test_cli_verify_cosets_takes_no_cap_or_seed(flag, capsys):
-    # the cosets are checked without a closure or a sample
-    code, out, err = _run(["group", "verify-cosets", flag, "0"], capsys)
+@pytest.mark.parametrize("argv, flag", [
+    (["suite", "all"], "--cap"),
+    (["group", "verify-weyl"], "--cap"),
+    (["group", "verify-local-symmetry"], "--cap"),
+    (["group", "verify-cosets"], "--cap"),
+    (["group", "verify-cosets"], "--seed"),
+    (["group", "close", "--gens", str(shipped_path("weyl-generators.ops"))], "--seed"),
+], ids=["suite-cap", "verify-weyl-cap", "verify-local-symmetry-cap", "verify-cosets-cap",
+        "verify-cosets-seed", "close-seed"])
+def test_cli_rejects_removed_flags(argv, flag, capsys):
+    # the paper's groups are closed under fixed caps, and group close
+    # samples nothing: only group close takes --cap
+    code, out, err = _run(argv + [flag, "0"], capsys)
     assert code == 2 and f"unrecognized arguments: {flag} 0" in err
+
+
+def _option_strings(parser, path=()) -> dict:
+    """{subcommand path: its sorted option strings, help aside}."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(path): sorted({o for a in parser._actions for o in a.option_strings}
+                                       - {"-h", "--help"})}
+    return {k: v for name, sub in subs[0].choices.items()
+            for k, v in _option_strings(sub, path + (name,)).items()}
+
+
+def test_cli_option_sets_are_pinned():
+    out = ["--format", "--out"]
+    assert _option_strings(cli.build_parser()) == {
+        "suite": ["--conductor", "--format", "--out", "--seed"],
+        "ingest": out,
+        "correspond": out,
+        "code kl": ["--code", "--distance", "--format", "--out"],
+        "group close": ["--cap", "--format", "--gens", "--out"],
+        "group verify-weyl": ["--conductor", "--format", "--out"],
+        "group verify-local-symmetry": ["--conductor", "--format", "--out"],
+        "group verify-cosets": ["--conductor", "--format", "--out"],
+        "invariants eval": ["--conductor", "--format", "--out", "--point"],
+        "invariants check-weyl": ["--conductor", "--format", "--out", "--seed", "--trials"],
+        "kempfness critical": ["--format", "--out", "--state", "--tol"],
+        "kempfness flow": ["--format", "--iters", "--out", "--state", "--tol"],
+    }
 
 
 def test_cli_verify_weyl_takes_no_seed(capsys):
@@ -340,8 +387,8 @@ def test_suite_all_report_is_pinned():
 
 
 def test_suite_context_is_the_run_parameters():
-    ctx = SuiteContext(conductor=24, seed=3, cap=100)
-    assert dataclasses.astuple(ctx) == (24, 3, 100)
+    ctx = SuiteContext(conductor=24, seed=3)
+    assert dataclasses.astuple(ctx) == (24, 3)
     with pytest.raises(dataclasses.FrozenInstanceError):
         ctx.seed = 4
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from amecode import catalog
 from amecode import serialize as ser
+from amecode.cyclo import Cyclotomic
 from amecode.groups import weyl_generators
 from amecode.qecc import CodeSubspace
 
@@ -115,6 +116,13 @@ def _ingest_json(tmp_path, data):
     return ser.ingest(p)
 
 
+_ONE, _ZERO = Cyclotomic.one(12).to_dict(), Cyclotomic.zero(12).to_dict()
+
+
+def _operator(factors) -> dict:
+    return {"format": "operator", "conductor": 12, "scalar": _ONE, "factors": factors}
+
+
 @pytest.mark.parametrize("edit, where", [
     (lambda d: [d], r"\$: expected an object with a format field, got list"),
     (lambda d: d["amps"][5]["coeffs"].__setitem__(1, "1/0"),
@@ -129,8 +137,14 @@ def _ingest_json(tmp_path, data):
     (lambda d: d.__delitem__("amps"), r"\$: missing field 'amps'"),
     (lambda d: d["amps"][0].__setitem__("conductor", 24),
      r"\$\.amps\[0\]\.conductor: 24 differs"),
+    (lambda d: _operator([[[_ONE, _ZERO]]]),
+     r"\$\.factors\[0\]: expected a square matrix, got 1x2"),
+    (lambda d: _operator([]), r"\$\.factors: expected at least one factor"),
+    (lambda d: dict(ser.to_dict(catalog.pauli_x(3, 12)), entries=[]),
+     r"\$\.entries: expected a non-empty matrix, got 0x0"),
 ], ids=["top-level-list", "zero-denominator", "bare-int", "exponent", "too-few-coeffs",
-        "huge-conductor", "string-dim", "missing-field", "mixed-conductor"])
+        "huge-conductor", "string-dim", "missing-field", "mixed-conductor",
+        "non-square-factor", "no-factors", "empty-matrix"])
 def test_ingest_names_the_json_path(tmp_path, edit, where):
     data = catalog.ame_state().to_dict()
     data = edit(data) or data
