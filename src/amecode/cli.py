@@ -3,9 +3,14 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage,
 input or I/O error (a `group close` that exceeds its `--cap` included).
 Only `group close` takes a cap: it closes generators from a file, while
-the paper's groups are built under fixed caps.  Reports are printed as
-text by default or JSON with --format json; --out writes to a file
-instead of stdout.
+the paper's groups are built under fixed caps.  Only `suite` takes a
+seed, a non-negative integer checked when the arguments are parsed; no
+command takes a conductor, since every exact object the suites and the
+`group verify-*` and `invariants eval` commands build lives in the field
+of `suites.CONDUCTOR`.  Each `group verify-*` command prints its suite
+check, so every verdict is decided once, in `suites`.  Reports are
+printed as text by default or JSON with --format json; --out writes to a
+file instead of stdout.
 
 `main` parses with one parser per process, built by `build_parser` on the
 first call: `parse_args` returns a fresh namespace and argparse makes its
@@ -25,7 +30,7 @@ from functools import cache
 
 from . import serialize
 from .groups import ClosureCapExceeded
-from .suites import (SUITES, SuiteContext, check_coset_representatives, check_local_symmetry,
+from .suites import (CONDUCTOR, SUITES, check_coset_representatives, check_local_symmetry,
                      check_weyl_order, run_suite)
 
 
@@ -59,8 +64,7 @@ def _as_text(payload, indent: int = 0) -> str:
 
 
 def cmd_suite(args) -> int:
-    ctx = SuiteContext(conductor=args.conductor, seed=args.seed)
-    report = run_suite(args.name, ctx)
+    report = run_suite(args.name, args.seed)
     d = report.to_dict()
     if args.format == "text":
         for c in d["checks"]:
@@ -125,10 +129,11 @@ def cmd_group(args) -> int:
             gens = [gens]
         _emit({"generators": len(gens), "order": closure(gens, cap=args.cap).order}, args)
         return 0
-    # each verification prints its suite check, so the verdict has one source
+    # each verification prints its suite check, so the verdict has one
+    # source; none of the three draws a sample, so the seed is unused
     check = {"verify-weyl": check_weyl_order, "verify-local-symmetry": check_local_symmetry,
              "verify-cosets": check_coset_representatives}[args.group_cmd]
-    result = check(SuiteContext(conductor=args.conductor))
+    result = check(0)
     _emit({"name": result.name, "passed": result.passed,
            "expected": result.expected, "actual": result.actual}, args)
     return 0 if result.passed else 1
@@ -142,29 +147,19 @@ def _rational(text: str) -> Fraction:
 
 
 def cmd_invariants(args) -> int:
-    from .invariants import CartanPoint, check_weyl_invariance, eval_invariants
-    from .groups import weyl_generators
+    from .invariants import CartanPoint, eval_invariants
 
-    if args.inv_cmd == "eval":
-        parts = args.point.split(",")
-        if len(parts) != 3:
-            raise ValueError("--point needs three comma-separated rationals a,b,c")
-        coords = [_rational(p) for p in parts]
-        p = CartanPoint.of(args.conductor, *coords)
-        t = eval_invariants(p)
-        _emit({"point": [str(c) for c in coords],
-               "i6": t.i6.to_dict(), "i9": t.i9.to_dict(), "i12": t.i12.to_dict(),
-               "i6_float": str(t.i6.to_complex()),
-               "i9_float": str(t.i9.to_complex()),
-               "i12_float": str(t.i12.to_complex())}, args)
-        return 0
-    if args.inv_cmd == "check-weyl":
-        results = [check_weyl_invariance(g, trials=args.trials, seed=args.seed + i)
-                   for i, g in enumerate(weyl_generators(args.conductor))]
-        _emit({"trials": args.trials, "generators_invariant": results,
-               "passed": all(results)}, args)
-        return 0 if all(results) else 1
-    raise KeyError(args.inv_cmd)
+    parts = args.point.split(",")
+    if len(parts) != 3:
+        raise ValueError("--point needs three comma-separated rationals a,b,c")
+    coords = [_rational(p) for p in parts]
+    t = eval_invariants(CartanPoint.of(CONDUCTOR, *coords))
+    _emit({"point": [str(c) for c in coords],
+           "i6": t.i6.to_dict(), "i9": t.i9.to_dict(), "i12": t.i12.to_dict(),
+           "i6_float": str(t.i6.to_complex()),
+           "i9_float": str(t.i9.to_complex()),
+           "i12_float": str(t.i12.to_complex())}, args)
+    return 0
 
 
 def cmd_kempfness(args) -> int:
@@ -187,6 +182,12 @@ def cmd_kempfness(args) -> int:
     raise KeyError(args.kn_cmd)
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -200,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("suite", help="run a named verification suite", parents=[common])
     s.add_argument("name", choices=sorted(SUITES))
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--conductor", type=int, default=12)
+    s.add_argument("--seed", type=_seed, default=0)
     s.set_defaults(fn=cmd_suite)
 
     s = sub.add_parser("ingest", help="validate and describe a data file", parents=[common])
@@ -225,18 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--gens", required=True)
     c.add_argument("--cap", type=int, default=100000)
     for name in ("verify-weyl", "verify-local-symmetry", "verify-cosets"):
-        g.add_parser(name, parents=[common]).add_argument("--conductor", type=int, default=12)
+        g.add_parser(name, parents=[common])
     s.set_defaults(fn=cmd_group)
 
-    s = sub.add_parser("invariants", help="evaluate or test the invariants")
+    s = sub.add_parser("invariants", help="evaluate the invariants")
     g = s.add_subparsers(dest="inv_cmd", required=True)
     e = g.add_parser("eval", parents=[common])
     e.add_argument("--point", required=True, help="a,b,c as rationals")
-    e.add_argument("--conductor", type=int, default=12)
-    c = g.add_parser("check-weyl", parents=[common])
-    c.add_argument("--trials", type=int, default=50)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--conductor", type=int, default=12)
     s.set_defaults(fn=cmd_invariants)
 
     s = sub.add_parser("kempfness", help="criticality tests and the norm flow")

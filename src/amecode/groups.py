@@ -499,13 +499,12 @@ def mu_matrix(g: LocalOperator, code) -> Matrix:
 
 @dataclass
 class CosetReport:
-    ok: bool
     restriction_matches: list[bool]
     su_factor_checks: list[bool]
     mismatches: list[str] = field(default_factory=list)
 
 
-def verify_coset_representatives(reps=None, n: int = 12) -> CosetReport:
+def verify_coset_representatives(n: int = 12) -> CosetReport:
     """Check that each published representative restricts to its reflection
     generator exactly, and that each admits an exact per-site factorization
     into special-unitary matrices, materialized at lcm(n, 36), the smallest
@@ -513,38 +512,29 @@ def verify_coset_representatives(reps=None, n: int = 12) -> CosetReport:
     from . import catalog
     code = catalog.code_332(n)
     targets = weyl_generators(n)
-    if reps is None:
-        reps = catalog.coset_representatives(n)
+    reps = catalog.coset_representatives(n)
     matches, sus, mismatches = [], [], []
-    for i, (q, r) in enumerate(zip(reps, targets)):
+    for i, (q, r) in enumerate(zip(reps, targets), 1):
         try:
             m = mu_matrix(q, code)
-            ok = m == r
         except NotInNormalizer as exc:
-            ok = False
-            mismatches.append(f"rep {i + 1}: {exc}")
-            matches.append(ok)
+            matches.append(False)
+            mismatches.append(f"rep {i}: {exc}")
             continue
-        if not ok:
-            rows = m.shape[0]
-            for a in range(rows):
-                for b in range(rows):
-                    if m.rows[a][b] != r.rows[a][b]:
-                        mismatches.append(f"rep {i + 1}: entry ({a},{b}) differs")
-        matches.append(ok)
+        matches.append(m == r)
+        rows = range(m.shape[0])
+        mismatches += [f"rep {i}: entry ({a},{b}) differs" for a in rows for b in rows
+                       if m.rows[a][b] != r.rows[a][b]]
     su_n = lcm(n, 36)
     su_factors = catalog.coset_representative_su_factors(su_n)
-    for i, (q, trip) in enumerate(zip(reps, su_factors)):
-        ok = True
-        if len(reps) == 3 and LocalOperator(su_n, 1, list(trip)) != q.embed(su_n):
-            ok = False
-            mismatches.append(f"rep {i + 1}: special-unitary factors do not rebuild it")
-        for f in trip:
-            if not (f.is_unitary() and f.det() == Cyclotomic.one(su_n)):
-                ok = False
-                mismatches.append(f"rep {i + 1}: factor not special-unitary")
-        sus.append(ok)
-    return CosetReport(all(matches) and all(sus), matches, sus, mismatches)
+    for i, (q, trip) in enumerate(zip(reps, su_factors), 1):
+        rebuilt = LocalOperator(su_n, 1, list(trip)) == q.embed(su_n)
+        faults = [] if rebuilt else [f"rep {i}: special-unitary factors do not rebuild it"]
+        faults += [f"rep {i}: factor not special-unitary" for f in trip
+                   if not (f.is_unitary() and f.det() == Cyclotomic.one(su_n))]
+        sus.append(not faults)
+        mismatches += faults
+    return CosetReport(matches, sus, mismatches)
 
 
 def transversal_group(n: int = 12) -> MatrixGroup:
@@ -657,13 +647,6 @@ class CentralizerReport:
     weyl_order: int
     mu_fibre_sizes: tuple
     kernel_is_centralizer: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.order == 9 and self.fixes_code_pointwise
-                and self.special_linear_factorable and self.generators_commute
-                and self.mu_is_homomorphism and self.mu_image_order == self.weyl_order
-                and self.kernel_is_centralizer)
 
 
 def sl_factorable(op: LocalOperator) -> bool:

@@ -13,7 +13,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, euler_phi
 from .linalg import Matrix
 from .qecc import CodeSubspace
 from .tensor import LocalOperator, PureState
@@ -63,7 +63,11 @@ def dumps(obj) -> str:
 # that path on the first mismatch, so no malformed file gets further than
 # ingest.
 
-MAX_CONDUCTOR = 1024  # the field tables grow with the conductor; data uses 12, 24, 36
+# The kernels' field tables grow as the cube of the field degree phi(N):
+# degree 64 (conductor 192) runs in 40 MB, degree 512 asks for 1 GiB.  The
+# data uses conductors 12, 24 and 36 (degrees 4, 8 and 12).
+MAX_CONDUCTOR = 1024
+MAX_DEGREE = 64
 
 
 def _kind(value) -> str:
@@ -96,12 +100,17 @@ def _int(value, path: str, low: int = 1, high: int | None = None) -> int:
 
 
 def _conductor(data, path: str) -> int:
-    return _int(*_get(data, "conductor", path), high=MAX_CONDUCTOR)
+    """The conductor of an object: one whose field the kernels can build."""
+    n = _int(*_get(data, "conductor", path), high=MAX_CONDUCTOR)
+    if euler_phi(n) > MAX_DEGREE:
+        raise IngestError(f"{path}.conductor: {n} has field degree {euler_phi(n)}, "
+                          f"above {MAX_DEGREE}")
+    return n
 
 
 def _scalar(data, path: str, n: int) -> Cyclotomic:
     """A field element {conductor, coeffs} whose conductor is n."""
-    if _conductor(data, path) != n:
+    if _int(*_get(data, "conductor", path), high=MAX_CONDUCTOR) != n:
         raise IngestError(f"{path}.conductor: {data['conductor']} differs from "
                           f"the file conductor {n}")
     _items(*_get(data, "coeffs", path))

@@ -2,12 +2,6 @@ import pytest
 
 from amecode import catalog
 from amecode.groups import local_symmetry_group, weyl_group
-from amecode.suites import SuiteContext
-
-
-@pytest.fixture(scope="session")
-def ctx():
-    return SuiteContext()
 
 
 @pytest.fixture(scope="session")

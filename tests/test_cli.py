@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -11,7 +10,7 @@ from amecode.cli import main
 from amecode.cyclo import Cyclotomic
 from amecode.linalg import Matrix
 from amecode.serialize import dump, shipped_path
-from amecode.suites import SUITES, SuiteContext, run_suite
+from amecode.suites import SUITES, run_suite
 from amecode.tensor import LocalOperator
 
 
@@ -29,7 +28,7 @@ def test_suite_names_cover_the_required_set():
 
 
 def test_run_suite_weyl_passes():
-    rep = run_suite("weyl", SuiteContext())
+    rep = run_suite("weyl")
     assert rep.passed
     orders = [c for c in rep.checks if c.name == "weyl-group-648"]
     assert "order=648" in orders[0].actual
@@ -46,8 +45,8 @@ def test_run_suite_unknown():
 def test_run_suite_deterministic_modulo_timing():
     # the randomized suites must be byte-identical given a fixed seed
     for name in ("invariants", "kempfness"):
-        a = _strip_elapsed(run_suite(name, SuiteContext(seed=5)).to_dict())
-        b = _strip_elapsed(run_suite(name, SuiteContext(seed=5)).to_dict())
+        a = _strip_elapsed(run_suite(name, seed=5).to_dict())
+        b = _strip_elapsed(run_suite(name, seed=5).to_dict())
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -203,6 +202,34 @@ def test_cli_correspond_reports_failure_exit(tmp_path, capsys):
     assert main(["correspond", str(p)]) == 2
 
 
+def _bell_file(tmp_path, n):
+    from amecode.cyclo import sqrt_of_rational
+    from amecode.tensor import PureState
+    h, z = sqrt_of_rational(Fraction(1, 2), n), Cyclotomic.zero(n)
+    p = tmp_path / f"bell{n}.state"
+    dump(PureState(n, [2, 2], [h, z, z, h]), p)
+    return p
+
+
+def test_cli_correspond_at_the_largest_field_degree(tmp_path, capsys):
+    # conductor 192 has degree phi(192) = 64, the largest the kernels accept
+    from amecode.cyclo import euler_phi
+    from amecode.serialize import MAX_DEGREE
+    assert euler_phi(192) == MAX_DEGREE
+    code, out, err = _run(["correspond", str(_bell_file(tmp_path, 192)), "--format", "json"],
+                          capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["roundtrip_exact"] is True
+
+
+def test_cli_rejects_field_degree_above_the_bound(tmp_path, capsys):
+    # conductor 200 has degree 80: an input error naming $.conductor
+    p = _bell_file(tmp_path, 192)
+    p.write_text(json.dumps(dict(json.loads(p.read_text()), conductor=200)))
+    assert _run(["correspond", str(p)], capsys) == \
+        (2, "", f"error: {p}: $.conductor: 200 has field degree 80, above 64\n")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["code", "kl", "--code", "phi.state"], "expected a code, got state on dims"),
     (["group", "close", "--gens", "phi.state"],
@@ -292,12 +319,6 @@ def test_cli_invariants_eval_zero_denominator(capsys):
         (2, "", "error: --point: zero denominator in '1/0'\n")
 
 
-@pytest.mark.parametrize("trials", ["0", "-1"])
-def test_cli_check_weyl_rejects_no_trials(trials, capsys):
-    assert _run(["invariants", "check-weyl", "--trials", trials], capsys) == \
-        (2, "", f"error: trials must be >= 1, got {trials}\n")
-
-
 @pytest.mark.parametrize("argv", [["group", "close", "--gens",
                                    str(shipped_path("weyl-generators.ops"))]],
                          ids=["group-close"])
@@ -306,20 +327,42 @@ def test_cli_cap_zero_is_a_cap(argv, capsys):
     assert _run(argv + ["--cap", "0"], capsys) == (2, "", "error: closure exceeded cap 0\n")
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["suite", "all"], "--cap"),
-    (["group", "verify-weyl"], "--cap"),
-    (["group", "verify-local-symmetry"], "--cap"),
-    (["group", "verify-cosets"], "--cap"),
-    (["group", "verify-cosets"], "--seed"),
-    (["group", "close", "--gens", str(shipped_path("weyl-generators.ops"))], "--seed"),
+@pytest.mark.parametrize("argv, option", [
+    (["suite", "all"], "--cap 0"),
+    (["group", "verify-weyl"], "--cap 0"),
+    (["group", "verify-local-symmetry"], "--cap 0"),
+    (["group", "verify-cosets"], "--cap 0"),
+    (["group", "verify-cosets"], "--seed 0"),
+    (["group", "close", "--gens", str(shipped_path("weyl-generators.ops"))], "--seed 0"),
+    (["suite", "all"], "--conductor 24"),
+    (["group", "verify-weyl"], "--conductor 24"),
+    (["group", "verify-local-symmetry"], "--conductor 24"),
+    (["group", "verify-cosets"], "--conductor 24"),
+    (["invariants", "eval", "--point", "1,2,3"], "--conductor 24"),
 ], ids=["suite-cap", "verify-weyl-cap", "verify-local-symmetry-cap", "verify-cosets-cap",
-        "verify-cosets-seed", "close-seed"])
-def test_cli_rejects_removed_flags(argv, flag, capsys):
-    # the paper's groups are closed under fixed caps, and group close
-    # samples nothing: only group close takes --cap
-    code, out, err = _run(argv + [flag, "0"], capsys)
-    assert code == 2 and f"unrecognized arguments: {flag} 0" in err
+        "verify-cosets-seed", "close-seed", "suite-conductor", "verify-weyl-conductor",
+        "verify-local-symmetry-conductor", "verify-cosets-conductor",
+        "invariants-eval-conductor"])
+def test_cli_rejects_removed_flags(argv, option, capsys):
+    # the paper's groups are closed under fixed caps and built in the field
+    # of suites.CONDUCTOR, and group close samples nothing: only group close
+    # takes --cap, and no command takes --conductor
+    code, out, err = _run(argv + option.split(), capsys)
+    assert code == 2 and f"unrecognized arguments: {option}" in err
+
+
+def test_cli_invariants_check_weyl_is_removed(capsys):
+    # suite invariants prints the generators' invariance as its first clause
+    code, out, err = _run(["invariants", "check-weyl"], capsys)
+    assert code == 2 and "invalid choice: 'check-weyl'" in err
+
+
+@pytest.mark.parametrize("name", ["all", "invariants"])
+def test_cli_suite_rejects_negative_seed(name, capsys):
+    # the seed is checked when the arguments are parsed, before any check runs
+    code, out, err = _run(["suite", name, "--seed", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert "argument --seed: must be a non-negative integer, got '-1'" in err
 
 
 def _option_strings(parser, path=()) -> dict:
@@ -335,16 +378,15 @@ def _option_strings(parser, path=()) -> dict:
 def test_cli_option_sets_are_pinned():
     out = ["--format", "--out"]
     assert _option_strings(cli.build_parser()) == {
-        "suite": ["--conductor", "--format", "--out", "--seed"],
+        "suite": ["--format", "--out", "--seed"],
         "ingest": out,
         "correspond": out,
         "code kl": ["--code", "--distance", "--format", "--out"],
         "group close": ["--cap", "--format", "--gens", "--out"],
-        "group verify-weyl": ["--conductor", "--format", "--out"],
-        "group verify-local-symmetry": ["--conductor", "--format", "--out"],
-        "group verify-cosets": ["--conductor", "--format", "--out"],
-        "invariants eval": ["--conductor", "--format", "--out", "--point"],
-        "invariants check-weyl": ["--conductor", "--format", "--out", "--seed", "--trials"],
+        "group verify-weyl": out,
+        "group verify-local-symmetry": out,
+        "group verify-cosets": out,
+        "invariants eval": ["--format", "--out", "--point"],
         "kempfness critical": ["--format", "--out", "--state", "--tol"],
         "kempfness flow": ["--format", "--iters", "--out", "--state", "--tol"],
     }
@@ -369,7 +411,7 @@ def test_cli_verify_local_symmetry_takes_no_seed(capsys):
 ])
 def test_cli_group_verify_prints_the_suite_check(cmd, check, status, capsys):
     code, out, err = _run(["group", cmd, "--format", "json"], capsys)
-    expected = check(SuiteContext())
+    expected = check(0)
     assert (code, err) == (status, "")
     assert json.loads(out) == {"name": expected.name, "passed": expected.passed,
                                "expected": expected.expected, "actual": expected.actual}
@@ -378,28 +420,12 @@ def test_cli_group_verify_prints_the_suite_check(cmd, check, status, capsys):
 def test_suite_all_report_is_pinned():
     # name, status, expected and actual of every exact check at seed 1; the
     # two Kempf-Ness checks print floats whose last digits follow LAPACK
-    rep = run_suite("all", SuiteContext(seed=1))
+    rep = run_suite("all", seed=1)
     rows = [[c.name, c.status, c.expected, c.actual] for c in rep.checks
             if c.name not in ("kempf-ness-properties", "criticality-equivalence")]
     assert len(rows) == 11 and rep.exit_status == 1
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
         "ca7bd35d618ee4dd40f1b481d8232b81f6725659b9b34aa7deea07251d8571f4"
-
-
-def test_suite_context_is_the_run_parameters():
-    ctx = SuiteContext(conductor=24, seed=3)
-    assert dataclasses.astuple(ctx) == (24, 3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ctx.seed = 4
-
-
-def test_suite_all_at_conductor_24(capsys):
-    # the statuses of the default conductor: only the literal 5832 clause fails
-    assert main(["suite", "all", "--conductor", "24", "--format", "json"]) == 1
-    statuses = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert len(statuses) == 13
-    assert {name for name, status in statuses.items() if status == "fail"} == \
-        {"local-symmetry-group"}
 
 
 def test_cli_code_kl_violations_are_byte_stable(capsys):

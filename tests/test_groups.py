@@ -229,15 +229,17 @@ def test_mu_matrix(code332):
 
 def test_verify_coset_representatives():
     rep = verify_coset_representatives()
-    assert rep.ok
     assert rep.restriction_matches == [True, True, True]
     assert rep.su_factor_checks == [True, True, True]
+    assert rep.mismatches == []
 
 
 def test_coset_representatives_at_other_conductors():
     # the special-unitary factors are built at lcm(n, 36), so 24 needs no 36 | n
     for n in (24, 72):
-        assert suites.check_coset_representatives(suites.SuiteContext(conductor=n)).passed
+        rep = groups.verify_coset_representatives(n=n)
+        assert rep.restriction_matches == rep.su_factor_checks == [True, True, True]
+        assert rep.mismatches == []
 
 
 def test_fixed_objects_are_built_once_per_process():
@@ -260,16 +262,19 @@ def test_coset_su_factors_exact():
             assert (f.dagger() * f).is_identity()
 
 
-def test_verify_cosets_negative_control():
+def test_verify_cosets_negative_control(monkeypatch):
     q1, q2, q3 = catalog.coset_representatives()
     w = root_of_unity(4, N)
     rows = [list(r) for r in q2.factors[1].rows]
     rows[0][1] = rows[0][1] * w
     bad = LocalOperator(N, q2.scalar, [q2.factors[0], Matrix(N, rows), q2.factors[2]],
                         _canonical=False)
-    rep = verify_coset_representatives(reps=(q1, bad, q3))
-    assert not rep.ok
+    monkeypatch.setattr(catalog, "coset_representatives", lambda n: (q1, bad, q3))
+    rep = verify_coset_representatives()
+    assert rep.restriction_matches == [True, False, True]
     assert any("rep 2" in m for m in rep.mismatches)
+    result = suites.check_coset_representatives(0)
+    assert not result.passed and "rep 2" in result.actual
 
 
 def test_transversal_group(code332, weyl):
@@ -322,8 +327,8 @@ def test_local_symmetry_report():
 
 def test_centralizer_containment():
     rep = centralizer_containment_check()
-    assert rep.ok
     assert rep.order == 9
+    assert rep.fixes_code_pointwise and rep.special_linear_factorable
     assert rep.mu_is_homomorphism
     assert rep.mu_image_order == rep.weyl_order == 648
     assert rep.mu_fibre_sizes == (9,)
@@ -342,7 +347,7 @@ def test_centralizer_quotient_follows_computed_orders(monkeypatch):
     rep = centralizer_containment_check()
     assert rep.mu_is_homomorphism and rep.kernel_is_centralizer
     assert (rep.mu_image_order, rep.mu_fibre_sizes, sub.order) == (3, (9,), 27)
-    assert not rep.ok
+    assert not suites.check_centralizer(0).passed
 
 
 # -- the Cayley table and homomorphisms -----------------------------------------
