@@ -9,8 +9,8 @@ command takes a conductor, since every exact object the suites and the
 `group verify-*` and `invariants eval` commands build lives in the field
 of `suites.CONDUCTOR`.  Each `group verify-*` command prints its suite
 check, so every verdict is decided once, in `suites`.  Reports are
-printed as text by default or JSON with --format json; --out writes to a
-file instead of stdout.
+printed as text by default or JSON with --format json; --out writes
+either format to a file instead of stdout.
 
 `main` parses with one parser per process, built by `build_parser` on the
 first call: `parse_args` returns a fresh namespace and argparse makes its
@@ -39,6 +39,11 @@ def _emit(payload: dict, args) -> None:
         text = json.dumps(payload, indent=1, sort_keys=True, default=str) + "\n"
     else:
         text = _as_text(payload)
+    _write(text, args)
+
+
+def _write(text: str, args) -> None:
+    """The one output path: the file named by --out, else stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -66,20 +71,17 @@ def _as_text(payload, indent: int = 0) -> str:
 def cmd_suite(args) -> int:
     report = run_suite(args.name, args.seed)
     d = report.to_dict()
-    if args.format == "text":
-        for c in d["checks"]:
-            line = f"{c['status'].upper():4s} {c['name']} ({c['elapsed']:.2f}s)"
-            print(line)
-            if c["status"] == "fail":
-                print(f"     expected: {c['expected']}")
-                print(f"     actual:   {c['actual']}")
-        print(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}")
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(d, fh, indent=1, sort_keys=True)
-                fh.write("\n")
-    else:
+    if args.format == "json":
         _emit(d, args)
+        return report.exit_status
+    lines = []
+    for c in d["checks"]:
+        lines.append(f"{c['status'].upper():4s} {c['name']} ({c['elapsed']:.2f}s)")
+        if c["status"] == "fail":
+            lines.append(f"     expected: {c['expected']}")
+            lines.append(f"     actual:   {c['actual']}")
+    lines.append(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'}")
+    _write("\n".join(lines) + "\n", args)
     return report.exit_status
 
 

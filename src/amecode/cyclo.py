@@ -254,16 +254,7 @@ class Cyclotomic:
         """Image under the field automorphism zeta -> zeta^a, gcd(a, N) = 1."""
         if gcd(a, self.n) != 1:
             raise ValueError(f"{a} is not a unit modulo {self.n}")
-        f = _field(self.n)
-        res = [0] * f.degree
-        for j, cj in enumerate(self.coeffs):
-            if cj:
-                pw = f.powers[(j * a) % self.n]
-                for t in range(f.degree):
-                    pt = pw[t]
-                    if pt:
-                        res[t] += cj * pt
-        return Cyclotomic(self.n, res, self.den)
+        return self._power_map(self.n, a)
 
     def conj(self) -> Cyclotomic:
         """Complex conjugate: zeta -> zeta^(N-1) extended as automorphism."""
@@ -324,7 +315,11 @@ class Cyclotomic:
             raise ConductorMismatch(f"{self.n} does not divide {m}")
         if m == self.n:
             return self
-        k = m // self.n
+        return self._power_map(m, m // self.n)
+
+    def _power_map(self, m: int, k: int) -> Cyclotomic:
+        """The element of Q(zeta_m) that maps each zeta_N^j to the reduced
+        power zeta_m^(j*k mod m): the shared step of galois and embed."""
         f = _field(m)
         res = [0] * f.degree
         for j, cj in enumerate(self.coeffs):

@@ -1,6 +1,7 @@
 """The three generating invariants of the order-648 gate group in code
 coordinates (a, b, c), of degrees 6, 9 and 12, with exact evaluation,
-randomized invariance testing, and scale-free orbit fingerprints.
+invariance and homogeneity decided on fixed integer lattices, and
+scale-free orbit fingerprints.
 
 All three polynomials depend on the coordinates only through their cubes
 p = a^3, q = b^3, r = c^3:
@@ -13,9 +14,8 @@ p = a^3, q = b^3, r = c^3:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 
 from .cyclo import Cyclotomic
 from .linalg import Matrix
@@ -56,47 +56,55 @@ class InvariantTriple:
         return iter((self.i6, self.i9, self.i12))
 
 
-def eval_invariants(point: CartanPoint) -> InvariantTriple:
-    """Exact values of the degree-6, 9 and 12 invariants at the point."""
-    p, q, r = point.a ** 3, point.b ** 3, point.c ** 3
+def _of_cubes(p, q, r):
+    """The invariants as polynomials of degrees 2, 3 and 4 in the cubes
+    p = a^3, q = b^3, r = c^3; plain ints evaluate them as well."""
     i6 = p * p + q * q + r * r - 10 * (p * q + p * r + q * r)
     i9 = (p - q) * (p - r) * (q - r)
     pq, pr, qr = p * q, p * r, q * r
     i12 = (p ** 3 * (q + r) + q ** 3 * (p + r) + r ** 3 * (p + q)
            - 4 * (pq * pq + pr * pr + qr * qr)
            + 2 * (pq * pr + pq * qr + pr * qr))
-    return InvariantTriple(i6, i9, i12)
+    return i6, i9, i12
 
 
-def random_rational_point(n: int, rng: random.Random, height: int = 100) -> CartanPoint:
-    """Rational coordinates with numerators and denominators of height at
-    most `height`."""
-    def coord():
-        return Fraction(rng.randint(-height, height), rng.randint(1, height))
-    return CartanPoint.of(n, coord(), coord(), coord())
+def eval_invariants(point: CartanPoint) -> InvariantTriple:
+    """Exact values of the degree-6, 9 and 12 invariants at the point."""
+    return InvariantTriple(*_of_cubes(point.a ** 3, point.b ** 3, point.c ** 3))
 
 
-def check_weyl_invariance(gate: Matrix, trials: int = 50, seed: int = 0,
-                          height: int = 100) -> bool:
-    """Randomized polynomial identity test: the gate preserves all three
-    invariants iff eval(gate * p) == eval(p) as exact field elements at
-    `trials` random rational points.
+def is_homogeneous() -> bool:
+    """Whether F(2P) == 2^m F(P) for the cube polynomials of degrees
+    m = 2, 3, 4 at the 35 integer points of i + j + k <= 4.
 
-    Each invariant has degree at most 12, and each coordinate is drawn from
-    more than 2*height values, so a nonzero difference polynomial survives a
-    single trial with probability at most 12/(2*height) (Schwartz-Zippel);
-    `trials` independent points make a false pass astronomically unlikely,
-    and a reported failure is a certificate.  Fewer than one trial would
-    pass vacuously and raises ValueError.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        p = random_rational_point(gate.n, rng, height)
-        if eval_invariants(p.transform(gate)) != eval_invariants(p):
-            return False
-    return True
+    Each side has degree at most 4, and those points are unisolvent for
+    degree 4 in three variables, so the identity holds everywhere: every
+    term of F has degree m, and the invariants are homogeneous of degrees
+    3m = 6, 9 and 12 in (a, b, c)."""
+    points = [(i, j, k) for i in range(5) for j in range(5 - i) for k in range(5 - i - j)]
+    return all(f2 == 2 ** m * f for pt in points
+               for m, f, f2 in zip((2, 3, 4), _of_cubes(*pt), _of_cubes(*(2 * x for x in pt))))
+
+
+@cache
+def _lattice(n: int) -> list[tuple[CartanPoint, InvariantTriple]]:
+    """The 91 points of a + b + c = 12 in non-negative integers, in
+    Q(zeta_n), each with its invariants."""
+    points = [CartanPoint.of(n, i, j, 12 - i - j) for i in range(13) for j in range(13 - i)]
+    return [(p, eval_invariants(p)) for p in points]
+
+
+def check_weyl_invariance(gate: Matrix) -> bool:
+    """Whether the gate preserves all three invariants, decided exactly:
+    eval(gate * x) == eval(x) at the 91 points of the order-12 lattice on
+    the plane a + b + c = 12.
+
+    For each invariant f of degree k <= 12, f(gate * x) - f(x) is
+    homogeneous of degree k.  On the plane it is a polynomial of degree at
+    most 12 in (a, b), which the lattice's points determine, so vanishing
+    there makes it vanish on the plane and, by homogeneity, everywhere.  A
+    failure is a certificate."""
+    return all(eval_invariants(p.transform(gate)) == t for p, t in _lattice(gate.n))
 
 
 @dataclass(frozen=True)

@@ -284,15 +284,11 @@ def _structure(n: int):
     return t.reshape(deg, deg, deg), _compact(c)
 
 
-def pack(mats, den: int | None = None):
+def pack(mats):
     """(x, den): the entries of equally shaped matrices as numerators of
-    shape (k, rows, cols, deg) over den, by default the lcm of their
-    denominators."""
+    shape (k, rows, cols, deg) over den, the lcm of their denominators."""
     entries = [e for m in mats for row in m.rows for e in row]
-    if den is None:
-        den = lcm(*(e.den for e in entries))
-    elif any(den % e.den for e in entries):
-        raise ValueError(f"denominator {den} does not hold every entry")
+    den = lcm(*(e.den for e in entries))
     x = np.array([[c * (den // e.den) for c in e.coeffs] for e in entries], dtype=object)
     return _compact(x).reshape((len(mats), *mats[0].shape, -1)), den
 

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,16 @@ def test_cli_suite_json(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["schema"] == "amecode-report/1"
     assert data["passed"] is True
+
+
+def test_cli_suite_text_out_writes_the_text_to_the_file(tmp_path, capsys):
+    # --out takes the place of stdout in text mode too, with the same lines
+    out = tmp_path / "rep.txt"
+    code, printed, err = _run(["suite", "ame4", "--out", str(out)], capsys)
+    assert (code, printed, err) == (0, "", "")
+    untimed = re.compile(r"\(\d+\.\d\ds\)")
+    assert untimed.sub("", _run(["suite", "ame4"], capsys)[1]) == \
+        untimed.sub("", out.read_text()) == "PASS ame4-two-uniform \nsuite ame4: PASS\n"
 
 
 def test_cli_unknown_suite():
@@ -425,7 +436,7 @@ def test_suite_all_report_is_pinned():
             if c.name not in ("kempf-ness-properties", "criticality-equivalence")]
     assert len(rows) == 11 and rep.exit_status == 1
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
-        "ca7bd35d618ee4dd40f1b481d8232b81f6725659b9b34aa7deea07251d8571f4"
+        "245b89cb25773b556a4467840cd7433926c6d152082ee54af7a2eee1685f60c4"
 
 
 def test_cli_code_kl_violations_are_byte_stable(capsys):

@@ -3,14 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from amecode import invariants, suites
 from amecode.cyclo import Cyclotomic
 from amecode.groups import weyl_generators
 from amecode.invariants import (CartanPoint, check_weyl_invariance,
-                                eval_invariants, invariant_ratio_fingerprint,
-                                random_rational_point)
+                                eval_invariants, invariant_ratio_fingerprint)
 from amecode.linalg import Matrix
 
 N = 12
+
+
+def _rational_point(rng):
+    def coord():
+        return Fraction(rng.randint(-100, 100), rng.randint(1, 100))
+    return CartanPoint.of(N, coord(), coord(), coord())
 
 
 def _oracle(a, b, c):
@@ -51,7 +57,7 @@ def test_matches_monomial_oracle_on_random_rationals():
 def test_homogeneity_exact():
     rng = random.Random(1)
     for _ in range(15):
-        p = random_rational_point(N, rng)
+        p = _rational_point(rng)
         lam = Fraction(rng.randint(1, 30), rng.randint(1, 30))
         lamc = Cyclotomic.from_rational(N, lam)
         t0, t1 = eval_invariants(p), eval_invariants(p.scale(lam))
@@ -61,27 +67,19 @@ def test_homogeneity_exact():
 
 
 def test_generators_preserve_invariants():
-    for i, r in enumerate(weyl_generators()):
-        assert check_weyl_invariance(r, trials=50, seed=i)
+    for r in weyl_generators():
+        assert check_weyl_invariance(r)
 
 
 def test_random_weyl_elements_preserve_invariants(weyl):
     rng = random.Random(2)
-    for _ in range(50):
-        g = weyl.elements[rng.randrange(weyl.order)]
-        assert check_weyl_invariance(g, trials=3, seed=rng.randrange(10 ** 6))
-
-
-@pytest.mark.parametrize("trials", [0, -1])
-def test_invariance_rejects_no_trials(trials):
-    # zero trials would pass any gate vacuously
-    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
-        check_weyl_invariance(weyl_generators()[0], trials=trials)
+    for _ in range(10):
+        assert check_weyl_invariance(weyl.elements[rng.randrange(weyl.order)])
 
 
 def test_non_gate_fails():
     bad = Matrix(N, [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
-    assert not check_weyl_invariance(bad, trials=10, seed=0)
+    assert not check_weyl_invariance(bad)
     # explicit counterexample at (1, 1, 0): the degree-6 value moves
     p = CartanPoint.of(N, 1, 1, 0)
     before = eval_invariants(p).i6
@@ -90,10 +88,30 @@ def test_non_gate_fails():
     assert _oracle(1, 1, 0)[0] != _oracle(2, Fraction(1, 2), 0)[0]
 
 
+def test_invariance_check_reads_no_seed():
+    a, b = suites.check_invariance(0), suites.check_invariance(7)
+    assert a.passed and (a.expected, a.actual) == (b.expected, b.actual)
+
+
+def test_non_homogeneous_cubes_fail_the_homogeneity_clause(monkeypatch):
+    # build the lattice's values before the patch, so they stay the true ones
+    assert check_weyl_invariance(weyl_generators()[0])
+    of_cubes = invariants._of_cubes
+
+    def shifted(p, q, r):
+        i6, i9, i12 = of_cubes(p, q, r)
+        return i6 + 1, i9, i12
+
+    monkeypatch.setattr(invariants, "_of_cubes", shifted)
+    assert not invariants.is_homogeneous()
+    result = suites.check_invariance(0)
+    assert not result.passed and "homogeneity=False" in result.actual
+
+
 def test_fingerprint_scale_invariance():
     rng = random.Random(3)
     for _ in range(20):
-        p = random_rational_point(N, rng)
+        p = _rational_point(rng)
         f = invariant_ratio_fingerprint(p)
         assert invariant_ratio_fingerprint(p.scale(5)) == f
         g = invariant_ratio_fingerprint(p.scale(Fraction(-2, 7)))
@@ -104,7 +122,7 @@ def test_fingerprint_scale_invariance():
 def test_fingerprint_constant_on_orbits(weyl):
     rng = random.Random(4)
     for _ in range(20):
-        p = random_rational_point(N, rng)
+        p = _rational_point(rng)
         f = invariant_ratio_fingerprint(p)
         g = weyl.elements[rng.randrange(weyl.order)]
         assert invariant_ratio_fingerprint(p.transform(g)) == f
