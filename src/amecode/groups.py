@@ -4,13 +4,17 @@ gates, the order-5832 three-site normalizer of the code, and the local
 symmetry group of the perfect tensor, which has 1944 elements as product
 operators: the normalizer maps onto it 3-to-1 (see local_symmetry_group).
 
-Closure is breadth-first over small-integer keys, so element sets are exact
-and enumeration order is deterministic.  Dense gates are kept as packed
-integer numerators, each over its own denominator in lowest terms, and each
-search level is one integer matmul (linalg's packed kernel); product
-operators are keyed by scalar and canonical-factor ids, whose missing
-factor products are formed by the same kernel in one batch per level and
-site and interned the same way.
+Closure is breadth-first over small-integer codes, so element sets are
+exact and enumeration order is deterministic.  Dense gates are kept as
+packed integer numerators, each over its own denominator in lowest terms,
+and each search level is one integer matmul (linalg's packed kernel).  A
+product operator is an int32 row (scalar id, canonical-factor id per site),
+keyed by the row's bytes, and a level's products are numpy gathers from an
+int array of factor products and lookups of its distinct scalar pairs;
+missing factor products are formed by the packed kernel in one batch per
+level and site.  The ids and both tables belong to the conductor, not the
+closure, so the closures of one process share them; the groups do not
+depend on the order they are built in.
 
 Every closure keeps its Cayley table, the index of each product h * g_i it
 forms, and `homomorphism` checks a map given on the generators on every
@@ -97,44 +101,57 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
     The generators are all dense square Matrix gates of one shape and
     conductor, or all LocalOperators of one dims and conductor; anything
     else raises GeneratorTypeError or DimensionMismatch before the search.
-    Elements are searched as integer keys (see _DenseTable and
-    _ProductTable): each level's products h * g, for h in the frontier and
-    g in the generators, are formed in one batch and visited in (h, g)
-    order, and the elements are built once at the end in search order.
-    The frontiers run through the elements in index order, so the products,
-    in the order formed, are the rows of the table after the identity's.
-    Raises ClosureCapExceeded if more than `cap` elements appear, which
-    signals a non-finite or mis-specified group, and ValueError naming the
-    first singular generator (determinant 0; for an operator, a zero scalar
-    or a singular factor) before the search.
+    Elements are searched as integer codes (see _DenseTable and
+    _ProductTable), each with a hashable key that is equal exactly when the
+    elements are: each level's products h * g, for h in the frontier and g
+    in the generators, are formed in one batch and visited in (h, g) order,
+    and the elements are built once at the end in search order.  Product
+    operators share one table per conductor, so the closures of a process
+    reuse the scalars, factors and factor products found before; the
+    elements, their order and the table do not depend on what was built
+    first.  The frontiers run through the elements in index order, so the
+    products, in the order formed, are the rows of the table after the
+    identity's.  Raises ClosureCapExceeded if more than `cap` elements
+    appear, which signals a non-finite or mis-specified group, and
+    ValueError naming the first singular generator (determinant 0; for an
+    operator, a zero scalar or a singular factor) before the search.
     """
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    table = (_ProductTable if isinstance(gens[0], LocalOperator) else _DenseTable)(gens)
+    if isinstance(gens[0], LocalOperator):
+        identity, table = _operator_identity(gens), _product_table(gens[0].n)
+    else:
+        table = _DenseTable(gens)
+        identity = table.identity
     for i, g in enumerate(gens):
         if _singular(g):
             raise ValueError(f"generators[{i}] is singular (determinant 0)")
-    gkeys = [table.key(g) for g in gens]
-    elements: dict = {table.key(table.identity): 0}  # key -> index
-    frontier = []
-    for g in gkeys:
-        if g not in elements:
-            elements[g] = len(elements)
-            frontier.append(g)
-    rows = [elements[g] for g in gkeys]  # the table, row-major; row 0 is the identity's
-    while frontier:
-        nxt = []
-        for p in table.products(frontier, gkeys):
-            k = elements.get(p)
+    codes = table.codes([identity, *gens])
+    keys = table.keys(codes)
+    elements: dict = {}  # key -> index
+    new = []
+    for i, key in enumerate(keys):
+        if key not in elements:
+            elements[key] = len(elements)
+            new.append(i)
+    rows = [elements[key] for key in keys[1:]]  # the table, row-major; row 0 is the identity's
+    found = [codes[new]]  # the codes of the elements, in index order
+    gcodes, frontier = codes[1:], codes[new[1:]]
+    while len(frontier):
+        products = table.products(frontier, gcodes)
+        new = []
+        for i, key in enumerate(table.keys(products)):
+            k = elements.get(key)
             if k is None:
                 if len(elements) >= cap:
                     raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-                k = elements[p] = len(elements)
-                nxt.append(p)
+                k = elements[key] = len(elements)
+                new.append(i)
             rows.append(k)
-        frontier = nxt
-    return MatrixGroup(tuple(gens), table.elements(elements),
+        frontier = products[new]
+        found.append(frontier)
+    return MatrixGroup(tuple(gens), table.elements(np.concatenate(found)),
                        np.array(rows, dtype=np.int32).reshape(-1, len(gens)))
 
 
@@ -162,10 +179,10 @@ def _row_keys(x) -> list:
 
 
 class _PackedIds:
-    """Ids for the exact matrices of one closure, given packed (linalg.pack)
-    with one denominator each.  A matrix is reduced to lowest terms and
-    keyed on (den, numerators), so equal matrices get equal ids whatever
-    denominator they arrive over; x[i] and den[i] are id i in lowest terms."""
+    """Ids for exact matrices given packed (linalg.pack) with one
+    denominator each.  A matrix is reduced to lowest terms and keyed on
+    (den, numerators), so equal matrices get equal ids whatever denominator
+    they arrive over; x[i] and den[i] are id i in lowest terms."""
 
     def __init__(self):
         self.x, self.den = [], []
@@ -193,11 +210,11 @@ class _PackedIds:
 
 
 class _DenseTable:
-    """Small-integer keys for the dense matrices of one closure: their
-    _PackedIds.  A level's products are one bound-checked matmul of the
-    frontier's packed rows with the generators' right actions; the product
-    h * g has numerators over den(h) * den(g) and is reduced when interned,
-    so no stored element is ever rescaled."""
+    """Small-integer codes for the dense matrices of one closure: their
+    _PackedIds, which are also their keys.  A level's products are one
+    bound-checked matmul of the frontier's packed rows with the generators'
+    right actions; the product h * g has numerators over den(h) * den(g)
+    and is reduced when interned, so no stored element is ever rescaled."""
 
     def __init__(self, gens):
         first = gens[0]
@@ -215,70 +232,107 @@ class _DenseTable:
         self.ids = _PackedIds()
         self._actions = None
 
-    def key(self, g: Matrix) -> int:
-        x, den = pack([g])
-        return self.ids(x, [den])[0]
+    def codes(self, mats) -> np.ndarray:
+        x, den = zip(*(pack([g]) for g in mats))
+        return np.array(self.ids(np.concatenate(x), list(den)))
 
-    def products(self, frontier, gkeys) -> list[int]:
+    @staticmethod
+    def keys(codes) -> list[int]:
+        return codes.tolist()
+
+    def products(self, frontier, gcodes) -> np.ndarray:
         ids = self.ids
         if self._actions is None:
-            a, bounds = right_actions(np.stack([ids.x[g] for g in gkeys]), self.n)
-            self._actions = (a, max(bounds), [ids.den[g] for g in gkeys])
+            a, bounds = right_actions(np.stack([ids.x[g] for g in gcodes]), self.n)
+            self._actions = (a, max(bounds), [ids.den[g] for g in gcodes])
         a, bound, gdens = self._actions
+        frontier = frontier.tolist()
         f = np.stack([ids.x[h] for h in frontier])
         rows = f.reshape(len(f), 1, f.shape[1], -1)
         p = _matmul(rows, a, bound).reshape(-1, *f.shape[1:])
-        return ids(p, [ids.den[h] * den for h in frontier for den in gdens])
+        return np.array(ids(p, [ids.den[h] * den for h in frontier for den in gdens]))
 
-    def elements(self, keys) -> tuple:
-        ids = self.ids
-        return tuple(unpack(self.n, ids.x[k][None], ids.den[k])[0] for k in keys)
+    def elements(self, codes) -> tuple:
+        """The matrices, with one Cyclotomic per distinct entry."""
+        ids, entries, out = self.ids, {}, []
+        for k in codes.tolist():
+            den, rows = ids.den[k], []
+            for row in ids.x[k].tolist():
+                cells = []
+                for coeffs in row:
+                    key = (den, *coeffs)
+                    e = entries.get(key)
+                    if e is None:
+                        e = entries[key] = Cyclotomic(self.n, coeffs, den)
+                    cells.append(e)
+                rows.append(cells)
+            out.append(Matrix(self.n, rows))
+        return tuple(out)
 
 
-class _LazyTable(dict):
-    """A dict that fills a missing (a, b) entry with fill(a, b)."""
+def _operator_identity(gens) -> LocalOperator:
+    """The identity for a closure of product operators, after checking that
+    the generators are all LocalOperators of one dims and conductor."""
+    first = gens[0]
+    for g in gens:
+        if not isinstance(g, LocalOperator):
+            raise GeneratorTypeError(f"cannot close {type(g).__name__} with product operators")
+        if g.dims != first.dims or g.n != first.n:
+            raise DimensionMismatch("operator product shape/conductor mismatch")
+    return LocalOperator.identity(first.dims, first.n)
 
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
 
-    def __missing__(self, ab):
-        value = self[ab] = self.fill(*ab)
-        return value
+def _grown(table, rows: int, cols: int):
+    """table, an array padded with -1, with at least rows x cols entries in
+    its first two axes; a side that is too short at least doubles."""
+    r, c = table.shape[:2]
+    if rows <= r and cols <= c:
+        return table
+    shape = (r if rows <= r else max(rows, 2 * r), c if cols <= c else max(cols, 2 * c))
+    out = np.full((*shape, *table.shape[2:]), -1, table.dtype)
+    out[:r, :c] = table
+    return out
+
+
+_LOW = (1 << 32) - 1
 
 
 class _ProductTable:
-    """Small-integer keys for the product operators of one closure.
+    """Small-integer codes for the product operators of one conductor,
+    shared by every closure at it (see _product_table).
 
-    A key is (scalar id, factor id per site); scalars and canonical factors
-    get ids as they first appear, so equal operators have equal keys.  The
-    product of two keys is read from two tables: factor ids (a, b) -> (lead
-    scalar id, id of the canonical factor of a*b), and scalar ids (a, b) ->
-    id of a*b.  Both groups of the paper use at most 216 factors per site
-    and 42 scalars, so nearly every product is a lookup.
+    A code is the int32 row (scalar id, factor id per site), and its key is
+    the row's bytes; scalars and canonical factors get ids as they first
+    appear, so equal operators have equal keys.  A level's products are
+    read from two tables:
 
-    The factor pairs a level lacks at a site are multiplied in one batch by
-    the packed kernel of linalg, each over the product of its two denominators,
-    and made canonical by the exact inverse of the leading entry.  Factors
-    are interned on their packed numerators in lowest terms, so a Matrix is
-    built only for a factor not seen before."""
+    * factor id x generator-factor column -> (lead scalar id, id of the
+      canonical factor of the product), an int32 array gathered with numpy;
+      each generator factor gets a column when first used;
+    * scalar ids (a, b) -> id of a*b, a dict keyed by one int per pair, so
+      it holds only the pairs formed: a thin closure such as diag(2, 1, 1)
+      makes a new scalar at every level.
 
-    def __init__(self, gens):
-        first = gens[0]
-        for g in gens:
-            if not isinstance(g, LocalOperator):
-                raise GeneratorTypeError(
-                    f"cannot close {type(g).__name__} with product operators")
-            if g.dims != first.dims or g.n != first.n:
-                raise DimensionMismatch("operator product shape/conductor mismatch")
-        self.n = first.n
-        self.identity = LocalOperator.identity(first.dims, first.n)
+    Both groups of the paper use at most 216 factors per site and 42
+    scalars, so nearly every product is a lookup, and the second of them to
+    be closed finds most of its factor products filled.  The factor pairs a
+    level lacks at a site are multiplied in one batch by the packed kernel
+    of linalg, each over the product of its two denominators, and made
+    canonical by the exact inverse of the leading entry.  Factors are
+    interned on their packed numerators in lowest terms; a right action is
+    built only for a generator factor, and a Matrix only for a factor of an
+    element that is built."""
+
+    def __init__(self, n: int):
+        self.n = n
         self.scalars, self._scalar_ids = [], {}
-        self.factors, self._factor_packs = [], _PackedIds()
-        self._packed = []  # per factor id: (packed rows, den, right action, its bound)
-        self._scalar_mul = _LazyTable(self._mul_scalars)
-        self._factor_mul = {}
+        self.factors = _PackedIds()  # factor id -> packed numerators, den
+        self._matrices = {}  # factor id -> Matrix, built when an element needs it
         self._inverses = {}
+        self._columns = {}  # generator factor id -> its column of _factor_mul
+        self._actions = []  # per column: (right action of its factor, bound)
+        self._factor_mul = np.full((0, 0, 2), -1, dtype=np.int32)  # -1: not formed yet
+        self._scalar_mul = {}  # (a << 32) | b -> id of scalars[a] * scalars[b]
 
     def _scalar_id(self, c: Cyclotomic) -> int:
         i = self._scalar_ids.get(c)
@@ -286,23 +340,6 @@ class _ProductTable:
             i = self._scalar_ids[c] = len(self.scalars)
             self.scalars.append(c)
         return i
-
-    def _mul_scalars(self, a: int, b: int) -> int:
-        return self._scalar_id(self.scalars[a] * self.scalars[b])
-
-    def _factor_id_list(self, x, dens) -> list[int]:
-        """Ids of the square matrices with numerators x, shape (k, d, d, deg),
-        over dens; the matrices not seen before get new ids."""
-        packed = self._factor_packs
-        start = len(packed.x)
-        ids = packed(x, dens)
-        if len(packed.x) > start:
-            y = np.stack(packed.x[start:])
-            acts, bounds = right_actions(y, self.n)
-            for row, den, a, bound in zip(y, packed.den[start:], acts, bounds):
-                self.factors.append(unpack(self.n, row[None], den)[0])
-                self._packed.append((row.reshape(len(row), -1), den, a, bound))
-        return ids
 
     def _inverse_action(self, lead: Cyclotomic):
         """(S, bound, den): x @ S / den is x times the inverse of lead."""
@@ -315,55 +352,95 @@ class _ProductTable:
 
     def _fill_factors(self, pairs) -> None:
         """Enter the canonical products of the factor pairs (a, b), all of
-        one shape, in the factor table."""
-        left = [self._packed[a] for a, _ in pairs]
-        right = [self._packed[b] for _, b in pairs]
-        p = _matmul(np.stack([a[0] for a in left]), np.stack([b[2] for b in right]),
-                    max(b[3] for b in right))
+        one shape, in the factor table; b has a column."""
+        x, dens = self.factors.x, self.factors.den
+        right = [self._actions[self._columns[b]] for _, b in pairs]
+        left = np.stack([x[a] for a, _ in pairs])
+        p = _matmul(left.reshape(*left.shape[:2], -1), np.stack([r[0] for r in right]),
+                    max(r[1] for r in right))
         d = p.shape[1]
         p = p.reshape(len(pairs), d * d, -1)
-        dens = [a[1] * b[1] for a, b in zip(left, right)]
+        dens = [dens[a] * dens[b] for a, b in pairs]
         # factors of invertible generators: every product has a nonzero entry
         first = np.abs(p).max(axis=2).astype(bool).argmax(axis=1).tolist()
         leads = [Cyclotomic(self.n, p[k, j].tolist(), den)
                  for k, (j, den) in enumerate(zip(first, dens))]
         invs = [self._inverse_action(c) for c in leads]
         q = _matmul(p, np.stack([s[0] for s in invs]), max(s[1] for s in invs))
-        ids = self._factor_id_list(q.reshape(len(pairs), d, d, -1),
-                                   [den * s[2] for den, s in zip(dens, invs)])
-        for ab, c, i in zip(pairs, leads, ids):
-            self._factor_mul[ab] = (self._scalar_id(c), i)
+        ids = self.factors(q.reshape(len(pairs), d, d, -1),
+                           [den * s[2] for den, s in zip(dens, invs)])
+        for (a, b), c, i in zip(pairs, leads, ids):
+            self._factor_mul[a, self._columns[b]] = (self._scalar_id(c), i)
 
-    def key(self, g: LocalOperator) -> tuple:
-        packs = [pack([f]) for f in g.factors]
-        factors = [self._factor_id_list(x, [den])[0] for x, den in packs]
-        return (self._scalar_id(g.scalar), *factors)
+    def _factor_products(self, a, b):
+        """(lead scalar ids, factor ids) of the products of factors a[i] and
+        b[j], each of shape (len(a), len(b))."""
+        cols = [self._column(f) for f in b.tolist()]
+        self._factor_mul = _grown(self._factor_mul, len(self.factors.x), len(self._columns))
+        e = self._factor_mul[a[:, None], cols]
+        missing = np.nonzero(e[..., 1] < 0)
+        if len(missing[0]):
+            self._fill_factors(list(dict.fromkeys(zip(a[missing[0]].tolist(),
+                                                      b[missing[1]].tolist()))))
+            e = self._factor_mul[a[:, None], cols]
+        return e[..., 0], e[..., 1]
 
-    def elements(self, keys) -> tuple:
-        return tuple(LocalOperator(self.n, self.scalars[k[0]],
-                                   [self.factors[i] for i in k[1:]], _canonical=True)
-                     for k in keys)
+    def _column(self, f: int) -> int:
+        """The column of _factor_mul for right factor f, made on first use
+        with the right action of f."""
+        c = self._columns.get(f)
+        if c is None:
+            a, bounds = right_actions(self.factors.x[f][None], self.n)
+            self._actions.append((a[0], bounds[0]))
+            c = self._columns[f] = len(self._columns)
+        return c
 
-    def products(self, frontier, gkeys) -> list[tuple]:
-        table = self._factor_mul
-        for site in range(1, len(gkeys[0])):
-            hs = dict.fromkeys(h[site] for h in frontier)
-            gs = dict.fromkeys(g[site] for g in gkeys)
-            missing = [(a, b) for a in hs for b in gs if (a, b) not in table]
-            if missing:
-                self._fill_factors(missing)
-        scalar_mul = self._scalar_mul
-        out = []
-        for x in frontier:
-            for y in gkeys:
-                s = scalar_mul[x[0], y[0]]
-                factors = []
-                for ab in zip(x[1:], y[1:]):
-                    lead, f = table[ab]
-                    s = scalar_mul[s, lead]
-                    factors.append(f)
-                out.append((s, *factors))
-        return out
+    def _scalar_products(self, a, b):
+        """Ids of scalars[a] * scalars[b], for int arrays that broadcast."""
+        pairs = (a.astype(np.int64) << 32) | b
+        flat, table, scalars = pairs.ravel().tolist(), self._scalar_mul, self.scalars
+        for ab in sorted(set(flat).difference(table)):
+            table[ab] = self._scalar_id(scalars[ab >> 32] * scalars[ab & _LOW])
+        return np.array(list(map(table.__getitem__, flat)), dtype=np.int32).reshape(pairs.shape)
+
+    def codes(self, ops) -> np.ndarray:
+        rows = []
+        for g in ops:
+            packs = [pack([f]) for f in g.factors]  # one each: the sites may differ in shape
+            rows.append([self._scalar_id(g.scalar),
+                         *(self.factors(x, [den])[0] for x, den in packs)])
+        return np.array(rows, dtype=np.int32)
+
+    @staticmethod
+    def keys(codes) -> list[bytes]:
+        codes = np.ascontiguousarray(codes)
+        return codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel().tolist()
+
+    def products(self, frontier, gcodes) -> np.ndarray:
+        """The codes of h * g, for h in the frontier and g in the generators,
+        in (h, g) order."""
+        out = np.empty((len(frontier), *gcodes.shape), dtype=np.int32)
+        s = self._scalar_products(frontier[:, :1], gcodes[:, 0])
+        for site in range(1, gcodes.shape[1]):
+            lead, out[..., site] = self._factor_products(frontier[:, site], gcodes[:, site])
+            s = self._scalar_products(s, lead)
+        out[..., 0] = s
+        return out.reshape(-1, gcodes.shape[1])
+
+    def elements(self, codes) -> tuple:
+        n, scalars, factors = self.n, self.scalars, self._matrices
+        for i in set(codes[:, 1:].ravel().tolist()).difference(factors):
+            factors[i] = unpack(n, self.factors.x[i][None], self.factors.den[i])[0]
+        return tuple(LocalOperator._from_canonical(n, scalars[k[0]],
+                                                   tuple(factors[i] for i in k[1:]))
+                     for k in codes.tolist())
+
+
+@cache
+def _product_table(n: int) -> _ProductTable:
+    """The product-operator table of conductor n: built once per process,
+    so its closures share their scalars, factors and factor products."""
+    return _ProductTable(n)
 
 
 # -- homomorphisms ------------------------------------------------------------

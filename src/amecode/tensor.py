@@ -173,6 +173,18 @@ class LocalOperator:
         raise AttributeError("LocalOperator is immutable")
 
     @classmethod
+    def _from_canonical(cls, n: int, scalar: Cyclotomic, factors: tuple) -> LocalOperator:
+        """The operator with a Cyclotomic scalar and a tuple of canonical
+        Matrix factors, all of conductor n, taken as given: for factors
+        already interned and canonical, so nothing is checked again."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "n", n)
+        object.__setattr__(op, "scalar", scalar)
+        object.__setattr__(op, "factors", factors)
+        object.__setattr__(op, "_hash", None)
+        return op
+
+    @classmethod
     def identity(cls, dims, n: int) -> LocalOperator:
         return cls(n, 1, [Matrix.identity(d, n) for d in dims], _canonical=True)
 

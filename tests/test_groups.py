@@ -1,7 +1,14 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from amecode import catalog, groups, suites
@@ -99,6 +106,59 @@ def test_closure_matches_reference(build):
     g = build()
     # capped at the order, the reference also fails if it finds more elements
     assert g.elements == _reference_closure(g.generators, g.order)
+
+
+def _digest(elements) -> str:
+    """sha256 of the elements in order, each written out as the exact
+    integers of its canonical form: equal digests mean equal tuples."""
+    h = hashlib.sha256()
+    for e in elements:
+        cells = [e.scalar] + [c for f in e.factors for row in f.rows for c in row]
+        h.update(repr([(c.den, c.coeffs) for c in cells]).encode())
+    return h.hexdigest()
+
+
+def _capped_user_closure():
+    """A user closure at conductor 12 that interns factors and scalars of
+    the paper's groups, and more, before it exceeds its cap."""
+    diag = Matrix(N, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    grow = LocalOperator(N, 1, [diag, catalog.pauli_z(3, N), Matrix.identity(3, N)])
+    with pytest.raises(ClosureCapExceeded):
+        closure([catalog.xxx(3, 3, N), grow], cap=200)
+
+
+BUILD_IN_ORDER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import test_groups as t
+from amecode import groups
+built = {"capped": t._capped_user_closure, "5832": groups.normalizer_group_332,
+         "1944": groups.local_symmetry_group}
+print(json.dumps({name: [g.table.tolist(), t._digest(g.elements)] for name in sys.argv[2:]
+                  if (g := built[name]()) is not None}))
+"""
+
+
+@pytest.mark.parametrize("order", [("5832", "1944"), ("1944", "5832"),
+                                   ("capped", "5832", "1944")],
+                         ids=["5832-first", "1944-first", "after-capped-user-closure"])
+def test_shared_operator_table_is_order_independent(order, local_sym):
+    """Product-operator closures share one table per conductor, so the ids
+    a fresh process gives depend on what it closed first; the groups must
+    not."""
+    here = Path(__file__).resolve().parent
+    src = str(here.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BUILD_IN_ORDER, str(here), *order],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    built = json.loads(proc.stdout)
+    assert built.keys() == {"5832", "1944"}
+    for name, group in (("5832", normalizer_group_332()), ("1944", local_sym)):
+        table, elements = built[name]
+        assert np.array_equal(np.array(table), group.table)
+        assert elements == _digest(group.elements)
 
 
 def test_dense_closure_grows_and_widens():
