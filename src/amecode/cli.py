@@ -29,9 +29,15 @@ from fractions import Fraction
 from functools import cache
 
 from . import serialize
-from .groups import ClosureCapExceeded
+from .correspondence import roundtrip
+from .groups import ClosureCapExceeded, closure
+from .invariants import CartanPoint, eval_invariants
+from .kempfness import FloatState, is_critical, norm_minimization_flow
+from .linalg import Matrix
+from .qecc import CodeSubspace, kl_check
 from .suites import (CONDUCTOR, SUITES, check_coset_representatives, check_local_symmetry,
                      check_weyl_order, run_suite)
+from .tensor import LocalOperator, PureState
 
 
 def _emit(payload: dict, args) -> None:
@@ -103,16 +109,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_correspond(args) -> int:
-    from .correspondence import roundtrip
-    from .qecc import CodeSubspace
-    from .tensor import PureState
     rep = roundtrip(_ingest_as(args.file, (PureState, CodeSubspace), "a state or a code"))
     _emit(asdict(rep), args)
     return 0 if rep.roundtrip_exact else 1
 
 
 def cmd_code(args) -> int:
-    from .qecc import CodeSubspace, kl_check
     code = _ingest_as(args.code, CodeSubspace, "a code")
     rep = kl_check(code, args.distance)
     _emit(rep.to_dict(code), args)
@@ -120,10 +122,6 @@ def cmd_code(args) -> int:
 
 
 def cmd_group(args) -> int:
-    from .groups import closure
-    from .linalg import Matrix
-    from .tensor import LocalOperator
-
     if args.group_cmd == "close":
         gens = _ingest_as(args.gens, (Matrix, LocalOperator, list),
                           "matrices or product operators")
@@ -149,8 +147,6 @@ def _rational(text: str) -> Fraction:
 
 
 def cmd_invariants(args) -> int:
-    from .invariants import CartanPoint, eval_invariants
-
     parts = args.point.split(",")
     if len(parts) != 3:
         raise ValueError("--point needs three comma-separated rationals a,b,c")
@@ -165,9 +161,6 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_kempfness(args) -> int:
-    from .kempfness import FloatState, is_critical, norm_minimization_flow
-    from .tensor import PureState
-
     state = FloatState.from_exact(_ingest_as(args.file, PureState, "a state"))
     if args.kn_cmd == "critical":
         rep = is_critical(state, tol=args.tol)

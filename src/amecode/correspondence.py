@@ -54,7 +54,7 @@ def reduce_state(v: PureState) -> CodeSubspace:
         except ValueError:
             raise ValueError("reduction is rank-deficient: state is not "
                              "1-uniform at site 1") from None
-    if any((d0 := v.dims[1]) != dd for dd in v.dims[1:]):
+    if any(v.dims[1] != dd for dd in v.dims[1:]):
         raise ValueError("mixed local dimensions")
     return CodeSubspace(len(v.dims) - 1, v.dims[1], cols)
 
@@ -73,31 +73,20 @@ def roundtrip(obj) -> CorrespondenceReport:
     for state -> code -> state."""
     if isinstance(obj, CodeSubspace):
         state = purify_code(obj)
-        back = reduce_state(state)
-        half = state.sites // 2
-        ame = (state.sites % 2 == 0
-               and r_uniform_check(state, half).uniform)
-        kl = kl_check(back, half).is_pure if state.sites % 2 == 0 else False
-        return CorrespondenceReport(
-            direction="code->state->code",
-            input_description=_describe_code(obj),
-            output_description=_describe_state(state),
-            ame_verified=ame,
-            kl_verified=kl,
-            roundtrip_exact=obj.span_equal(back),
-        )
-    if isinstance(obj, PureState):
-        code = reduce_state(obj)
-        back = purify_code(code)
-        half = obj.sites // 2
-        ame = obj.sites % 2 == 0 and r_uniform_check(obj, half).uniform
-        kl = kl_check(code, half).is_pure if obj.sites % 2 == 0 else False
-        return CorrespondenceReport(
-            direction="state->code->state",
-            input_description=_describe_state(obj),
-            output_description=_describe_code(code),
-            ame_verified=ame,
-            kl_verified=kl,
-            roundtrip_exact=back == obj,
-        )
-    raise TypeError(f"cannot round-trip {type(obj).__name__}")
+        code = reduce_state(state)
+        direction, exact = "code->state->code", obj.span_equal(code)
+        descriptions = (_describe_code(obj), _describe_state(state))
+    elif isinstance(obj, PureState):
+        state, code = obj, reduce_state(obj)
+        direction, exact = "state->code->state", purify_code(code) == obj
+        descriptions = (_describe_state(state), _describe_code(code))
+    else:
+        raise TypeError(f"cannot round-trip {type(obj).__name__}")
+    half = state.sites // 2
+    even = state.sites % 2 == 0
+    return CorrespondenceReport(
+        direction, *descriptions,
+        ame_verified=even and r_uniform_check(state, half).uniform,
+        kl_verified=even and kl_check(code, half).is_pure,
+        roundtrip_exact=exact,
+    )

@@ -376,7 +376,10 @@ class Cyclotomic:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.n, self.den, self.coeffs))
+            # Python hashes an int modulo 2**61 - 1, so 2**k and 2**(k + 61)
+            # would collide; their bit lengths tell them apart
+            h = hash((self.n, self.den, self.coeffs,
+                      *map(int.bit_length, (self.den, *self.coeffs))))
             object.__setattr__(self, "_hash", h)
         return h
 

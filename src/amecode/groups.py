@@ -7,14 +7,16 @@ operators: the normalizer maps onto it 3-to-1 (see local_symmetry_group).
 Closure is breadth-first over small-integer codes, so element sets are
 exact and enumeration order is deterministic.  Dense gates are kept as
 packed integer numerators, each over its own denominator in lowest terms,
-and each search level is one integer matmul (linalg's packed kernel).  A
-product operator is an int32 row (scalar id, canonical-factor id per site),
-keyed by the row's bytes, and a level's products are numpy gathers from an
-int array of factor products and lookups of its distinct scalar pairs;
-missing factor products are formed by the packed kernel in one batch per
-level and site.  The ids and both tables belong to the conductor, not the
-closure, so the closures of one process share them; the groups do not
-depend on the order they are built in.
+each search level is one integer matmul (linalg's packed kernel), and
+linalg.unpack builds the elements.  A product operator is an int32 row
+(scalar id, canonical-factor id per site), keyed by the row's bytes, and a
+level's products are numpy gathers from an int array of factor products
+and lookups of its distinct scalar pairs; missing factor products are
+formed by the packed kernel in one batch per level and site, and divided
+by their leading entry through tensor's packed scalar action.  The ids and
+both tables belong to the conductor, not the closure, so the closures of
+one process share them; the groups do not depend on the order they are
+built in.
 
 Every closure keeps its Cayley table, the index of each product h * g_i it
 forms, and `homomorphism` checks a map given on the generators on every
@@ -35,9 +37,11 @@ from math import gcd, lcm
 
 import numpy as np
 
+from . import catalog
 from .cyclo import Cyclotomic, root_of_unity
 from .linalg import Matrix, _compact, _matmul, pack, right_actions, unpack
-from .tensor import DimensionMismatch, LocalOperator, _restriction, fixed_by, in_span
+from .tensor import (DimensionMismatch, LocalOperator, _restriction, _scalar_action, fixed_by,
+                     in_span)
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -253,21 +257,8 @@ class _DenseTable:
         return np.array(ids(p, [ids.den[h] * den for h in frontier for den in gdens]))
 
     def elements(self, codes) -> tuple:
-        """The matrices, with one Cyclotomic per distinct entry."""
-        ids, entries, out = self.ids, {}, []
-        for k in codes.tolist():
-            den, rows = ids.den[k], []
-            for row in ids.x[k].tolist():
-                cells = []
-                for coeffs in row:
-                    key = (den, *coeffs)
-                    e = entries.get(key)
-                    if e is None:
-                        e = entries[key] = Cyclotomic(self.n, coeffs, den)
-                    cells.append(e)
-                rows.append(cells)
-            out.append(Matrix(self.n, rows))
-        return tuple(out)
+        codes, ids = codes.tolist(), self.ids
+        return tuple(unpack(self.n, [ids.x[k] for k in codes], [ids.den[k] for k in codes]))
 
 
 def _operator_identity(gens) -> LocalOperator:
@@ -342,12 +333,10 @@ class _ProductTable:
         return i
 
     def _inverse_action(self, lead: Cyclotomic):
-        """(S, bound, den): x @ S / den is x times the inverse of lead."""
+        """tensor._scalar_action of 1 / lead, inverting lead once."""
         act = self._inverses.get(lead)
         if act is None:
-            x, den = pack([Matrix(self.n, [[lead.inv()]])])
-            s, bounds = right_actions(x, self.n)
-            act = self._inverses[lead] = (s[0], bounds[0], den)
+            act = self._inverses[lead] = _scalar_action(lead.inv())
         return act
 
     def _fill_factors(self, pairs) -> None:
@@ -365,10 +354,10 @@ class _ProductTable:
         first = np.abs(p).max(axis=2).astype(bool).argmax(axis=1).tolist()
         leads = [Cyclotomic(self.n, p[k, j].tolist(), den)
                  for k, (j, den) in enumerate(zip(first, dens))]
-        invs = [self._inverse_action(c) for c in leads]
-        q = _matmul(p, np.stack([s[0] for s in invs]), max(s[1] for s in invs))
+        acts, inv_dens, bounds, _ = zip(*map(self._inverse_action, leads))
+        q = _matmul(p, np.stack(acts), max(bounds))
         ids = self.factors(q.reshape(len(pairs), d, d, -1),
-                           [den * s[2] for den, s in zip(dens, invs)])
+                           [den * e for den, e in zip(dens, inv_dens)])
         for (a, b), c, i in zip(pairs, leads, ids):
             self._factor_mul[a, self._columns[b]] = (self._scalar_id(c), i)
 
@@ -429,8 +418,9 @@ class _ProductTable:
 
     def elements(self, codes) -> tuple:
         n, scalars, factors = self.n, self.scalars, self._matrices
-        for i in set(codes[:, 1:].ravel().tolist()).difference(factors):
-            factors[i] = unpack(n, self.factors.x[i][None], self.factors.den[i])[0]
+        new = list(set(codes[:, 1:].ravel().tolist()).difference(factors))
+        factors.update(zip(new, unpack(n, [self.factors.x[i] for i in new],
+                                       [self.factors.den[i] for i in new])))
         return tuple(LocalOperator._from_canonical(n, scalars[k[0]],
                                                    tuple(factors[i] for i in k[1:]))
                      for k in codes.tolist())
@@ -543,7 +533,6 @@ def weyl_generators(n: int = 12) -> tuple[Matrix, Matrix, Matrix]:
 
 @cache
 def _weyl_generators(n: int) -> tuple[Matrix, Matrix, Matrix]:
-    from . import catalog
     return tuple(reflection(v, 3, n) for v in catalog.reflection_vectors(n))
 
 
@@ -586,7 +575,6 @@ def verify_coset_representatives(n: int = 12) -> CosetReport:
     generator exactly, and that each admits an exact per-site factorization
     into special-unitary matrices, materialized at lcm(n, 36), the smallest
     conductor holding both the representatives and zeta_36."""
-    from . import catalog
     code = catalog.code_332(n)
     targets = weyl_generators(n)
     reps = catalog.coset_representatives(n)
@@ -618,7 +606,6 @@ def transversal_group(n: int = 12) -> MatrixGroup:
     """Closure of the restrictions to the ((3,3,2))_3 code of the two
     stabilizer generators and the three coset representatives; equals the
     reflection group."""
-    from . import catalog
     code = catalog.code_332(n)
     lifts = [catalog.xxx(3, 3, n), catalog.zzz(3, 3, n), *catalog.coset_representatives(n)]
     images = []
@@ -643,7 +630,6 @@ def local_symmetry_group(n: int = 12) -> MatrixGroup:
     scalars {I, wI, w^2I} of the normalizer pair with their conjugated code
     restrictions to give the identity operator on four sites.
     """
-    from . import catalog
     phi = catalog.ame_state(n, normalized=False)
     gens = catalog.local_symmetry_generators(n)
     for i, fixed in enumerate(fixed_by(gens, phi)):
@@ -662,7 +648,6 @@ def normalizer_group_332(n: int = 12) -> MatrixGroup:
 
 @cache
 def _normalizer_group_332(n: int) -> MatrixGroup:
-    from . import catalog
     gens = [catalog.xxx(3, 3, n), catalog.zzz(3, 3, n),
             *catalog.coset_representatives(n)]
     return closure(gens, cap=58320)
@@ -687,7 +672,6 @@ def local_symmetry_report(n: int = 12) -> LocalSymmetryReport:
     a homomorphism from the normalizer on every edge of its table.  Its
     image, fibres and kernel are read off exactly; the kernel is compared
     with the central scalars w^k * I as a set."""
-    from . import catalog
     phi = catalog.ame_state(n, normalized=False)
     code = catalog.code_332(n)
     group = local_symmetry_group(n)
@@ -745,7 +729,6 @@ def centralizer_containment_check(n: int = 12) -> CentralizerReport:
     restriction mu, checked as a homomorphism from the normalizer onto the
     reflection group on every edge of the normalizer's table; so no other
     normalizer element acts trivially on the code."""
-    from . import catalog
     x3, z3 = catalog.xxx(3, 3, n), catalog.zzz(3, 3, n)
     group = closure([x3, z3], cap=90)
     basis = catalog.code_basis(n)

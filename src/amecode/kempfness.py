@@ -361,8 +361,7 @@ class InequalityReport:
 
 
 def kempf_ness_inequality_test(state: FloatState, samples: int = 1000,
-                               seed: int = 0, scale: float = 1.0,
-                               require_critical: bool = True,
+                               seed: int = 0, require_critical: bool = True,
                                slack: float = 1e-9) -> InequalityReport:
     """Sample random determinant-1 products g and compare <v|g^dag g|v>
     against <v|v>.  For critical v every ratio must be >= 1 - slack; passing
@@ -372,7 +371,7 @@ def kempf_ness_inequality_test(state: FloatState, samples: int = 1000,
         raise ValueError("state is not critical; pass require_critical=False to probe")
     rng = np.random.default_rng(seed)
     base = state.norm_sq()
-    gs = random_group_elements(state.dims, rng, samples, scale)
+    gs = random_group_elements(state.dims, rng, samples)
     ratios = [n / base for n in _row_norms_sq(_apply_stack(gs, state.tensor()[None]))]
     witness = next((r for r in ratios if r < 1 - slack), None)
     return InequalityReport(samples, float(min(ratios, default=np.inf)),
@@ -392,8 +391,7 @@ def log_norm_gradient(state: FloatState):
     return [2.0 * e[0].real for e in _expectations(_reductions(state.tensor()[None]))]
 
 
-def gradient_check(seed: int = 0, pairs: int = 20, h: float = 1e-5,
-                   dims=(3, 3, 3)) -> GradientReport:
+def gradient_check(seed: int = 0, pairs: int = 20, dims=(3, 3, 3)) -> GradientReport:
     """Compare the analytic gradient of log <v|g^dag g|v> against central
     finite differences at random (state, group element) pairs.
 
@@ -401,6 +399,7 @@ def gradient_check(seed: int = 0, pairs: int = 20, h: float = 1e-5,
     Anti-Hermitian directions generate unitaries, so their derivatives must
     vanish; the maximum such derivative is reported as well.
     """
+    h = 1e-5  # the finite-difference step
     # steps[d] holds exp(hL_a), exp(-hL_a), exp(ihL_a) in rows 3a, 3a+1, 3a+2;
     # they do not depend on the pair
     steps = {}

@@ -293,10 +293,23 @@ def pack(mats):
     return _compact(x).reshape((len(mats), *mats[0].shape, -1)), den
 
 
-def unpack(n: int, x, den: int) -> list[Matrix]:
-    """The matrices whose numerators over den are x, shape (k, rows, cols, deg)."""
-    return [Matrix(n, [[Cyclotomic(n, c, den) for c in row] for row in m])
-            for m in x.tolist()]
+def unpack(n: int, x, dens) -> list[Matrix]:
+    """The matrices whose numerators are x, arrays of shape (rows, cols, deg),
+    the i-th over dens[i]; entries with equal (den, numerators) are one object."""
+    entries, out = {}, []
+    for m, den in zip(x, dens):
+        rows = []
+        for row in m.tolist():
+            cells = []
+            for coeffs in row:
+                key = (den, *coeffs)
+                e = entries.get(key)
+                if e is None:
+                    e = entries[key] = Cyclotomic(n, coeffs, den)
+                cells.append(e)
+            rows.append(cells)
+        out.append(Matrix(n, rows))
+    return out
 
 
 def right_actions(y, n: int):

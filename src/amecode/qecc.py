@@ -30,7 +30,9 @@ from math import lcm, prod
 
 import numpy as np
 
-from .cyclo import Cyclotomic
+from . import catalog
+from .cyclo import Cyclotomic, default_conductor
+from .groups import closure
 from .linalg import Matrix, _matmul
 from .tensor import (LocalOperator, PureState, _canon_factor, _check_operands, _dense_packed,
                      _density, _local_elements, _reduction, _unpack, gram, in_span,
@@ -124,7 +126,6 @@ def pauli_error_basis(n: int, d: int, max_weight: int,
     d^2 single-site X^a Z^b form an operator basis for every d >= 2, prime
     or not.  Built once per (n, d, max_weight, conductor) in a process; the
     tuple is shared by every caller."""
-    from .cyclo import default_conductor
     if d < 2:
         raise ValueError(f"local dimension {d} must be at least 2")
     if not 0 <= max_weight <= n:
@@ -135,7 +136,6 @@ def pauli_error_basis(n: int, d: int, max_weight: int,
 @cache
 def _pauli_error_basis(n: int, d: int, max_weight: int,
                        nn: int) -> tuple[ErrorBasisElement, ...]:
-    from . import catalog
     # each of the d^2 factors is made canonical once: (lead, canonical factor)
     single = {(a, b): _canon_factor(catalog.pauli_power(d, nn, a, b))
               for a in range(d) for b in range(d)}
@@ -302,7 +302,6 @@ def stabilizer_subspace(generators, claimed_d: int | None = None) -> CodeSubspac
     """Orthonormal exact basis of the simultaneous fixed space of the group
     generated by unitary Pauli-group elements, via the group-average
     projector."""
-    from .groups import closure
     gens = list(generators)
     dims = gens[0].dims
     nn = gens[0].n

@@ -616,7 +616,7 @@ def _reduction(states, keep_pos):
 
 def _density(n: int, kdims, g, den: int) -> DensityOperator:
     """The DensityOperator on kdims with entries g / den."""
-    return DensityOperator(kdims, unpack(n, g[None], den)[0])
+    return DensityOperator(kdims, unpack(n, [g], [den])[0])
 
 
 def orthonormalize(states, drop_dependent: bool = False) -> list[PureState]:

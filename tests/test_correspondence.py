@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -54,25 +55,41 @@ def test_reduce_rank_deficient():
 
 
 def test_roundtrip_code(code332):
-    rep = roundtrip(code332)
-    assert rep.direction == "code->state->code"
-    assert rep.roundtrip_exact and rep.ame_verified and rep.kl_verified
+    assert asdict(roundtrip(code332)) == {
+        "direction": "code->state->code", "input_description": "code n=3 D=3 K=3",
+        "output_description": "state dims=(3, 3, 3, 3)",
+        "ame_verified": True, "kl_verified": True, "roundtrip_exact": True}
 
 
 def test_roundtrip_state(phi_unit):
-    rep = roundtrip(phi_unit)
-    assert rep.direction == "state->code->state"
-    assert rep.roundtrip_exact and rep.ame_verified and rep.kl_verified
+    assert asdict(roundtrip(phi_unit)) == {
+        "direction": "state->code->state", "input_description": "state dims=(3, 3, 3, 3)",
+        "output_description": "code n=3 D=3 K=3",
+        "ame_verified": True, "kl_verified": True, "roundtrip_exact": True}
+
+
+def test_roundtrip_bell_span():
+    code = CodeSubspace(1, 2, [catalog.ket("0", 2, N2), catalog.ket("1", 2, N2)])
+    assert asdict(roundtrip(code)) == {
+        "direction": "code->state->code", "input_description": "code n=1 D=2 K=2",
+        "output_description": "state dims=(2, 2)",
+        "ame_verified": True, "kl_verified": True, "roundtrip_exact": True}
 
 
 def test_roundtrip_ghz_reported_honestly():
     # span{|00>,|11>} purifies to the 3-qubit GHZ state: the span round-trips
     # exactly, but no distance-2 code appears and the state is not AME
     code = CodeSubspace(2, 2, [catalog.ket("00", 2, N2), catalog.ket("11", 2, N2)])
-    rep = roundtrip(code)
-    assert rep.roundtrip_exact
-    assert not rep.ame_verified
-    assert not rep.kl_verified
+    assert asdict(roundtrip(code)) == {
+        "direction": "code->state->code", "input_description": "code n=2 D=2 K=2",
+        "output_description": "state dims=(2, 2, 2)",
+        "ame_verified": False, "kl_verified": False, "roundtrip_exact": True}
+
+
+def test_roundtrip_needs_k_equal_d():
+    # the ((4,4,2))_2 code has K = 4 > D = 2, so it has no purification
+    with pytest.raises(ValueError, match="need K = D = 2 basis states, got 4"):
+        roundtrip(catalog.code_442())
 
 
 def test_roundtrip_rejects_other_types():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,33 @@ def test_hash_consistency():
     a = root_of_unity(4, 12) * Fraction(2, 6)
     b = root_of_unity(4, 12) / 3
     assert a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("base", [Fraction(2), Fraction(1, 2), Fraction(3)],
+                         ids=["2", "half", "3"])
+def test_hash_separates_large_powers(base):
+    # Python hashes an int modulo 2**61 - 1, under which 2**k repeats every
+    # 61 steps; interning scalars relies on these hashes being spread out
+    hashes = {hash(Cyclotomic.from_rational(12, base ** k)) for k in range(5000)}
+    assert len(hashes) >= 4990
+
+
+HASH_PROBE = """
+from fractions import Fraction
+from amecode.cyclo import Cyclotomic, root_of_unity
+print([hash(c) for c in (root_of_unity(4, 12) / 3, Cyclotomic.from_rational(12, 2 ** 200),
+                         Cyclotomic.from_rational(12, Fraction(1, 3 ** 90)))])
+"""
+
+
+def test_hash_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = {subprocess.run([sys.executable, "-c", HASH_PROBE], capture_output=True, text=True,
+                           check=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")}
+    assert len(outs) == 1 and outs.pop().startswith("[")
 
 
 def test_default_conductor():

@@ -1,0 +1,29 @@
+import ast
+from pathlib import Path
+
+import amecode
+
+# catalog imports qecc inside its builders because qecc imports catalog, and
+# kempfness builds its exact reference states on demand, so importing the
+# float module loads no exact one
+FUNCTION_LOCAL_IMPORTS = [
+    ("catalog", "code_332", ".qecc"),
+    ("catalog", "code_442", ".qecc"),
+    ("kempfness", "critical_state_pool", "."),
+    ("kempfness", "critical_state_pool", ".cyclo"),
+    ("kempfness", "critical_state_pool", ".tensor"),
+]
+
+
+def test_only_the_cycle_guards_import_inside_functions():
+    found = {}
+    for path in sorted(Path(amecode.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Import):
+                        found[node] = (path.stem, fn.name, node.names[0].name)
+                    elif isinstance(node, ast.ImportFrom):
+                        found[node] = (path.stem, fn.name,
+                                           "." * node.level + (node.module or ""))
+    assert sorted(found.values()) == FUNCTION_LOCAL_IMPORTS

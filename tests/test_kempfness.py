@@ -56,13 +56,13 @@ def _reference_apply(mats, state):
     return FloatState(state.dims, t.reshape(-1))
 
 
-def _reference_inequality(state, samples, seed, scale=1.0, slack=1e-9):
+def _reference_inequality(state, samples, seed, slack=1e-9):
     rng = np.random.default_rng(seed)
     base = state.norm_sq()
     min_ratio = np.inf
     witness = None
     for _ in range(samples):
-        g = _reference_group_element(state.dims, rng, scale)
+        g = _reference_group_element(state.dims, rng)
         ratio = _reference_apply(g, state).norm_sq() / base
         if ratio < min_ratio:
             min_ratio = ratio
@@ -355,8 +355,8 @@ def test_inequality_matches_reference_loop():
     mixed = FloatState.random((2, 3), np.random.default_rng(3))
     for seed in range(5):
         assert (kempf_ness_inequality_test(mixed, samples=100, seed=seed,
-                                           require_critical=False, scale=2.0)
-                == _reference_inequality(mixed, 100, seed, scale=2.0))
+                                           require_critical=False)
+                == _reference_inequality(mixed, 100, seed))
 
 
 def test_gradient_check_matches_reference_loop():

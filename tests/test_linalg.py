@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from amecode.cyclo import Cyclotomic, root_of_unity
-from amecode.linalg import Matrix
+from amecode.linalg import Matrix, pack, unpack
 
 
 def rand_matrix(n, size, rng):
@@ -94,3 +96,17 @@ def test_serialization():
     rng = random.Random(5)
     m = rand_matrix(12, 3, rng)
     assert Matrix.from_dict(12, m.to_dict()) == m
+
+
+def test_unpack_takes_one_denominator_per_matrix():
+    rng = random.Random(7)
+    a, b = rand_matrix(12, 3, rng), rand_matrix(12, 3, rng)
+    mats = [Matrix.identity(3, 12), a.scale(Fraction(1, 2)), b.scale(Fraction(1, 6)),
+            a.scale(Fraction(1, 2))]
+    packs = [pack([m]) for m in mats]
+    out = unpack(12, np.concatenate([x for x, _ in packs]), [den for _, den in packs])
+    assert out == [unpack(12, x, [den])[0] for x, den in packs] == mats
+    # equal (den, numerators) give one object: within a matrix, and across
+    # matrices 1 and 3, which are equal over one denominator
+    assert len({id(e) for row in out[0].rows for e in row}) == 2
+    assert all(e is f for r, s in zip(out[1].rows, out[3].rows) for e, f in zip(r, s))
