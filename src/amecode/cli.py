@@ -117,7 +117,13 @@ def cmd_correspond(args) -> int:
 def cmd_code(args) -> int:
     code = _ingest_as(args.code, CodeSubspace, "a code")
     rep = kl_check(code, args.distance)
-    _emit(rep.to_dict(code), args)
+    _emit({"parameters": {"n": code.n_sites, "K": code.dimension,
+                          "d": rep.distance, "D": code.local_dim},
+           "is_code": rep.is_code,
+           "is_pure": rep.is_pure,
+           "violations": [{"error_label": label, "i": i, "j": j,
+                           "value": serialize.scalar_to_dict(val)}
+                          for label, i, j, val in rep.violations]}, args)
     return 0 if rep.is_code else 1
 
 
@@ -153,7 +159,8 @@ def cmd_invariants(args) -> int:
     coords = [_rational(p) for p in parts]
     t = eval_invariants(CartanPoint.of(CONDUCTOR, *coords))
     _emit({"point": [str(c) for c in coords],
-           "i6": t.i6.to_dict(), "i9": t.i9.to_dict(), "i12": t.i12.to_dict(),
+           "i6": serialize.scalar_to_dict(t.i6), "i9": serialize.scalar_to_dict(t.i9),
+           "i12": serialize.scalar_to_dict(t.i12),
            "i6_float": str(t.i6.to_complex()),
            "i9_float": str(t.i9.to_complex()),
            "i12_float": str(t.i12.to_complex())}, args)

@@ -5,20 +5,19 @@ as an integer coefficient vector over one positive denominator, reduced
 modulo the N-th cyclotomic polynomial.  The representation is canonical:
 two elements are equal iff their conductors, denominators and coefficient
 vectors coincide, so equality and hashing are exact and arithmetic never
-leaves the field.
+leaves the field.  The JSON form of an element is written and read by
+`serialize` alone.
 """
 
 from __future__ import annotations
 
 import cmath
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 
 _FLOAT_SAFE_BITS = 1000  # integers below 2**1000 convert to float, with headroom for sums
-_RATIONAL = re.compile(r"(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?")
 
 
 class ConductorMismatch(ValueError):
@@ -330,38 +329,6 @@ class Cyclotomic:
                     if pt:
                         res[t] += cj * pt
         return Cyclotomic(m, res, self.den)
-
-    # -- serialization -------------------------------------------------
-
-    def to_dict(self) -> dict:
-        fr = [Fraction(c, self.den) for c in self.coeffs]
-        return {
-            "conductor": self.n,
-            "coeffs": [f"{q.numerator}/{q.denominator}" for q in fr],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> Cyclotomic:
-        """The element to_dict wrote: coefficient strings "p" or "p/q" in
-        decimal digits with q > 0, nothing else.  Raises ValueError whose
-        message starts with the failing field ("coeffs[2]: ...")."""
-        pairs = []
-        for i, text in enumerate(data["coeffs"]):
-            match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
-            if match is None:
-                raise ValueError(f'coeffs[{i}]: expected a rational "p/q", got {text!r}')
-            try:
-                num, den = int(match["num"]), int(match["den"] or 1)
-            except ValueError as exc:  # more digits than int() converts
-                raise ValueError(f"coeffs[{i}]: {exc}") from None
-            if not den:
-                raise ValueError(f"coeffs[{i}]: zero denominator in {text!r}")
-            pairs.append((num, den))
-        den = lcm(*(q for _, q in pairs))
-        try:
-            return cls(int(data["conductor"]), [p * (den // q) for p, q in pairs], den)
-        except ValueError as exc:  # a wrong number of coefficients
-            raise ValueError(f"coeffs: {exc}") from None
 
     # -- identity ------------------------------------------------------
 

@@ -173,13 +173,19 @@ _INT64_MAX = 1 << 63
 
 def _row_keys(x) -> list:
     """Hashable keys of the rows of an integer array, equal exactly when the
-    rows are: the int64 bytes of a row that fits in int64, else its ints."""
+    rows are: the int64 bytes of a row that fits in int64, else its ints
+    and their bit lengths (Python hashes an int modulo 2**61 - 1, so rows
+    2**k and 2**(k + 61) would collide; their bit lengths tell them apart)."""
     flat = x.reshape(len(x), -1)
     if flat.dtype != object:
         return [r.tobytes() for r in flat.astype(np.int64, copy=False)]
     top = np.abs(flat).max(axis=1, initial=0)
-    return [r.astype(np.int64).tobytes() if m < _INT64_MAX else tuple(r.tolist())
+    return [r.astype(np.int64).tobytes() if m < _INT64_MAX else _int_key(r.tolist())
             for r, m in zip(flat, top)]
+
+
+def _int_key(row: list) -> tuple:
+    return (*row, *map(int.bit_length, row))
 
 
 class _PackedIds:
@@ -508,21 +514,9 @@ def reflection(vector, order: int, n: int) -> Matrix:
         raise ValueError("reflection vector must be nonzero")
     if n % order != 0:
         raise ValueError(f"conductor {n} lacks zeta_{order}")
-    denom = Cyclotomic.zero(n)
-    for e in a:
-        denom = denom + e * e.conj()
-    coef = (Cyclotomic.one(n) - root_of_unity(n // order, n)) / denom
-    size = len(a)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            e = -coef * a[i] * a[j].conj()
-            if i == j:
-                e = e + 1
-            row.append(e)
-        rows.append(row)
-    return Matrix(n, rows)
+    col = Matrix(n, [[e] for e in a])
+    coef = (Cyclotomic.one(n) - root_of_unity(n // order, n)) / (col.dagger() * col)[0, 0]
+    return Matrix.identity(len(a), n) - (col * col.dagger()).scale(coef)
 
 
 def weyl_generators(n: int = 12) -> tuple[Matrix, Matrix, Matrix]:

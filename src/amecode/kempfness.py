@@ -441,10 +441,6 @@ class EquivalenceReport:
     agreements: int
     disagreements: list
 
-    @property
-    def ok(self) -> bool:
-        return self.agreements == self.count
-
 
 def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

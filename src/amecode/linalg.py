@@ -204,13 +204,6 @@ class Matrix:
     def to_complex(self):
         return [[a.to_complex() for a in row] for row in self.rows]
 
-    def to_dict(self) -> dict:
-        return {"entries": [[a.to_dict() for a in row] for row in self.rows]}
-
-    @classmethod
-    def from_dict(cls, n: int, data: dict) -> Matrix:
-        return cls(n, [[Cyclotomic.from_dict(e) for e in row] for row in data["entries"]])
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

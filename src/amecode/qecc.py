@@ -82,15 +82,6 @@ class CodeSubspace:
         return (all(in_span([row[j] for row in g[k:]], g[j][j]) for j in range(k))
                 and all(in_span([row[j] for row in g[:k]], g[j][j]) for j in range(k, 2 * k)))
 
-    def to_dict(self) -> dict:
-        return {
-            "format": "code",
-            "n": self.n_sites,
-            "D": self.local_dim,
-            "claimed_d": self.claimed_d,
-            "basis": [v.to_dict() for v in self.basis],
-        }
-
     def __repr__(self):
         return (f"CodeSubspace(n={self.n_sites}, D={self.local_dim}, "
                 f"K={self.dimension}, claimed_d={self.claimed_d})")
@@ -164,17 +155,6 @@ class KLReport:
     is_code: bool
     is_pure: bool
     violations: list = field(default_factory=list)
-
-    def to_dict(self, code: CodeSubspace) -> dict:
-        return {
-            "parameters": {"n": code.n_sites, "K": code.dimension,
-                           "d": self.distance, "D": code.local_dim},
-            "is_code": self.is_code,
-            "is_pure": self.is_pure,
-            "violations": [{"error_label": label, "i": i, "j": j,
-                            "value": val.to_dict()}
-                           for label, i, j, val in self.violations],
-        }
 
 
 def kl_check(code: CodeSubspace, d: int, errors=None) -> KLReport:

@@ -1,16 +1,22 @@
-"""JSON file formats for states, operators, gate matrices and codes.
+"""The JSON file formats of states, operators, gate matrices and codes.
 
-Every scalar is serialized exactly as {conductor, coeffs: ["p/q", ...]} in
-the power basis, so files round-trip bit-exactly.  `ingest` validates the
-structural invariants of whatever it loads (orthonormality for codes,
-canonical factored form for operators) and raises IngestError with the
-failing check and its JSON path named.
+This is the only module that reads or writes them: `to_dict` and
+`scalar_to_dict` write each form next to the readers in `_READERS`, and
+no field, matrix, tensor or code class knows JSON.  Every scalar is
+written exactly as {conductor, coeffs: ["p/q", ...]} in the power basis,
+so files round-trip bit-exactly.  `ingest` validates the structural
+invariants of whatever it loads (orthonormality for codes, canonical
+factored form for operators) and raises IngestError with the failing
+check and its JSON path named.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 from importlib import resources
+from math import lcm
 from pathlib import Path
 
 from .cyclo import Cyclotomic, euler_phi
@@ -21,39 +27,6 @@ from .tensor import LocalOperator, PureState
 
 class IngestError(ValueError):
     pass
-
-
-# -- to dict ---------------------------------------------------------------
-
-
-def matrix_to_dict(m: Matrix) -> dict:
-    d = {"format": "matrix", "conductor": m.n}
-    d.update(m.to_dict())
-    return d
-
-
-def to_dict(obj) -> dict:
-    if isinstance(obj, (PureState, LocalOperator, CodeSubspace)):
-        return obj.to_dict()
-    if isinstance(obj, Matrix):
-        return matrix_to_dict(obj)
-    if isinstance(obj, (list, tuple)):
-        items = [to_dict(o) for o in obj]
-        kinds = {i["format"] for i in items}
-        if kinds == {"operator"}:
-            return {"format": "operator-list", "operators": items}
-        if kinds == {"matrix"}:
-            return {"format": "matrix-list", "matrices": items}
-        raise ValueError(f"cannot serialize a mixed list: {kinds}")
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dump(obj, path) -> None:
-    Path(path).write_text(dumps(obj))
-
-
-def dumps(obj) -> str:
-    return json.dumps(to_dict(obj), indent=1, sort_keys=True) + "\n"
 
 
 # -- from dict ---------------------------------------------------------------
@@ -68,6 +41,7 @@ def dumps(obj) -> str:
 # data uses conductors 12, 24 and 36 (degrees 4, 8 and 12).
 MAX_CONDUCTOR = 1024
 MAX_DEGREE = 64
+_RATIONAL = re.compile(r"(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?")
 
 
 def _kind(value) -> str:
@@ -109,15 +83,28 @@ def _conductor(data, path: str) -> int:
 
 
 def _scalar(data, path: str, n: int) -> Cyclotomic:
-    """A field element {conductor, coeffs} whose conductor is n."""
+    """A field element {conductor, coeffs} whose conductor is n, with
+    coefficient strings "p" or "p/q" in decimal digits and q > 0."""
     if _int(*_get(data, "conductor", path), high=MAX_CONDUCTOR) != n:
         raise IngestError(f"{path}.conductor: {data['conductor']} differs from "
                           f"the file conductor {n}")
-    _items(*_get(data, "coeffs", path))
+    pairs = []
+    for text, p in _items(*_get(data, "coeffs", path)):
+        match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+        if match is None:
+            raise IngestError(f'{p}: expected a rational "p/q", got {text!r}')
+        try:
+            num, den = int(match["num"]), int(match["den"] or 1)
+        except ValueError as exc:  # more digits than int() converts
+            raise IngestError(f"{p}: {exc}") from None
+        if not den:
+            raise IngestError(f"{p}: zero denominator in {text!r}")
+        pairs.append((num, den))
+    den = lcm(*(q for _, q in pairs))
     try:
-        return Cyclotomic.from_dict(data)
-    except ValueError as exc:  # its message starts with the field at fault
-        raise IngestError(f"{path}.{exc}") from None
+        return Cyclotomic(n, [p * (den // q) for p, q in pairs], den)
+    except ValueError as exc:  # a wrong number of coefficients
+        raise IngestError(f"{path}.coeffs: {exc}") from None
 
 
 def _rows(value, path: str, n: int, square: bool = False) -> Matrix:
@@ -214,6 +201,56 @@ def ingest(path):
         return from_dict(data)
     except IngestError as exc:
         raise IngestError(f"{path}: {exc}") from None
+
+
+# -- to dict -----------------------------------------------------------------
+#
+# The writers give back exactly the documents the readers above accept.
+
+
+def scalar_to_dict(c: Cyclotomic) -> dict:
+    """{conductor, coeffs}: each power-basis coefficient as "p/q" in lowest terms."""
+    return {"conductor": c.n,
+            "coeffs": [f"{q.numerator}/{q.denominator}"
+                       for q in (Fraction(a, c.den) for a in c.coeffs)]}
+
+
+def _entries(m: Matrix) -> list:
+    return [[scalar_to_dict(e) for e in row] for row in m.rows]
+
+
+def to_dict(obj) -> dict:
+    """The document of a state, operator, matrix or code, or of a list of
+    operators or of matrices."""
+    if isinstance(obj, PureState):
+        return {"format": "state", "dims": list(obj.dims), "conductor": obj.n,
+                "amps": [scalar_to_dict(a) for a in obj.amps]}
+    if isinstance(obj, LocalOperator):
+        return {"format": "operator", "conductor": obj.n,
+                "scalar": scalar_to_dict(obj.scalar),
+                "factors": [_entries(f) for f in obj.factors]}
+    if isinstance(obj, Matrix):
+        return {"format": "matrix", "conductor": obj.n, "entries": _entries(obj)}
+    if isinstance(obj, CodeSubspace):
+        return {"format": "code", "n": obj.n_sites, "D": obj.local_dim,
+                "claimed_d": obj.claimed_d, "basis": [to_dict(v) for v in obj.basis]}
+    if isinstance(obj, (list, tuple)):
+        items = [to_dict(o) for o in obj]
+        kinds = {i["format"] for i in items}
+        if kinds == {"operator"}:
+            return {"format": "operator-list", "operators": items}
+        if kinds == {"matrix"}:
+            return {"format": "matrix-list", "matrices": items}
+        raise ValueError(f"cannot serialize a mixed list: {kinds}")
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dump(obj, path) -> None:
+    Path(path).write_text(dumps(obj))
+
+
+def dumps(obj) -> str:
+    return json.dumps(to_dict(obj), indent=1, sort_keys=True) + "\n"
 
 
 def describe(obj) -> str:

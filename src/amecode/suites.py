@@ -287,7 +287,7 @@ def check_criticality_equivalence(seed: int) -> CheckResult:
     rep = criticality_equivalence(EQUIVALENCE_STATES, seed=seed,
                                   tol=EQUIVALENCE_TOL)
     return CheckResult(
-        "criticality-equivalence", rep.ok,
+        "criticality-equivalence", rep.agreements == rep.count,
         f"both criticality residuals classify {EQUIVALENCE_STATES} seeded "
         f"states identically at tol {EQUIVALENCE_TOL}",
         f"agreements={rep.agreements}/{rep.count}"

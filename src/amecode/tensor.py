@@ -95,14 +95,6 @@ class PureState:
     def to_complex(self):
         return [a.to_complex() for a in self.amps]
 
-    def to_dict(self) -> dict:
-        return {
-            "format": "state",
-            "dims": list(self.dims),
-            "conductor": self.n,
-            "amps": [a.to_dict() for a in self.amps],
-        }
-
     def __eq__(self, other):
         if not isinstance(other, PureState):
             return NotImplemented
@@ -255,14 +247,6 @@ class LocalOperator:
             out = out.kron(f)
         return out.scale(self.scalar)
 
-    def to_dict(self) -> dict:
-        return {
-            "format": "operator",
-            "conductor": self.n,
-            "scalar": self.scalar.to_dict(),
-            "factors": [[[e.to_dict() for e in row] for row in f.rows] for f in self.factors],
-        }
-
     def __eq__(self, other):
         if not isinstance(other, LocalOperator):
             return NotImplemented
@@ -313,8 +297,7 @@ def _canon_inv(f: Matrix) -> tuple[Cyclotomic, Matrix]:
 # beyond it.  The factor actions and the bound-checked matmul come from
 # linalg's packed matrix kernel, which the dense closures of groups use too.
 
-_FIX_CHUNK = 32  # operators whose images fixed_by holds at once (bounds peak memory)
-_DENSE_ENTRIES = 1 << 18  # operator entries _dense_packed expands at once (bounds peak memory)
+_CHUNK_ENTRIES = 1 << 18  # packed integers a chunk of images or operators holds (bounds peak memory)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -458,15 +441,16 @@ def apply(op: LocalOperator, v: PureState) -> PureState:
 
 def fixed_by(ops, v: PureState) -> list[bool]:
     """For each operator g, whether g|v> == |v> exactly.  Images are formed
-    _FIX_CHUNK operators at a time and compared with v by
-    cross-multiplication, without building any field element."""
+    in chunks of about _CHUNK_ENTRIES packed integers and compared with v
+    by cross-multiplication, without building any field element."""
     ops = list(ops)
     for op in ops:
         _check_operands(op, v)
     x, den = _pack(v)
+    step = max(1, _CHUNK_ENTRIES // x.size)
     out = []
-    for start in range(0, len(ops), _FIX_CHUNK):
-        part = ops[start:start + _FIX_CHUNK]
+    for start in range(0, len(ops), step):
+        part = ops[start:start + step]
         images, dens = _apply_packed(part, x[None], den)
         images = np.broadcast_to(images, (len(part),) + x.shape)
         out.extend(np.array_equal(_scaled(img, den), _scaled(x, dn))
@@ -478,12 +462,12 @@ def _dense_packed(ops, positions):
     """Yields (e, dens) for consecutive chunks of the operators: each one's
     scalar times the tensor product of its factors at the 0-based
     positions, as numerators e[c] of shape (dim, dim, deg) over dens[c].
-    A chunk holds about _DENSE_ENTRIES entries.  Starting from the packed
-    1 x 1 identity, the scalar and then each factor multiply in through
-    their cached actions, one bound-checked matmul per position."""
+    A chunk holds about _CHUNK_ENTRIES packed integers.  Starting from the
+    packed 1 x 1 identity, the scalar and then each factor multiply in
+    through their cached actions, one bound-checked matmul per position."""
     deg = len(ops[0].scalar.coeffs)
     dim = prod(ops[0].factors[p].shape[0] for p in positions)
-    step = max(1, _DENSE_ENTRIES // (dim * dim))
+    step = max(1, _CHUNK_ENTRIES // (dim * dim * deg))
     for start in range(0, len(ops), step):
         chunk = ops[start:start + step]
         e = np.zeros((len(chunk), 1, 1, deg), dtype=np.int64)

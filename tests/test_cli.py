@@ -10,7 +10,7 @@ from amecode import cli, suites
 from amecode.cli import main
 from amecode.cyclo import Cyclotomic
 from amecode.linalg import Matrix
-from amecode.serialize import dump, shipped_path
+from amecode.serialize import dump, scalar_to_dict, shipped_path, to_dict
 from amecode.suites import SUITES, run_suite
 from amecode.tensor import LocalOperator
 
@@ -109,7 +109,7 @@ def test_cli_group_close(capsys):
 
 def test_cli_group_close_rejects_non_square_factor(tmp_path, capsys):
     # ingest rejects the factor [[1, 0]] before any determinant is taken
-    one, zero = Cyclotomic.one(12).to_dict(), Cyclotomic.zero(12).to_dict()
+    one, zero = scalar_to_dict(Cyclotomic.one(12)), scalar_to_dict(Cyclotomic.zero(12))
     gens = tmp_path / "bad.op"
     gens.write_text(json.dumps({"format": "operator", "conductor": 12, "scalar": one,
                                 "factors": [[[one, zero]]]}))
@@ -121,7 +121,7 @@ def test_cli_group_close_cap_exceeded(tmp_path, capsys):
     # diag(2, 1, 1) has infinite order: the closure overflows its cap
     op = LocalOperator(12, 1, [Matrix(12, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])])
     gens = tmp_path / "grow.op"
-    gens.write_text(json.dumps(op.to_dict()))
+    gens.write_text(json.dumps(to_dict(op)))
     code = main(["group", "close", "--gens", str(gens), "--cap", "40"])
     assert code == 2
     assert "error: closure exceeded cap 40" in capsys.readouterr().err

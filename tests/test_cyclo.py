@@ -10,6 +10,8 @@ import pytest
 from amecode.cyclo import (ConductorMismatch, Cyclotomic, SqrtUnavailable,
                            cyclotomic_polynomial, default_conductor, euler_phi,
                            inv_sqrt3, root_of_unity, sqrt_of_rational)
+from amecode.linalg import Matrix
+from amecode.serialize import from_dict, to_dict
 
 
 def rand_elem(n, rng, height=50):
@@ -152,11 +154,12 @@ def test_powers():
 
 
 def test_serialization_roundtrip():
+    # a scalar round-trips as the entry of a 1 x 1 matrix document
     rng = random.Random(5)
     for n in (12, 24):
         for _ in range(20):
-            a = rand_elem(n, rng)
-            assert Cyclotomic.from_dict(a.to_dict()) == a
+            m = Matrix(n, [[rand_elem(n, rng)]])
+            assert from_dict(to_dict(m)) == m
 
 
 def test_hash_consistency():

@@ -172,6 +172,15 @@ def test_dense_closure_grows_and_widens():
     assert max(map(_numerator_bits, huge.elements)) > 64
 
 
+def test_row_keys_of_large_rows_spread_their_hashes():
+    # Python hashes an int modulo 2**61 - 1, so without their bit lengths
+    # the rows (2**k, 0, 0, 0) past int64 would share 61 hashes
+    rows = np.array([[2 ** k, 0, 0, 0] for k in range(64, 5000)], dtype=object)
+    keys = groups._row_keys(rows)
+    assert len(set(keys)) == len({hash(key) for key in keys}) == 4936
+    assert groups._row_keys(rows.copy()) == keys
+
+
 @pytest.mark.parametrize("k", [2, Fraction(1, 2)], ids=["diag-2", "diag-half"])
 def test_dense_closure_cap_matches_reference(k):
     gens = [Matrix(N, [[k, 0, 0], [0, 1, 0], [0, 0, 1]])]

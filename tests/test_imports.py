@@ -2,6 +2,10 @@ import ast
 from pathlib import Path
 
 import amecode
+from amecode.cyclo import Cyclotomic
+from amecode.linalg import Matrix
+from amecode.qecc import CodeSubspace, KLReport
+from amecode.tensor import LocalOperator, PureState
 
 # catalog imports qecc inside its builders because qecc imports catalog, and
 # kempfness builds its exact reference states on demand, so importing the
@@ -27,3 +31,16 @@ def test_only_the_cycle_guards_import_inside_functions():
                         found[node] = (path.stem, fn.name,
                                            "." * node.level + (node.module or ""))
     assert sorted(found.values()) == FUNCTION_LOCAL_IMPORTS
+
+
+def test_only_serialize_knows_the_file_formats():
+    # every document is a dict with a "format" key, written in serialize
+    writers = set()
+    for path in sorted(Path(amecode.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Dict) and any(
+                    isinstance(k, ast.Constant) and k.value == "format" for k in node.keys):
+                writers.add(path.stem)
+    assert writers == {"serialize"}
+    for cls in (Cyclotomic, Matrix, PureState, LocalOperator, CodeSubspace, KLReport):
+        assert not hasattr(cls, "to_dict") and not hasattr(cls, "from_dict"), cls

@@ -313,7 +313,7 @@ def test_gradient_formula_direct():
 
 def test_criticality_equivalence():
     rep = criticality_equivalence(100, seed=0, tol=1e-8)
-    assert rep.ok, rep.disagreements
+    assert rep.agreements == rep.count, rep.disagreements
 
 
 def test_criticality_lu_invariance():

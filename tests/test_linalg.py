@@ -6,6 +6,7 @@ import pytest
 
 from amecode.cyclo import Cyclotomic, root_of_unity
 from amecode.linalg import Matrix, pack, unpack
+from amecode.serialize import from_dict, to_dict
 
 
 def rand_matrix(n, size, rng):
@@ -95,7 +96,7 @@ def test_trace_and_mat_vec():
 def test_serialization():
     rng = random.Random(5)
     m = rand_matrix(12, 3, rng)
-    assert Matrix.from_dict(12, m.to_dict()) == m
+    assert from_dict(to_dict(m)) == m
 
 
 def test_unpack_takes_one_denominator_per_matrix():

@@ -15,8 +15,8 @@ from amecode.qecc import (CodeSubspace, ErrorBasisElement, _pauli_error_basis, d
                           error_label, kl_check,
                           pauli_error_basis, r_uniform_check, singleton_check,
                           stabilizer_subspace)
-from amecode.tensor import (DimensionMismatch, LocalOperator, PureState, _reduction, apply, inner,
-                            orthonormalize)
+from amecode.tensor import (DimensionMismatch, LocalOperator, PureState, _reduction, apply,
+                            fixed_by, inner, orthonormalize)
 
 N = 12
 N2 = default_conductor(2)
@@ -461,10 +461,13 @@ def test_stabilizer_subspace_matches_dense_projector(gens):
 
 
 def test_chunked_expansion_matches_reference(monkeypatch, code332):
-    # one operator per chunk: the tables and the sums do not change
-    monkeypatch.setattr(tensor, "_DENSE_ENTRIES", 1)
+    # one operator per chunk: the tables, the sums and the images do not change
+    monkeypatch.setattr(tensor, "_CHUNK_ENTRIES", 1)
     for d in (2, 3):
         rep = kl_check(code332, d)
         assert (rep.is_code, rep.is_pure, rep.violations) == _reference_kl(code332, d)
     for gens in ([catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)], _hadamard_pair()):
         assert stabilizer_subspace(gens).basis == _reference_stabilizer(gens)
+    ops = [e.op for e in pauli_error_basis(3, 3, 3, N)]
+    for v in code332.basis:
+        assert fixed_by(ops, v) == [apply(op, v) == v for op in ops]

@@ -45,7 +45,7 @@ def test_roundtrip_through_files(tmp_path):
 
 
 def test_ingest_rejects_non_orthonormal_code(tmp_path):
-    data = catalog.code_332().to_dict()
+    data = ser.to_dict(catalog.code_332())
     data["basis"][1] = data["basis"][0]  # duplicate basis vector
     p = tmp_path / "bad.code"
     p.write_text(json.dumps(data))
@@ -54,7 +54,7 @@ def test_ingest_rejects_non_orthonormal_code(tmp_path):
 
 
 def test_ingest_rejects_noncanonical_operator(tmp_path):
-    data = catalog.coset_representatives()[0].to_dict()
+    data = ser.to_dict(catalog.coset_representatives()[0])
     # scale one factor entry so the leading entry is no longer 1
     w = data["factors"][0][0][0]
     data["factors"][0][0][0] = data["factors"][0][2][2]
@@ -78,7 +78,7 @@ def test_ingest_rejects_garbage(tmp_path):
 
 
 def test_ingest_rejects_conductor_mismatch(tmp_path):
-    data = catalog.ame_state().to_dict()
+    data = ser.to_dict(catalog.ame_state())
     data["conductor"] = 24
     p = tmp_path / "mixed.state"
     p.write_text(json.dumps(data))
@@ -116,7 +116,7 @@ def _ingest_json(tmp_path, data):
     return ser.ingest(p)
 
 
-_ONE, _ZERO = Cyclotomic.one(12).to_dict(), Cyclotomic.zero(12).to_dict()
+_ONE, _ZERO = ser.scalar_to_dict(Cyclotomic.one(12)), ser.scalar_to_dict(Cyclotomic.zero(12))
 
 
 def _operator(factors) -> dict:
@@ -146,7 +146,7 @@ def _operator(factors) -> dict:
         "huge-conductor", "string-dim", "missing-field", "mixed-conductor",
         "non-square-factor", "no-factors", "empty-matrix"])
 def test_ingest_names_the_json_path(tmp_path, edit, where):
-    data = catalog.ame_state().to_dict()
+    data = ser.to_dict(catalog.ame_state())
     data = edit(data) or data
     with pytest.raises(ser.IngestError, match=where):
         _ingest_json(tmp_path, data)

@@ -9,6 +9,7 @@ from amecode import catalog
 from amecode.cyclo import ConductorMismatch, Cyclotomic, root_of_unity
 from amecode.linalg import Matrix
 from amecode.qecc import UniformReport, pauli_error_basis, r_uniform_check
+from amecode.serialize import from_dict, to_dict
 from amecode.tensor import (DensityOperator, DimensionMismatch, LocalOperator,
                             PureState, _local_elements, _reduction, _restriction, apply,
                             contract_site, fixed_by, gram, inner, orthonormalize,
@@ -229,9 +230,7 @@ def test_orthonormalize():
 
 
 def test_state_serialization_roundtrip(phi_unit):
-    d = phi_unit.to_dict()
-    from amecode.serialize import from_dict
-    assert from_dict(d) == phi_unit
+    assert from_dict(to_dict(phi_unit)) == phi_unit
 
 
 # -- the packed kernel against the reference loop ----------------------------
