@@ -3,6 +3,13 @@ coordinates (a, b, c), of degrees 6, 9 and 12, with exact evaluation,
 invariance and homogeneity decided on fixed integer lattices, and
 scale-free orbit fingerprints.
 
+`eval_invariants` and the fingerprints compute with `Cyclotomic` field
+elements, one point at a time.  `check_weyl_invariance` evaluates all 91
+points of its lattice at once, on packed integer numerators (a `_Stack`
+per coordinate, as in the packed kernel of `linalg`), and compares them
+with the integer values at the lattice points; both sides run the one
+definition of the polynomials, `_of_cubes`.
+
 All three polynomials depend on the coordinates only through their cubes
 p = a^3, q = b^3, r = c^3:
 
@@ -15,10 +22,13 @@ p = a^3, q = b^3, r = c^3:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from math import lcm
+
+import numpy as np
 
 from .cyclo import Cyclotomic
-from .linalg import Matrix
+from .linalg import (_INT64_SAFE, Matrix, _col_bound, _matmul, _max_abs, _product_map, _scaled,
+                     pack)
 
 
 @dataclass(frozen=True)
@@ -86,25 +96,98 @@ def is_homogeneous() -> bool:
                for m, f, f2 in zip((2, 3, 4), _of_cubes(*pt), _of_cubes(*(2 * x for x in pt))))
 
 
-@cache
-def _lattice(n: int) -> list[tuple[CartanPoint, InvariantTriple]]:
-    """The 91 points of a + b + c = 12 in non-negative integers, in
-    Q(zeta_n), each with its invariants."""
-    points = [CartanPoint.of(n, i, j, 12 - i - j) for i in range(13) for j in range(13 - i)]
-    return [(p, eval_invariants(p)) for p in points]
+# The 91 points of a + b + c = 12 in non-negative integers, shape (91, 3).
+_LATTICE = np.array([(i, j, 12 - i - j) for i in range(13) for j in range(13 - i)],
+                    dtype=np.int64)
+
+
+class _Stack:
+    """Field elements x[k] / den of conductor n, one per row of the
+    (k, deg) power-basis numerator array x.  +, -, * and ** combine stacks
+    row by row and with int scalars, so _of_cubes runs on a whole stack.
+    Every step bounds its largest entry first, from the operands' largest
+    entries: int64 below 2**62, Python ints (dtype=object) beyond."""
+
+    __slots__ = ("x", "den", "n", "_bound")
+
+    def __init__(self, x, den: int, n: int):
+        self.x, self.den, self.n, self._bound = x, den, n, None
+
+    @property
+    def bound(self) -> int:
+        """The largest absolute numerator."""
+        if self._bound is None:
+            self._bound = _max_abs(self.x)
+        return self._bound
+
+    def _as(self, dtype):
+        return self.x.astype(dtype, copy=False)
+
+    def _add(self, other, sign: int) -> _Stack:
+        if not isinstance(other, _Stack):
+            y = np.zeros_like(self.x, dtype=object)
+            y[:, 0] = other * self.den
+            other = _Stack(y, self.den, self.n)
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, sign * (den // other.den)
+        dtype = np.int64 if ka * self.bound + abs(kb) * other.bound < _INT64_SAFE else object
+        return _Stack(self._as(dtype) * ka + other._as(dtype) * kb, den, self.n)
+
+    def __add__(self, other) -> _Stack:
+        return self._add(other, 1)
+
+    def __sub__(self, other) -> _Stack:
+        return self._add(other, -1)
+
+    def __mul__(self, other) -> _Stack:
+        if not isinstance(other, _Stack):
+            dtype = np.int64 if abs(other) * self.bound < _INT64_SAFE else object
+            return _Stack(self._as(dtype) * other, self.den, self.n)
+        # the coefficient products x[t] * y[u], mapped by T2 to coefficients
+        t2, t2_bound = _product_map(self.n)
+        dtype = np.int64 if t2_bound * self.bound * other.bound < _INT64_SAFE else object
+        x, y = self._as(dtype), other._as(dtype)
+        outer = (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
+        return _Stack(outer @ t2.astype(dtype, copy=False), self.den * other.den, self.n)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> _Stack:
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
 
 
 def check_weyl_invariance(gate: Matrix) -> bool:
     """Whether the gate preserves all three invariants, decided exactly:
-    eval(gate * x) == eval(x) at the 91 points of the order-12 lattice on
-    the plane a + b + c = 12.
+    eval(gate * x) == eval(x) at the 91 points x of the order-12 lattice
+    on the plane a + b + c = 12.
 
     For each invariant f of degree k <= 12, f(gate * x) - f(x) is
     homogeneous of degree k.  On the plane it is a polynomial of degree at
     most 12 in (a, b), which the lattice's points determine, so vanishing
     there makes it vanish on the plane and, by homogeneity, everywhere.  A
-    failure is a certificate."""
-    return all(eval_invariants(p.transform(gate)) == t for p, t in _lattice(gate.n))
+    failure is a certificate.
+
+    The 91 points are evaluated at once.  The gate packs to numerators g
+    over den, so the transformed coordinates are one integer contraction
+    of the lattice with g, over den, and _of_cubes runs on _Stacks of them.
+    Its values have degree m = 6, 9, 12 in the coordinates, so their
+    numerators are over den**m; the power basis is a basis of the field,
+    so f(gate * x) == f(x) exactly when those numerators are den**m * f(x)
+    in the constant coefficient and 0 in every other.  The f(x) come from
+    the same _of_cubes, run on the integer points."""
+    g, den = pack([gate])
+    deg = g.shape[-1]
+    # gt[j, (i, u)] = g[i, j, u], so (x @ gt)[k, (i, u)] is coordinate i of gate * x_k
+    gt = g[0].transpose(1, 0, 2).reshape(3, 3 * deg)
+    y = _matmul(_LATTICE, gt, _col_bound(gt)).reshape(-1, 3, deg)
+    coords = (_Stack(y[:, i], den, gate.n) for i in range(3))
+    # |f(x)| < 2**48 on the lattice, so int64 holds the values exactly
+    values = _of_cubes(*(_LATTICE.T ** 3))
+    return all(np.array_equal(s.x[:, 0], _scaled(f, s.den)) and not s.x[:, 1:].any()
+               for s, f in zip(_of_cubes(*(v ** 3 for v in coords)), values))
 
 
 @dataclass(frozen=True)

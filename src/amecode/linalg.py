@@ -30,6 +30,17 @@ class Matrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _from_rows(cls, n: int, rows: tuple) -> Matrix:
+        """The matrix whose rows are equally long tuples of Cyclotomic
+        entries of conductor n, taken as given: for entries built for it,
+        so nothing is checked again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "_hash", None)
+        return m
+
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
@@ -277,6 +288,16 @@ def _structure(n: int):
     return t.reshape(deg, deg, deg), _compact(c)
 
 
+@lru_cache(maxsize=None)
+def _product_map(n: int):
+    """(T2, bound) for conductor n: T2, of shape (deg*deg, deg), maps the
+    products x[t] * y[u] of two coefficient vectors, flattened over (t, u),
+    to the coefficients of x * y; bound is _col_bound(T2)."""
+    t = _structure(n)[0]
+    t2 = t.reshape(-1, t.shape[-1])
+    return _compact(t2), _col_bound(t2)
+
+
 def pack(mats):
     """(x, den): the entries of equally shaped matrices as numerators of
     shape (k, rows, cols, deg) over den, the lcm of their denominators."""
@@ -300,8 +321,8 @@ def unpack(n: int, x, dens) -> list[Matrix]:
                 if e is None:
                     e = entries[key] = Cyclotomic(n, coeffs, den)
                 cells.append(e)
-            rows.append(cells)
-        out.append(Matrix(n, rows))
+            rows.append(tuple(cells))
+        out.append(Matrix._from_rows(n, tuple(rows)))
     return out
 
 

@@ -18,8 +18,8 @@ from math import lcm, prod
 import numpy as np
 
 from .cyclo import ConductorMismatch, Cyclotomic, sqrt_of_rational
-from .linalg import (Matrix, _col_bound, _compact, _matmul, _max_abs, _scaled, _structure,
-                     pack, right_actions, unpack)
+from .linalg import (Matrix, _col_bound, _compact, _matmul, _max_abs, _product_map, _scaled,
+                     _structure, pack, right_actions, unpack)
 
 
 class DimensionMismatch(ValueError):
@@ -349,12 +349,9 @@ def _pack_states(states):
 @lru_cache(maxsize=None)
 def _gram_maps(n: int):
     """(C, bound of C, T2, bound of T2): x @ C conjugates coefficient
-    vectors, and T2 maps the deg*deg products x[a] * y[b] to the
-    coefficients of x * y."""
-    t, conj = _structure(n)
-    deg = t.shape[0]
-    t2 = t.reshape(deg * deg, deg)
-    return conj, _col_bound(conj), _compact(t2), _col_bound(t2)
+    vectors, and T2 is linalg._product_map(n)."""
+    conj = _structure(n)[1]
+    return (conj, _col_bound(conj), *_product_map(n))
 
 
 def _gram(x, n: int):
@@ -495,7 +492,7 @@ def _local_elements(ops, positions, g, k: int):
     denominator of g.  Per chunk of operators, one contraction over the
     dim x dim entries and one map of the coefficient products, both
     bound-checked."""
-    _, _, t2, t2_bound = _gram_maps(ops[0].n)
+    t2, t2_bound = _product_map(ops[0].n)
     dim = len(g) // k
     deg = g.shape[-1]
     # r[(a, b), (i, j, u)] = R[j, i][b, a]

@@ -8,7 +8,7 @@ from amecode.cyclo import Cyclotomic
 from amecode.groups import weyl_generators
 from amecode.invariants import (CartanPoint, check_weyl_invariance,
                                 eval_invariants, invariant_ratio_fingerprint)
-from amecode.linalg import Matrix
+from amecode.linalg import Matrix, pack
 
 N = 12
 
@@ -71,10 +71,33 @@ def test_generators_preserve_invariants():
         assert check_weyl_invariance(r)
 
 
-def test_random_weyl_elements_preserve_invariants(weyl):
-    rng = random.Random(2)
-    for _ in range(10):
-        assert check_weyl_invariance(weyl.elements[rng.randrange(weyl.order)])
+def test_every_weyl_element_preserves_invariants(weyl):
+    assert weyl.order == 648
+    assert all(check_weyl_invariance(g) for g in weyl.elements)
+
+
+def _per_point(gate):
+    # the reference: one exact Cyclotomic evaluation per lattice point
+    points = [CartanPoint.of(gate.n, i, j, 12 - i - j) for i in range(13) for j in range(13 - i)]
+    return all(eval_invariants(p.transform(gate)) == eval_invariants(p) for p in points)
+
+
+def test_packed_check_matches_per_point_reference():
+    g0, g1, g2 = weyl_generators()
+    product = g0 * g1
+    assert pack([product])[1] == 3
+    gates = {
+        "generators": [g0, g1, g2, product],
+        "control": [Matrix(N, [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])],
+        "conductor 24": [weyl_generators(24)[0]],
+        # coordinates up to 1.2e7, so their cubes pass 2**62 and the stacks
+        # fall back to Python ints
+        "large entries": [Matrix(N, [[10 ** 6, 0, 0], [0, 1, 0], [0, 0, 1]])],
+    }
+    verdicts = {k: [check_weyl_invariance(g) for g in v] for k, v in gates.items()}
+    assert verdicts == {k: [_per_point(g) for g in v] for k, v in gates.items()}
+    assert verdicts == {"generators": [True] * 4, "control": [False],
+                        "conductor 24": [True], "large entries": [False]}
 
 
 def test_non_gate_fails():
@@ -94,7 +117,8 @@ def test_invariance_check_reads_no_seed():
 
 
 def test_non_homogeneous_cubes_fail_the_homogeneity_clause(monkeypatch):
-    # build the lattice's values before the patch, so they stay the true ones
+    # the patch reaches both sides of the invariance comparison, which still
+    # holds for the shifted polynomials: only the homogeneity clause can fail
     assert check_weyl_invariance(weyl_generators()[0])
     of_cubes = invariants._of_cubes
 
