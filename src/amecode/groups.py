@@ -8,20 +8,27 @@ Closure is breadth-first over small-integer codes, so element sets are
 exact and enumeration order is deterministic.  Dense gates are kept as
 packed integer numerators, each over its own denominator in lowest terms,
 each search level is one integer matmul (linalg's packed kernel), and
-linalg.unpack builds the elements.  A product operator is an int32 row
-(scalar id, canonical-factor id per site), keyed by the row's bytes, and a
-level's products are numpy gathers from an int array of factor products
-and lookups of its distinct scalar pairs; missing factor products are
-formed by the packed kernel in one batch per level and site, and divided
-by their leading entry through tensor's packed scalar action.  The ids and
-both tables belong to the conductor, not the closure, so the closures of
-one process share them; the groups do not depend on the order they are
-built in.
+linalg.unpack builds the elements when they are read.  A product operator
+is an int32 row (scalar id, canonical-factor id per site), keyed by the
+row's bytes, and a level's products are numpy gathers from an int array of
+factor products and lookups of its distinct scalar pairs; missing factor
+products are formed by the packed kernel in one batch per level and site,
+and divided by their leading entry through tensor's packed scalar action.
+The ids and both tables belong to the conductor, not the closure, so the
+closures of one process share them; the groups do not depend on the order
+they are built in.
 
 Every closure keeps its Cayley table, the index of each product h * g_i it
 forms, and `homomorphism` checks a map given on the generators on every
 edge of it, so the maps from the normalizer onto the reflection and local
 symmetry groups are computed on every element, kernels included.
+
+A group keeps the codes its closure found, and its elements are built from
+them when first read.  Membership is looked up by code, a kernel builds
+only its own elements, and a group of product operators decides which
+elements fix a state on its codes (MatrixGroup.fixes): the packed kernel
+of tensor acts with one action per distinct factor and scalar, so the
+symmetry checks never build the 5832 operators of the normalizer.
 
 Only `closure` takes a cap, for generators from outside the program.  The
 paper's groups have fixed generators and known orders, so each passes a
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -40,8 +47,8 @@ import numpy as np
 from . import catalog
 from .cyclo import Cyclotomic, root_of_unity
 from .linalg import Matrix, _compact, _matmul, pack, right_actions, unpack
-from .tensor import (DimensionMismatch, LocalOperator, _restriction, _scalar_action, fixed_by,
-                     in_span)
+from .tensor import (DimensionMismatch, LocalOperator, _check_operands, _fixed, _pack,
+                     _restriction, _scalar_action, _site, fixed_by, in_span)
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -58,43 +65,73 @@ class NotInNormalizer(ValueError):
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    """A finite group materialized as its full element set.  table[h, i] is
-    the index of elements[h] * generators[i]; element 0 is the identity."""
+    """A finite group, kept as the integer codes its closure searched:
+    codes[k] is element k's code in codec, a _DenseTable or _ProductTable.
+    table[h, i] is the index of elements[h] * generators[i]; element 0 is
+    the identity.  The elements are built from the codes when first read.
+    Groups compare by their generators, which fix the closure's elements
+    and their order."""
 
     generators: tuple
-    elements: tuple
     table: np.ndarray = field(compare=False, repr=False)
+    codes: np.ndarray = field(compare=False, repr=False)
+    codec: object = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
+
+    @cached_property
+    def elements(self) -> tuple:
+        return self.codec.elements(self.codes)
+
+    def elements_at(self, indices) -> list:
+        """The elements at the given indices; only these are built when the
+        group's elements have not been read."""
+        if "elements" in self.__dict__:
+            return [self.elements[k] for k in indices]
+        return list(self.codec.elements(self.codes[list(indices)]))
+
+    def fixes(self, v) -> list[bool]:
+        """For each element g of a group of product operators, whether
+        g|v> == |v> exactly: the packed kernel reads one action per distinct
+        factor and scalar of the codes, and builds no element."""
+        if not isinstance(self.codec, _ProductTable):
+            raise TypeError("only product operators act on states")
+        _check_operands(self.generators[0], v)
+        return _fixed(self.codec.sites(self.codes), self.order, *_pack(v))
+
+    def index(self, g) -> int | None:
+        """The index of g among the elements, or None when it is not one;
+        found by g's code, so no element is built."""
+        first = self.generators[0]
+        if not (type(g) is type(first) and g.n == first.n
+                and (g.dims == first.dims if isinstance(g, LocalOperator)
+                     else g.shape == first.shape)):
+            return None
+        return self._positions.get(self.codec.keys(self.codec.codes([g]))[0])
+
+    @cached_property
+    def _positions(self) -> dict:
+        return dict(zip(self.codec.keys(self.codes), range(self.order)))
 
     def __contains__(self, g) -> bool:
-        return g in self._index
-
-    @property
-    def _index(self) -> dict:
-        idx = self.__dict__.get("_idx")
-        if idx is None:
-            idx = {g: k for k, g in enumerate(self.elements)}
-            self.__dict__["_idx"] = idx
-        return idx
+        return self.index(g) is not None
 
     def set_equal(self, other: MatrixGroup) -> bool:
-        return self._index.keys() == other._index.keys()
+        return set(self.elements) == set(other.elements)
 
     def sample(self, k: int, seed: int = 0) -> list:
         rng = random.Random(seed)
-        return [self.elements[i] for i in rng.sample(range(self.order), min(k, self.order))]
+        return self.elements_at(rng.sample(range(self.order), min(k, self.order)))
 
     def verify_closure(self, sample_size: int = 200, seed: int = 0) -> bool:
-        """Spot-check the group axioms on the materialized set."""
-        idx = self._index
+        """Spot-check the group axioms on a sample of the elements."""
         for h in self.sample(sample_size, seed):
-            if h.inv() not in idx:
+            if h.inv() not in self:
                 return False
             for g in self.generators:
-                if g * h not in idx:
+                if g * h not in self:
                     return False
         return True
 
@@ -155,8 +192,8 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
             rows.append(k)
         frontier = products[new]
         found.append(frontier)
-    return MatrixGroup(tuple(gens), table.elements(np.concatenate(found)),
-                       np.array(rows, dtype=np.int32).reshape(-1, len(gens)))
+    return MatrixGroup(tuple(gens), np.array(rows, dtype=np.int32).reshape(-1, len(gens)),
+                       np.concatenate(found), table)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -330,6 +367,7 @@ class _ProductTable:
         self._actions = []  # per column: (right action of its factor, bound)
         self._factor_mul = np.full((0, 0, 2), -1, dtype=np.int32)  # -1: not formed yet
         self._scalar_mul = {}  # (a << 32) | b -> id of scalars[a] * scalars[b]
+        self._site_actions = {}  # factor id -> its tensor._action, built when a state is acted on
 
     def _scalar_id(self, c: Cyclotomic) -> int:
         i = self._scalar_ids.get(c)
@@ -397,6 +435,27 @@ class _ProductTable:
         for ab in sorted(set(flat).difference(table)):
             table[ab] = self._scalar_id(scalars[ab >> 32] * scalars[ab & _LOW])
         return np.array(list(map(table.__getitem__, flat)), dtype=np.int32).reshape(pairs.shape)
+
+    def sites(self, codes):
+        """The sites of tensor._apply_packed for the operators with these
+        codes: each factor column, then the scalar, with one action per
+        distinct id.  The actions of factors not acted with before are
+        built in one right_actions call per shape."""
+        columns = [np.unique(codes[:, c], return_inverse=True)
+                   for c in [*range(1, codes.shape[1]), 0]]
+        acts, shapes = self._site_actions, {}
+        for i in sorted({i for ids, _ in columns[:-1] for i in ids.tolist()}.difference(acts)):
+            shapes.setdefault(self.factors.x[i].shape, []).append(i)
+        for new in shapes.values():
+            a, bounds = right_actions(np.stack([self.factors.x[i] for i in new]).swapaxes(1, 2),
+                                      self.n)
+            for i, m, bound in zip(new, a, bounds):
+                den = self.factors.den[i]
+                # a factor acts as the identity exactly when it is the identity
+                acts[i] = (m, den, bound, den == 1 and np.array_equal(m, np.eye(len(m))))
+        *factors, (scalars, index) = columns
+        return [*(_site([acts[i] for i in ids.tolist()], index) for ids, index in factors),
+                _site([_scalar_action(self.scalars[i]) for i in scalars.tolist()], index)]
 
     def codes(self, ops) -> np.ndarray:
         rows = []
@@ -476,9 +535,10 @@ def homomorphism(source: MatrixGroup, target: MatrixGroup, images):
     edges = _discovery_edges(target)
     right = []
     for i, t in enumerate(images):
-        if t not in target:
+        k = target.index(t)
+        if k is None:
             raise ValueError(f"images[{i}] is not in the target group")
-        right.append(_right_multiplication(target, edges, target._index[t]))
+        right.append(_right_multiplication(target, edges, k))
     parent, gen = _discovery_edges(source)
     columns = [r.tolist() for r in right]
     phi = [0] * source.order
@@ -498,8 +558,8 @@ def image_fibres_kernel(source: MatrixGroup, phi):
         return 0, (), set()
     counts = np.bincount(phi)
     fibres = counts[counts > 0]
-    return (len(fibres), tuple(np.unique(fibres).tolist()),
-            {source.elements[k] for k in np.flatnonzero(phi == 0).tolist()})
+    return (len(fibres), tuple(sorted(set(fibres.tolist()))),
+            set(source.elements_at(np.flatnonzero(phi == 0).tolist())))
 
 
 # -- complex reflections and the gate group ---------------------------------
@@ -680,7 +740,7 @@ def local_symmetry_report(n: int = 12) -> LocalSymmetryReport:
         operator_order=group.order,
         normalizer_order=norm.order,
         generators_fix_state=all(fixed_by(group.generators, phi)),
-        all_elements_fix_state=all(fixed_by(group.elements, phi)),
+        all_elements_fix_state=all(group.fixes(phi)),
         lift_is_homomorphism=lift is not None,
         image_order=image,
         fibre_sizes=fibres,
@@ -733,7 +793,7 @@ def centralizer_containment_check(n: int = 12) -> CentralizerReport:
     image, fibres, kernel = image_fibres_kernel(norm, mu)
     return CentralizerReport(
         order=group.order,
-        fixes_code_pointwise=all(all(fixed_by(group.elements, s)) for s in basis),
+        fixes_code_pointwise=all(all(group.fixes(s)) for s in basis),
         special_linear_factorable=all(sl_factorable(g) for g in group.elements),
         generators_commute=x3 * z3 == z3 * x3,
         mu_is_homomorphism=mu is not None,

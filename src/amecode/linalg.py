@@ -243,10 +243,16 @@ def _identity(size: int, n: int) -> Matrix:
 # deg): the power-basis numerators of every entry over one common
 # denominator.  Right-multiplying by a matrix y is then one integer matmul
 # of the packed rows with right_actions(y), built from the reduced powers of
-# zeta.  Before every contraction the largest sum it can form is bounded;
-# arrays are int64 while that bound stays below 2**62 and Python ints
-# (dtype=object, still exact) beyond it.
+# zeta.  Before every contraction the largest sum it can form is bounded.
+# Below 2**53 it runs in float64 through BLAS: every product and partial sum
+# is an integer of at most that size, so each is exact in any summation
+# order, and the result is cast back to int64.  A contraction of fewer than
+# _FLOAT_MIN_WORK multiply-adds stays on int64, where the two casts would
+# cost more than BLAS saves.  Below 2**62 it runs on int64 arrays, and
+# beyond that on Python ints (dtype=object, still exact).
 
+_FLOAT_EXACT = 1 << 53
+_FLOAT_MIN_WORK = 1 << 12
 _INT64_SAFE = 1 << 62
 
 
@@ -264,16 +270,29 @@ def _col_bound(m) -> int:
     return int(np.abs(m.astype(object)).sum(axis=-2).max())
 
 
+def _fits(limit: int, a: int, b: int) -> bool:
+    """Whether a, b and a * b are all below limit."""
+    return a < limit and b < limit and a * b < limit
+
+
 def _matmul(x, m, m_bound: int):
-    """Exact x @ m, where m_bound is _col_bound(m)."""
-    dtype = np.int64 if m_bound * _max_abs(x) < _INT64_SAFE else object
+    """Exact x @ m, where m_bound is _col_bound(m) (or any larger int).
+    m_bound also bounds every entry of m, so when it and max|x| fit a
+    tier, both operands convert to it."""
+    top = _max_abs(x)
+    if x.size * m.shape[-1] >= _FLOAT_MIN_WORK and _fits(_FLOAT_EXACT, m_bound, top):
+        return np.matmul(x.astype(np.float64), m.astype(np.float64)).astype(np.int64)
+    dtype = np.int64 if _fits(_INT64_SAFE, m_bound, top) else object
     return np.matmul(x.astype(dtype, copy=False), m.astype(dtype, copy=False))
 
 
-def _scaled(x, k: int):
-    """Exact k * x for a Python int k."""
-    dtype = np.int64 if k * _max_abs(x) < _INT64_SAFE else object
-    return x.astype(dtype, copy=False) * k
+def _scaled(x, k):
+    """Exact k * x for a Python int k, or an array of them that broadcasts
+    against x."""
+    scalar = isinstance(k, int)
+    dtype = np.int64 if _fits(_INT64_SAFE, abs(k) if scalar else _max_abs(k),
+                              _max_abs(x)) else object
+    return x.astype(dtype, copy=False) * (k if scalar else k.astype(dtype))
 
 
 @lru_cache(maxsize=None)

@@ -291,11 +291,13 @@ def _canon_inv(f: Matrix) -> tuple[Cyclotomic, Matrix]:
 # Multiplying by a field element is then an integer deg x deg matrix built
 # from the reduced powers of zeta, a d x d factor acts on its site through
 # one integer (d*deg) x (d*deg) matrix, and a product operator is one matmul
-# per non-identity site plus one for a scalar other than 1.  Before every
-# contraction the largest sum it can form is bounded; arrays are int64 while
-# that bound stays below 2**62 and Python ints (dtype=object, still exact)
-# beyond it.  The factor actions and the bound-checked matmul come from
-# linalg's packed matrix kernel, which the dense closures of groups use too.
+# per non-identity site plus one for a scalar other than 1.  Operators are
+# given per site as their distinct actions and an index into them, so a
+# batch acts with each distinct factor's action once.  Before every
+# contraction the largest sum it can form is bounded, which picks exact
+# float64, int64 or Python-int arithmetic.  The factor actions and the
+# bound-checked matmul come from linalg's packed matrix kernel, which the
+# dense closures of groups use too.
 
 _CHUNK_ENTRIES = 1 << 18  # packed integers a chunk of images or operators holds (bounds peak memory)
 
@@ -403,56 +405,97 @@ def _check_operands(op: LocalOperator, v: PureState):
         raise ConductorMismatch(f"operator conductor {op.n} vs state conductor {v.n}")
 
 
-def _apply_packed(ops, x, den: int):
+def _site(acts, index):
+    """One site of _apply_packed: the distinct actions acts, as _action
+    returns them, and index, the position in acts of each operator's
+    action; None when every action is the identity."""
+    if all(a[3] for a in acts):
+        return None
+    return (np.stack([a[0] for a in acts]), np.array([a[1] for a in acts], dtype=object),
+            max(a[2] for a in acts), np.asarray(index))
+
+
+def _sites(ops):
+    """The sites of _apply_packed for product operators of one dims: each
+    factor position, then the scalar, with one action per distinct entry."""
+    out = []
+    for pos in range(ops[0].sites + 1):
+        scalar = pos == ops[0].sites
+        distinct: dict = {}
+        index = [distinct.setdefault(op.scalar if scalar else op.factors[pos], len(distinct))
+                 for op in ops]
+        act = _scalar_action if scalar else _action
+        out.append(_site([act(f) for f in distinct], index))
+    return out
+
+
+def _apply_packed(sites, x, den: int):
     """Images of packed states under product operators.
 
-    x holds S states, shape (S, *dims, deg), over the denominator den; ops
-    holds C operators.  S and C pair up as in np.matmul (equal, or one of
-    them 1).  Returns the images, whose leading axis broadcasts to
-    max(S, C), and the denominator of each operator's images."""
-    dens = [den] * len(ops)
-    # the scalar acts as a 1 x 1 factor on one more site, of dimension 1
-    sites = x.ndim - 2
+    x holds S states, shape (S, *dims, deg), over the denominator den.  The
+    C operators come per site, each factor position and then the scalar,
+    which acts as a 1 x 1 factor on one more site, of dimension 1: a site
+    is None where every operator acts as the identity, else (A, dens,
+    bound, index), the distinct actions A over dens (an object array),
+    bound the largest of their _col_bounds, and index[c] the action of
+    operator c.  S and C pair up as in np.matmul (equal, or one of them 1).
+    While x is still one state, a site is contracted once per distinct
+    action it uses and the results gathered.  Returns the images, whose
+    leading axis broadcasts to max(S, C), and the denominators of the
+    operators' images, an object array that broadcasts likewise."""
+    dens = np.array([den], dtype=object)
     x = x[..., None, :]
-    for pos in range(sites + 1):
-        acts = [_action(op.factors[pos]) if pos < sites else _scalar_action(op.scalar)
-                for op in ops]
-        if all(a[3] for a in acts):
+    for pos, site in enumerate(sites):
+        if site is None:
             continue
+        a, adens, bound, index = site
         y = np.moveaxis(x, pos + 1, -2)
         shape = y.shape
-        y = _matmul(y.reshape(shape[0], -1, shape[-2] * shape[-1]),
-                    np.stack([a[0] for a in acts]), max(a[2] for a in acts))
+        y = y.reshape(shape[0], -1, shape[-2] * shape[-1])
+        del x  # read only through y from here, so when y is a copy x can be freed
+        if len(y) == 1 < len(index):
+            used, inverse = np.unique(index, return_inverse=True)
+            y = _matmul(y, a[used], bound)[inverse]
+        else:
+            y = _matmul(y, a[index], bound)
         x = np.moveaxis(y.reshape(y.shape[:1] + shape[1:]), -2, pos + 1)
-        dens = [dn * a[1] for dn, a in zip(dens, acts)]
+        dens = dens * adens[index]
     return x[..., 0, :], dens
+
+
+def _fixed(sites, count: int, x, den: int) -> list[bool]:
+    """For each of count operators, given per site as _apply_packed takes
+    them, whether it fixes the state packed as x over den.  Images are
+    formed in chunks of about _CHUNK_ENTRIES packed integers, and a chunk
+    is compared with the state by one cross-multiplication: image * den ==
+    x * (the image's denominator), without building any field element."""
+    step = max(1, _CHUNK_ENTRIES // x.size)
+    out = []
+    for start in range(0, count, step):
+        part = [None if s is None else (*s[:3], s[3][start:start + step]) for s in sites]
+        images, dens = _apply_packed(part, x[None], den)
+        same = _scaled(images, den) == _scaled(x, dens.reshape(-1, *(1,) * x.ndim))
+        del images  # so that no two chunks of images are held at once
+        same = np.broadcast_to(same, (min(step, count - start), *x.shape))
+        out += same.reshape(len(same), -1).all(axis=1).tolist()
+    return out
 
 
 def apply(op: LocalOperator, v: PureState) -> PureState:
     """(scalar * tensor of factors)|v>, by the packed kernel."""
     _check_operands(op, v)
     x, den = _pack(v)
-    images, dens = _apply_packed([op], x[None], den)
+    images, dens = _apply_packed(_sites([op]), x[None], den)
     return _unpack(v.n, v.dims, images[0], dens[0])
 
 
 def fixed_by(ops, v: PureState) -> list[bool]:
-    """For each operator g, whether g|v> == |v> exactly.  Images are formed
-    in chunks of about _CHUNK_ENTRIES packed integers and compared with v
-    by cross-multiplication, without building any field element."""
+    """For each operator g, whether g|v> == |v> exactly, by the packed
+    kernel on the operators' distinct factors and scalars."""
     ops = list(ops)
     for op in ops:
         _check_operands(op, v)
-    x, den = _pack(v)
-    step = max(1, _CHUNK_ENTRIES // x.size)
-    out = []
-    for start in range(0, len(ops), step):
-        part = ops[start:start + step]
-        images, dens = _apply_packed(part, x[None], den)
-        images = np.broadcast_to(images, (len(part),) + x.shape)
-        out.extend(np.array_equal(_scaled(img, den), _scaled(x, dn))
-                   for img, dn in zip(images, dens))
-    return out
+    return _fixed(_sites(ops), len(ops), *_pack(v)) if ops else []
 
 
 def _dense_packed(ops, positions):
@@ -514,7 +557,7 @@ def _restriction(op: LocalOperator, states):
     states stacked over their images."""
     _check_operands(op, states[0])
     x, den = _pack_states(states)
-    images, dens = _apply_packed([op], x, den)
+    images, dens = _apply_packed(_sites([op]), x, den)
     k = len(states)
     rows = np.concatenate([_scaled(x, dens[0]), _scaled(images, den)])
     g = _gram(_compact(rows).reshape(2 * k, -1, x.shape[-1]), op.n)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amecode import catalog, groups, suites
+from amecode import catalog, groups, suites, tensor
 from amecode.cyclo import Cyclotomic, root_of_unity
 from amecode.groups import (ClosureCapExceeded, GeneratorTypeError, NotInNormalizer, closure,
                             centralizer_containment_check, homomorphism,
@@ -518,6 +519,81 @@ def test_image_outside_the_target_is_an_error(weyl):
         homomorphism(weyl, weyl, [r1, outside, r3])
     with pytest.raises(ValueError, match="need 3 images"):
         homomorphism(weyl, weyl, [r1, r2])
+
+
+# -- fixation on the codes and elements built when read --------------------------
+
+
+def _fixed_by_apply(group, v) -> list[bool]:
+    return [apply(g, v) == v for g in group.elements]
+
+
+def test_fixation_on_codes_matches_apply_on_every_element(local_sym, phi_rowform):
+    fixes = local_sym.fixes(phi_rowform)
+    assert len(fixes) == 1944 and all(fixes)
+    assert fixes == _fixed_by_apply(local_sym, phi_rowform)
+    # |0000> is fixed by some symmetries and moved by others
+    ket = catalog.ket("0000", 3, N)
+    fixes = local_sym.fixes(ket)
+    assert 0 < sum(fixes) < 1944
+    assert fixes == _fixed_by_apply(local_sym, ket) == fixed_by(local_sym.elements, ket)
+
+
+def test_centralizer_fixes_the_code_basis_on_its_codes():
+    group = closure([catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)], cap=90)
+    for s in catalog.code_basis():
+        assert group.fixes(s) == _fixed_by_apply(group, s) == [True] * 9
+    # a state outside the code: only the identity and the Z-type elements fix |000>
+    ket = catalog.ket("000", 3, N)
+    assert group.fixes(ket) == _fixed_by_apply(group, ket)
+    assert sum(group.fixes(ket)) == 3
+
+
+def test_fixation_does_not_depend_on_the_chunk_size(monkeypatch, local_sym, phi_rowform):
+    ket = catalog.ket("0000", 3, N)
+    default = [local_sym.fixes(v) for v in (phi_rowform, ket)]
+    monkeypatch.setattr(tensor, "_CHUNK_ENTRIES", 1)
+    assert [local_sym.fixes(v) for v in (phi_rowform, ket)] == default
+
+
+def test_fixation_needs_product_operators_of_the_state_dims(weyl, local_sym):
+    with pytest.raises(TypeError):
+        weyl.fixes(catalog.ket("000", 3, N))
+    with pytest.raises(DimensionMismatch):
+        local_sym.fixes(catalog.ket("000", 3, N))
+
+
+def test_checks_leave_the_normalizer_elements_unbuilt(monkeypatch):
+    # a fresh normalizer for this test: others may read the cached one's elements
+    monkeypatch.setattr(groups, "_normalizer_group_332",
+                        functools.cache(groups._normalizer_group_332.__wrapped__))
+    centralizer_containment_check()
+    local_symmetry_report()
+    norm = normalizer_group_332()
+    assert "elements" not in vars(norm)
+    rng = random.Random(9)
+    picked = rng.sample(range(norm.order), 50)
+    some = norm.elements_at(picked)
+    assert norm.sample(20, seed=3) == norm.elements_at(random.Random(3).sample(range(5832), 20))
+    assert "elements" not in vars(norm)
+    # built on demand, in order, the elements equal the eager closure's
+    eager = closure(norm.generators, cap=58320)
+    assert norm.elements == eager.elements
+    assert some == [eager.elements[k] for k in picked] == norm.elements_at(picked)
+
+
+def test_membership_is_found_by_code(weyl, local_sym):
+    assert [weyl.index(g) for g in weyl.elements] == list(range(648))
+    norm = normalizer_group_332()
+    picked = random.Random(5).sample(range(norm.order), 30)
+    assert [norm.index(g) for g in norm.elements_at(picked)] == picked
+    # other values are no elements, and interning them changes no index
+    assert weyl.index(Matrix(N, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])) is None
+    assert catalog.xxx(3, 3, N) not in weyl and Matrix.identity(2, N) not in weyl
+    assert weyl.generators[0] not in local_sym and catalog.xxx(3, 3, N) not in local_sym
+    assert LocalOperator(N, 2, [Matrix.identity(3, N)] * 4) not in local_sym
+    assert LocalOperator.identity((3, 3, 3, 3), 24) not in local_sym
+    assert [weyl.index(g) for g in weyl.elements] == list(range(648))
 
 
 def test_sl_factorable():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from amecode.cyclo import Cyclotomic, root_of_unity
-from amecode.linalg import Matrix, pack, unpack
+from amecode import linalg
+from amecode.linalg import Matrix, _col_bound, _matmul, _scaled, pack, unpack
 from amecode.serialize import from_dict, to_dict
 
 
@@ -111,3 +112,63 @@ def test_unpack_takes_one_denominator_per_matrix():
     # matrices 1 and 3, which are equal over one denominator
     assert len({id(e) for row in out[0].rows for e in row}) == 2
     assert all(e is f for r, s in zip(out[1].rows, out[3].rows) for e, f in zip(r, s))
+
+
+def test_scaled_bounds_negative_factors():
+    # the bound is |k| * max|x|: a negative k must not pick int64 and wrap
+    out = _scaled(np.array([1 << 61]), -8)
+    assert out.tolist() == [-(1 << 64)]
+    assert _scaled(np.array([3, -5]), -7).tolist() == [-21, 35]
+    # one factor per row, broadcast against the rows
+    rows = _scaled(np.array([[1 << 61], [3]]), np.array([[-8], [1 << 70]], dtype=object))
+    assert rows.tolist() == [[-(1 << 64)], [3 << 70]]
+
+
+def _edge_operands(m_bound: int, top: int):
+    """(x, m) with _col_bound(m) == m_bound and max|x| == top, signs mixed,
+    where x's first row meets the bound: (x @ m)[0, 0] == m_bound * top.
+    x @ m has 64 * 8 * 8 = 4096 multiply-adds, enough for the float tier."""
+    rng = random.Random(m_bound ^ top)
+    m = np.array([[rng.randrange(-9, 10) for _ in range(8)] for _ in range(8)], dtype=object)
+    col = [m_bound // 8] * 7 + [m_bound - 7 * (m_bound // 8)]
+    m[:, 0] = [c if k % 2 else -c for k, c in enumerate(col)]
+    x = np.array([[rng.randrange(-top, top + 1) for _ in range(8)] for _ in range(64)],
+                 dtype=object)
+    x[0] = [top if k % 2 else -top for k in range(8)]
+    assert _col_bound(m) == m_bound and np.abs(x).max() == top
+    return x.astype(np.int64), m.astype(np.int64)
+
+
+@pytest.mark.parametrize("m_bound, top, tier", [
+    (6361 * 69431, 20394401, np.float64),  # the bound is 2**53 - 1
+    (1 << 26, 1 << 27, np.int64),  # the bound is 2**53
+], ids=["bound-2^53-1-float64", "bound-2^53-int64"])
+def test_matmul_float_tier_is_exact_at_its_edge(monkeypatch, m_bound, top, tier):
+    assert m_bound * top == (1 << 53) - (tier is np.float64)
+    x, m = _edge_operands(m_bound, top)
+    seen = []
+    real = np.matmul
+
+    def spy(a, b):
+        seen.append(a.dtype)
+        return real(a, b)
+
+    monkeypatch.setattr(linalg.np, "matmul", spy)
+    out = _matmul(x, m, m_bound)
+    monkeypatch.undo()
+    assert seen == [np.dtype(tier)]
+    assert out.dtype == np.int64
+    assert out[0, 0] == m_bound * top
+    assert out.tolist() == np.matmul(x.astype(object), m.astype(object)).tolist()
+    assert out.tolist() == np.matmul(x, m).tolist()
+
+
+def test_matmul_zero_operand_with_huge_other_is_exact():
+    # a zero m has bound 0, but x near 2**200 fits neither float64 nor int64
+    x = np.array([[(1 << 200) + k, -(1 << 199)] for k in range(3)], dtype=object)
+    out = _matmul(x, np.zeros((2, 4), dtype=np.int64), 0)
+    assert out.shape == (3, 4) and all(v == 0 for v in out.ravel().tolist())
+    # and a zero x against an m near 2**200
+    m = np.array([[1 << 200, -(1 << 200)], [1, 2]], dtype=object)
+    out = _matmul(np.zeros((3, 2), dtype=np.int64), m, _col_bound(m))
+    assert all(v == 0 for v in out.ravel().tolist())
