@@ -47,8 +47,8 @@ import numpy as np
 from . import catalog
 from .cyclo import Cyclotomic, root_of_unity
 from .linalg import Matrix, _compact, _matmul, pack, right_actions, unpack
-from .tensor import (DimensionMismatch, LocalOperator, _check_operands, _fixed, _pack,
-                     _restriction, _scalar_action, _site, fixed_by, in_span)
+from .tensor import (DimensionMismatch, LocalOperator, _check_operands, _factor_actions, _fixed,
+                     _pack, _restriction, _scalar_action, _site, fixed_by, in_span)
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -103,13 +103,14 @@ class MatrixGroup:
 
     def index(self, g) -> int | None:
         """The index of g among the elements, or None when it is not one;
-        found by g's code, so no element is built."""
+        found by g's code, so no element is built and no id is added."""
         first = self.generators[0]
         if not (type(g) is type(first) and g.n == first.n
                 and (g.dims == first.dims if isinstance(g, LocalOperator)
                      else g.shape == first.shape)):
             return None
-        return self._positions.get(self.codec.keys(self.codec.codes([g]))[0])
+        key = self.codec.key(g)
+        return None if key is None else self._positions.get(key)
 
     @cached_property
     def _positions(self) -> dict:
@@ -235,16 +236,28 @@ class _PackedIds:
         self.x, self.den = [], []
         self._ids: dict = {}
 
-    def __call__(self, x, dens) -> list[int]:
-        """Ids of the matrices with numerators x, shape (k, rows, cols, deg),
-        over dens; the matrices not seen before get the next ids."""
+    @staticmethod
+    def _lowest(x, dens):
+        """(x, dens, keys): the matrices with numerators x, shape (k, rows,
+        cols, deg), over dens, in lowest terms, and their keys."""
         flat = x.reshape(len(x), -1)
         divs = [gcd(g, den) for g, den in zip(np.gcd.reduce(flat, axis=1).tolist(), dens)]
         if any(g != 1 for g in divs):
             x = x // _compact(np.array(divs, dtype=object)).reshape(-1, 1, 1, 1)
             dens = [den // g for den, g in zip(dens, divs)]
+        return x, dens, list(zip(dens, _row_keys(x)))
+
+    def get(self, x, dens) -> list:
+        """Ids of the matrices with numerators x over dens, None for a
+        matrix not seen before; no id is added."""
+        return [self._ids.get(key) for key in self._lowest(x, dens)[2]]
+
+    def __call__(self, x, dens) -> list[int]:
+        """Ids of the matrices with numerators x, shape (k, rows, cols, deg),
+        over dens; the matrices not seen before get the next ids."""
+        x, dens, keys = self._lowest(x, dens)
         ids, new = [], []
-        for key in zip(dens, _row_keys(x)):
+        for key in keys:
             i = self._ids.get(key)
             if i is None:
                 i = self._ids[key] = len(self._ids)
@@ -286,6 +299,11 @@ class _DenseTable:
     @staticmethod
     def keys(codes) -> list[int]:
         return codes.tolist()
+
+    def key(self, g):
+        """The key of g's code, or None when g has none; adds no id."""
+        x, den = pack([g])
+        return self.ids.get(x, [den])[0]
 
     def products(self, frontier, gcodes) -> np.ndarray:
         ids = self.ids
@@ -367,7 +385,7 @@ class _ProductTable:
         self._actions = []  # per column: (right action of its factor, bound)
         self._factor_mul = np.full((0, 0, 2), -1, dtype=np.int32)  # -1: not formed yet
         self._scalar_mul = {}  # (a << 32) | b -> id of scalars[a] * scalars[b]
-        self._site_actions = {}  # factor id -> its tensor._action, built when a state is acted on
+        self._site_actions = {}  # factor id -> its _factor_actions entry, built to act on a state
 
     def _scalar_id(self, c: Cyclotomic) -> int:
         i = self._scalar_ids.get(c)
@@ -440,19 +458,15 @@ class _ProductTable:
         """The sites of tensor._apply_packed for the operators with these
         codes: each factor column, then the scalar, with one action per
         distinct id.  The actions of factors not acted with before are
-        built in one right_actions call per shape."""
+        built in one tensor._factor_actions call per shape."""
         columns = [np.unique(codes[:, c], return_inverse=True)
                    for c in [*range(1, codes.shape[1]), 0]]
         acts, shapes = self._site_actions, {}
         for i in sorted({i for ids, _ in columns[:-1] for i in ids.tolist()}.difference(acts)):
             shapes.setdefault(self.factors.x[i].shape, []).append(i)
         for new in shapes.values():
-            a, bounds = right_actions(np.stack([self.factors.x[i] for i in new]).swapaxes(1, 2),
-                                      self.n)
-            for i, m, bound in zip(new, a, bounds):
-                den = self.factors.den[i]
-                # a factor acts as the identity exactly when it is the identity
-                acts[i] = (m, den, bound, den == 1 and np.array_equal(m, np.eye(len(m))))
+            acts.update(zip(new, _factor_actions(np.stack([self.factors.x[i] for i in new]),
+                                                 [self.factors.den[i] for i in new], self.n)))
         *factors, (scalars, index) = columns
         return [*(_site([acts[i] for i in ids.tolist()], index) for ids, index in factors),
                 _site([_scalar_action(self.scalars[i]) for i in scalars.tolist()], index)]
@@ -469,6 +483,17 @@ class _ProductTable:
     def keys(codes) -> list[bytes]:
         codes = np.ascontiguousarray(codes)
         return codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel().tolist()
+
+    def key(self, g):
+        """The key of g's code, or None at its first scalar or factor
+        without an id; adds no id."""
+        row = [self._scalar_ids.get(g.scalar)]
+        for f in g.factors:
+            if row[-1] is None:
+                return None
+            x, den = pack([f])
+            row += self.factors.get(x, [den])
+        return None if row[-1] is None else self.keys(np.array([row], dtype=np.int32))[0]
 
     def products(self, frontier, gcodes) -> np.ndarray:
         """The codes of h * g, for h in the frontier and g in the generators,

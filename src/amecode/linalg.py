@@ -246,13 +246,10 @@ def _identity(size: int, n: int) -> Matrix:
 # zeta.  Before every contraction the largest sum it can form is bounded.
 # Below 2**53 it runs in float64 through BLAS: every product and partial sum
 # is an integer of at most that size, so each is exact in any summation
-# order, and the result is cast back to int64.  A contraction of fewer than
-# _FLOAT_MIN_WORK multiply-adds stays on int64, where the two casts would
-# cost more than BLAS saves.  Below 2**62 it runs on int64 arrays, and
-# beyond that on Python ints (dtype=object, still exact).
+# order, and the result is cast back to int64.  Below 2**62 it runs on
+# int64 arrays, and beyond that on Python ints (dtype=object, still exact).
 
 _FLOAT_EXACT = 1 << 53
-_FLOAT_MIN_WORK = 1 << 12
 _INT64_SAFE = 1 << 62
 
 
@@ -280,7 +277,7 @@ def _matmul(x, m, m_bound: int):
     m_bound also bounds every entry of m, so when it and max|x| fit a
     tier, both operands convert to it."""
     top = _max_abs(x)
-    if x.size * m.shape[-1] >= _FLOAT_MIN_WORK and _fits(_FLOAT_EXACT, m_bound, top):
+    if _fits(_FLOAT_EXACT, m_bound, top):
         return np.matmul(x.astype(np.float64), m.astype(np.float64)).astype(np.int64)
     dtype = np.int64 if _fits(_INT64_SAFE, m_bound, top) else object
     return np.matmul(x.astype(dtype, copy=False), m.astype(dtype, copy=False))

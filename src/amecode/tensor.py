@@ -302,13 +302,22 @@ def _canon_inv(f: Matrix) -> tuple[Cyclotomic, Matrix]:
 _CHUNK_ENTRIES = 1 << 18  # packed integers a chunk of images or operators holds (bounds peak memory)
 
 
+def _factor_actions(x, dens, n: int) -> list:
+    """(A, den, bound, identity) for each factor f packed (linalg.pack) as
+    numerators x, shape (k, d, d, deg), over dens: f acts on the packed
+    amplitudes of its site, flattened to (basis index, power) pairs, as
+    y @ A / den; bound is _col_bound(A), and identity whether f is the
+    identity matrix."""
+    a, bounds = right_actions(x.swapaxes(1, 2), n)
+    return [(m, den, bound, den == 1 and np.array_equal(m, np.eye(len(m), dtype=m.dtype)))
+            for m, den, bound in zip(a, dens, bounds)]
+
+
 @lru_cache(maxsize=1 << 12)
 def _action(f: Matrix):
-    """(A, den, bound, identity): the factor f acts on the packed amplitudes
-    of its site, flattened to (basis index, power) pairs, as x @ A / den."""
-    x, den = pack([f.transpose()])
-    a, bounds = right_actions(x, f.n)
-    return a[0], den, bounds[0], f.is_identity()
+    """_factor_actions of the one factor f."""
+    x, den = pack([f])
+    return _factor_actions(x, [den], f.n)[0]
 
 
 @lru_cache(maxsize=1 << 12)

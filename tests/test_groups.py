@@ -587,13 +587,37 @@ def test_membership_is_found_by_code(weyl, local_sym):
     norm = normalizer_group_332()
     picked = random.Random(5).sample(range(norm.order), 30)
     assert [norm.index(g) for g in norm.elements_at(picked)] == picked
-    # other values are no elements, and interning them changes no index
+    # other values are no elements, and looking them up adds no id
+    sizes = (len(weyl.codec.ids.x), len(local_sym.codec.scalars), len(local_sym.codec.factors.x))
     assert weyl.index(Matrix(N, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])) is None
     assert catalog.xxx(3, 3, N) not in weyl and Matrix.identity(2, N) not in weyl
     assert weyl.generators[0] not in local_sym and catalog.xxx(3, 3, N) not in local_sym
     assert LocalOperator(N, 2, [Matrix.identity(3, N)] * 4) not in local_sym
+    half = Matrix(N, [[Cyclotomic(N, [1, 0, 0, 0], 2), 0, 0], [0, 2, 0], [0, 0, 1]])
+    assert LocalOperator(N, 1, [half, *[Matrix.identity(3, N)] * 3]) not in local_sym
     assert LocalOperator.identity((3, 3, 3, 3), 24) not in local_sym
+    assert (len(weyl.codec.ids.x), len(local_sym.codec.scalars),
+            len(local_sym.codec.factors.x)) == sizes
     assert [weyl.index(g) for g in weyl.elements] == list(range(648))
+
+
+def test_fixation_contracts_one_state_with_many_actions_in_float64(monkeypatch, local_sym,
+                                                                   phi_rowform):
+    # a chunk contracts phi's first site with over a hundred distinct factor
+    # actions at once; every bound of this check is below 2**53, so each
+    # contraction runs in float64 through BLAS
+    seen = []
+    real = np.matmul
+
+    def spy(a, b):
+        seen.append((a.shape, b.shape, a.dtype, b.dtype))
+        return real(a, b)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    assert all(local_sym.fixes(phi_rowform))
+    monkeypatch.undo()
+    assert any(a[0] == 1 and b[0] > 100 for a, b, _, _ in seen)
+    assert {(x, y) for _, _, x, y in seen} == {(np.dtype(np.float64),) * 2}
 
 
 def test_sl_factorable():

@@ -126,8 +126,7 @@ def test_scaled_bounds_negative_factors():
 
 def _edge_operands(m_bound: int, top: int):
     """(x, m) with _col_bound(m) == m_bound and max|x| == top, signs mixed,
-    where x's first row meets the bound: (x @ m)[0, 0] == m_bound * top.
-    x @ m has 64 * 8 * 8 = 4096 multiply-adds, enough for the float tier."""
+    where x's first row meets the bound: (x @ m)[0, 0] == m_bound * top."""
     rng = random.Random(m_bound ^ top)
     m = np.array([[rng.randrange(-9, 10) for _ in range(8)] for _ in range(8)], dtype=object)
     col = [m_bound // 8] * 7 + [m_bound - 7 * (m_bound // 8)]
