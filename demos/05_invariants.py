@@ -3,15 +3,16 @@
 
 The gate group's invariant algebra on code coordinates is generated by
 three polynomials.  This demo evaluates them exactly, decides their
-invariance under the generators on a fixed integer lattice, and shows the
-scale-free ratio fingerprint that separates orbits.
+invariance under the generators on a fixed integer lattice, and finds the
+gate that maps one code element onto the line of another, or shows that
+none does.
 """
 
 from fractions import Fraction
 
+from amecode.cyclo import root_of_unity
 from amecode.groups import weyl_generators, weyl_group
-from amecode.invariants import (CartanPoint, check_weyl_invariance,
-                                eval_invariants, invariant_ratio_fingerprint)
+from amecode.invariants import CartanPoint, check_weyl_invariance, eval_invariants, orbit_witness
 from amecode.linalg import Matrix
 
 N = 12
@@ -31,13 +32,12 @@ for i, r in enumerate(weyl_generators()):
 bad = Matrix(N, [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
 print("diag(2, 1/2, 1) preserves them:", check_weyl_invariance(bad))
 
-# Fingerprints: ratios of same-degree invariant powers are constant on
-# orbits and under rescaling.
+# Orbit witnesses: the first gate g with g * p parallel to q, found by
+# exact 2x2 minors over all 648 elements of the gate group.
+W = weyl_group()
 p = CartanPoint.of(N, 1, 2, 3)
-f = invariant_ratio_fingerprint(p)
-print("fingerprint branch:", f.branch)
-g = weyl_group().elements[123]
-print("constant along the orbit:", invariant_ratio_fingerprint(p.transform(g)) == f)
-print("constant under rescaling:", invariant_ratio_fingerprint(p.scale(7)) == f)
-print("separates distinct orbits:",
-      invariant_ratio_fingerprint(CartanPoint.of(N, 1, 0, 0)) != f)
+q = p.transform(W.elements[123]).scale(7 * root_of_unity(1, N))
+print("witness for 7 zeta g_123 p: element", orbit_witness(W, p, q))
+# i9 vanishes at (1, 0, 0) but not at (1, 2, 3), and whether it vanishes is
+# unchanged along an orbit and by scaling: no witness exists.
+print("witness for (1, 0, 0) against (1, 2, 3):", orbit_witness(W, CartanPoint.of(N, 1, 0, 0), p))

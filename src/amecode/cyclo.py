@@ -14,10 +14,18 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import copysign, gcd, inf, lcm, ldexp
 
 
 _FLOAT_SAFE_BITS = 1000  # integers below 2**1000 convert to float, with headroom for sums
+
+
+def _ldexp(x: float, k: int) -> float:
+    """x * 2**k, or +-inf beyond the float range."""
+    try:
+        return ldexp(x, k)
+    except OverflowError:
+        return copysign(inf, x)
 
 
 class ConductorMismatch(ValueError):
@@ -298,15 +306,21 @@ class Cyclotomic:
         by one power of two (integer true division, correctly rounded).
         Scaling by a power of two does not change float rounding, so the
         result is the same as without it wherever that would not
-        overflow."""
+        overflow.  A denominator that underflows at that scale is divided at
+        its own; components past the float range come out as +-inf."""
         f = _field(self.n)
         bits = max(abs(c).bit_length() for c in self.coeffs + (self.den,))
-        scale = 1 << max(0, bits - _FLOAT_SAFE_BITS)
+        shift = max(0, bits - _FLOAT_SAFE_BITS)
         acc = 0j
         for c, w in zip(self.coeffs, f.root_pows):
             if c:
-                acc += (c / scale) * w
-        return acc / (self.den / scale)
+                acc += (c / (1 << shift)) * w
+        den = self.den / (1 << shift)
+        if den:
+            return acc / den
+        low = max(0, self.den.bit_length() - _FLOAT_SAFE_BITS)
+        acc /= self.den / (1 << low)
+        return complex(_ldexp(acc.real, shift - low), _ldexp(acc.imag, shift - low))
 
     def embed(self, m: int) -> Cyclotomic:
         """Image in Q(zeta_M) for N | M, via zeta_N -> zeta_M^(M/N)."""

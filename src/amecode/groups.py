@@ -761,11 +761,12 @@ def local_symmetry_report(n: int = 12) -> LocalSymmetryReport:
     image, fibres, kernel = image_fibres_kernel(norm, lift)
     w = root_of_unity(n // 3, n)
     ident = Matrix.identity(3, n)
+    fixed = group.fixes(phi)
     return LocalSymmetryReport(
         operator_order=group.order,
         normalizer_order=norm.order,
-        generators_fix_state=all(fixed_by(group.generators, phi)),
-        all_elements_fix_state=all(group.fixes(phi)),
+        generators_fix_state=all(fixed[group.index(g)] for g in group.generators),
+        all_elements_fix_state=all(fixed),
         lift_is_homomorphism=lift is not None,
         image_order=image,
         fibre_sizes=fibres,

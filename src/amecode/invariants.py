@@ -1,9 +1,10 @@
 """The three generating invariants of the order-648 gate group in code
 coordinates (a, b, c), of degrees 6, 9 and 12, with exact evaluation,
-invariance and homogeneity decided on fixed integer lattices, and
-scale-free orbit fingerprints.
+invariance and homogeneity decided on fixed integer lattices, and an
+exact orbit witness: the element of a gate group that maps one point onto
+the line of another.
 
-`eval_invariants` and the fingerprints compute with `Cyclotomic` field
+`eval_invariants` and `orbit_witness` compute with `Cyclotomic` field
 elements, one point at a time.  `check_weyl_invariance` evaluates all 91
 points of its lattice at once, on packed integer numerators (a `_Stack`
 per coordinate, as in the packed kernel of `linalg`), and compares them
@@ -21,18 +22,16 @@ p = a^3, q = b^3, r = c^3:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
 from .cyclo import Cyclotomic
-from .linalg import (_INT64_SAFE, Matrix, _col_bound, _matmul, _max_abs, _product_map, _scaled,
-                     pack)
+from .linalg import Matrix, _col_bound, _matmul, _product_map, _scaled, pack
 
 
-@dataclass(frozen=True)
-class CartanPoint:
+class CartanPoint(NamedTuple):
     """Coordinates of a code element in the fixed orthonormal basis."""
 
     a: Cyclotomic
@@ -41,29 +40,24 @@ class CartanPoint:
 
     @classmethod
     def of(cls, n: int, a, b, c) -> CartanPoint:
-        return cls(Matrix._as_cyc(n, a), Matrix._as_cyc(n, b), Matrix._as_cyc(n, c))
+        return cls(*(Matrix._as_cyc(n, x) for x in (a, b, c)))
 
     @property
     def n(self) -> int:
         return self.a.n
 
     def transform(self, gate: Matrix) -> CartanPoint:
-        va, vb, vc = gate.mat_vec((self.a, self.b, self.c))
-        return CartanPoint(va, vb, vc)
+        return CartanPoint(*gate.mat_vec(self))
 
     def scale(self, t) -> CartanPoint:
         t = Matrix._as_cyc(self.n, t)
-        return CartanPoint(t * self.a, t * self.b, t * self.c)
+        return CartanPoint(*(t * x for x in self))
 
 
-@dataclass(frozen=True)
-class InvariantTriple:
+class InvariantTriple(NamedTuple):
     i6: Cyclotomic
     i9: Cyclotomic
     i12: Cyclotomic
-
-    def __iter__(self):
-        return iter((self.i6, self.i9, self.i12))
 
 
 def _of_cubes(p, q, r):
@@ -80,7 +74,7 @@ def _of_cubes(p, q, r):
 
 def eval_invariants(point: CartanPoint) -> InvariantTriple:
     """Exact values of the degree-6, 9 and 12 invariants at the point."""
-    return InvariantTriple(*_of_cubes(point.a ** 3, point.b ** 3, point.c ** 3))
+    return InvariantTriple(*_of_cubes(*(x ** 3 for x in point)))
 
 
 def is_homogeneous() -> bool:
@@ -105,33 +99,21 @@ class _Stack:
     """Field elements x[k] / den of conductor n, one per row of the
     (k, deg) power-basis numerator array x.  +, -, * and ** combine stacks
     row by row and with int scalars, so _of_cubes runs on a whole stack.
-    Every step bounds its largest entry first, from the operands' largest
-    entries: int64 below 2**62, Python ints (dtype=object) beyond."""
+    Every step runs on linalg's exact kernels, which pick the arithmetic
+    from the operands' largest entries: a sum adds two _scaled terms, each
+    below 2**62 when it is int64 (else Python ints), so the sum fits."""
 
-    __slots__ = ("x", "den", "n", "_bound")
+    __slots__ = ("x", "den", "n")
 
     def __init__(self, x, den: int, n: int):
-        self.x, self.den, self.n, self._bound = x, den, n, None
-
-    @property
-    def bound(self) -> int:
-        """The largest absolute numerator."""
-        if self._bound is None:
-            self._bound = _max_abs(self.x)
-        return self._bound
-
-    def _as(self, dtype):
-        return self.x.astype(dtype, copy=False)
+        self.x, self.den, self.n = x, den, n
 
     def _add(self, other, sign: int) -> _Stack:
-        if not isinstance(other, _Stack):
-            y = np.zeros_like(self.x, dtype=object)
-            y[:, 0] = other * self.den
-            other = _Stack(y, self.den, self.n)
+        if not isinstance(other, _Stack):  # an int: one row, broadcast over the stack
+            other = _Stack(np.array([[other] + [0] * (self.x.shape[1] - 1)]), 1, self.n)
         den = lcm(self.den, other.den)
-        ka, kb = den // self.den, sign * (den // other.den)
-        dtype = np.int64 if ka * self.bound + abs(kb) * other.bound < _INT64_SAFE else object
-        return _Stack(self._as(dtype) * ka + other._as(dtype) * kb, den, self.n)
+        x = _scaled(self.x, den // self.den) + _scaled(other.x, sign * (den // other.den))
+        return _Stack(x, den, self.n)
 
     def __add__(self, other) -> _Stack:
         return self._add(other, 1)
@@ -141,22 +123,15 @@ class _Stack:
 
     def __mul__(self, other) -> _Stack:
         if not isinstance(other, _Stack):
-            dtype = np.int64 if abs(other) * self.bound < _INT64_SAFE else object
-            return _Stack(self._as(dtype) * other, self.den, self.n)
+            return _Stack(_scaled(self.x, other), self.den, self.n)
         # the coefficient products x[t] * y[u], mapped by T2 to coefficients
-        t2, t2_bound = _product_map(self.n)
-        dtype = np.int64 if t2_bound * self.bound * other.bound < _INT64_SAFE else object
-        x, y = self._as(dtype), other._as(dtype)
-        outer = (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
-        return _Stack(outer @ t2.astype(dtype, copy=False), self.den * other.den, self.n)
+        outer = _scaled(self.x[:, :, None], other.x[:, None, :]).reshape(len(self.x), -1)
+        return _Stack(_matmul(outer, *_product_map(self.n)), self.den * other.den, self.n)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> _Stack:
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        return self if k == 1 else self * self ** (k - 1)
 
 
 def check_weyl_invariance(gate: Matrix) -> bool:
@@ -190,25 +165,14 @@ def check_weyl_invariance(gate: Matrix) -> bool:
                for s, f in zip(_of_cubes(*(v ** 3 for v in coords)), values))
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Scale-invariant ratios of same-degree invariant combinations; equal
-    fingerprints are necessary for two code elements to lie on the same
-    gate-group orbit."""
-
-    branch: str
-    ratios: tuple
-
-
-def invariant_ratio_fingerprint(point: CartanPoint) -> Fingerprint:
-    """(i9^2/i6^3, i12/i6^2) when i6 != 0; labeled degenerate branches
-    otherwise; raises when all three invariants vanish."""
-    t = eval_invariants(point)
-    if not t.i6.is_zero():
-        d3 = t.i6 ** 3
-        return Fingerprint("i6", (t.i9 ** 2 / d3, t.i12 / (t.i6 ** 2)))
-    if not t.i9.is_zero():
-        return Fingerprint("i9", (t.i6 ** 3 / t.i9 ** 2, t.i12 ** 3 / t.i9 ** 4))
-    if not t.i12.is_zero():
-        return Fingerprint("i12", (t.i6 ** 2 / t.i12, t.i9 ** 4 / t.i12 ** 3))
-    raise ZeroDivisionError("all invariants vanish: fingerprint undefined")
+def orbit_witness(group, p: CartanPoint, q: CartanPoint) -> int | None:
+    """The index of the first element g of a group of 3x3 gates with g * p
+    parallel to q: all three 2x2 minors of (g * p, q) are exactly 0.  None
+    when no element maps p onto the line of q; ValueError for a zero point."""
+    if any(all(x.is_zero() for x in point) for point in (p, q)):
+        raise ValueError("a zero point lies on no line")
+    for k, g in enumerate(group.elements):
+        x = p.transform(g)
+        if all(x[i] * q[j] == x[j] * q[i] for i, j in ((0, 1), (0, 2), (1, 2))):
+            return k
+    return None

@@ -34,7 +34,7 @@ class IngestError(ValueError):
 # Every reader takes the JSON value and its path ("$.amps[3].coeffs[1]"),
 # checks the value's type before using it, and raises IngestError naming
 # that path on the first mismatch, so no malformed file gets further than
-# ingest.
+# ingest.  An unknown field, a misspelt one included, is an error too.
 
 # The kernels' field tables grow as the cube of the field degree phi(N):
 # degree 64 (conductor 192) runs in 40 MB, degree 512 asks for 1 GiB.  The
@@ -49,12 +49,23 @@ def _kind(value) -> str:
 
 
 def _get(data, key: str, path: str):
-    """(data[key], its path) for a JSON object data."""
-    if not isinstance(data, dict):
-        raise IngestError(f"{path}: expected an object, got {_kind(data)}")
+    """(data[key], its path) for a JSON object data, checked by _fields."""
     if key not in data:
         raise IngestError(f"{path}: missing field {key!r}")
     return data[key], f"{path}.{key}"
+
+
+def _fields(data, path: str, kind: str | None, *keys: str) -> None:
+    """Reject every key of the object data outside keys, a format naming
+    kind (None: no format) and the top-level description."""
+    if not isinstance(data, dict):
+        raise IngestError(f"{path}: expected an object, got {_kind(data)}")
+    for key, value in data.items():
+        if key == "format" and kind is not None:
+            if value != kind:
+                raise IngestError(f"{path}.format: expected {kind!r}, got {value!r}")
+        elif key not in keys and not (key == "description" and path == "$"):
+            raise IngestError(f"{path}.{key}: unknown field")
 
 
 def _items(value, path: str) -> list:
@@ -85,6 +96,7 @@ def _conductor(data, path: str) -> int:
 def _scalar(data, path: str, n: int) -> Cyclotomic:
     """A field element {conductor, coeffs} whose conductor is n, with
     coefficient strings "p" or "p/q" in decimal digits and q > 0."""
+    _fields(data, path, None, "conductor", "coeffs")
     if _int(*_get(data, "conductor", path), high=MAX_CONDUCTOR) != n:
         raise IngestError(f"{path}.conductor: {data['conductor']} differs from "
                           f"the file conductor {n}")
@@ -122,6 +134,7 @@ def _rows(value, path: str, n: int, square: bool = False) -> Matrix:
 
 
 def _state_from_dict(data, path: str = "$") -> PureState:
+    _fields(data, path, "state", "conductor", "dims", "amps")
     n = _conductor(data, path)
     dims = [_int(*item) for item in _items(*_get(data, "dims", path))]
     amps = [_scalar(a, p, n) for a, p in _items(*_get(data, "amps", path))]
@@ -132,6 +145,7 @@ def _state_from_dict(data, path: str = "$") -> PureState:
 
 
 def _operator_from_dict(data, path: str = "$") -> LocalOperator:
+    _fields(data, path, "operator", "conductor", "scalar", "factors")
     n = _conductor(data, path)
     scalar = _scalar(*_get(data, "scalar", path), n)
     factors = [_rows(f, p, n, square=True) for f, p in _items(*_get(data, "factors", path))]
@@ -147,10 +161,12 @@ def _operator_from_dict(data, path: str = "$") -> LocalOperator:
 
 
 def _matrix_from_dict(data, path: str = "$") -> Matrix:
+    _fields(data, path, "matrix", "conductor", "entries")
     return _rows(*_get(data, "entries", path), _conductor(data, path))
 
 
 def _code_from_dict(data, path: str = "$") -> CodeSubspace:
+    _fields(data, path, "code", "basis", "n", "D", "claimed_d")
     basis = [_state_from_dict(s, p) for s, p in _items(*_get(data, "basis", path))]
     n_sites = _int(*_get(data, "n", path))
     local_dim = _int(*_get(data, "D", path))
@@ -163,8 +179,9 @@ def _code_from_dict(data, path: str = "$") -> CodeSubspace:
         raise IngestError(f"{path}: invalid code: {exc}") from None
 
 
-def _list_from_dict(read, key: str):
+def _list_from_dict(read, kind: str, key: str):
     def read_list(data, path: str = "$") -> list:
+        _fields(data, path, kind, key)
         return [read(item, p) for item, p in _items(*_get(data, key, path))]
     return read_list
 
@@ -174,8 +191,8 @@ _READERS = {
     "operator": _operator_from_dict,
     "matrix": _matrix_from_dict,
     "code": _code_from_dict,
-    "operator-list": _list_from_dict(_operator_from_dict, "operators"),
-    "matrix-list": _list_from_dict(_matrix_from_dict, "matrices"),
+    "operator-list": _list_from_dict(_operator_from_dict, "operator-list", "operators"),
+    "matrix-list": _list_from_dict(_matrix_from_dict, "matrix-list", "matrices"),
 }
 
 

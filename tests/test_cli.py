@@ -164,6 +164,15 @@ def test_cli_group_verify_cosets(capsys):
     assert main(["group", "verify-cosets"]) == 0
 
 
+def test_cli_ingest_rejects_a_misspelt_field(tmp_path, capsys):
+    data = json.loads(shipped_path("c332.code").read_text())
+    data["claimed_D"] = data.pop("claimed_d")
+    path = tmp_path / "misspelt.code"
+    path.write_text(json.dumps(data))
+    assert _run(["ingest", str(path)], capsys) == \
+        (2, "", f"error: {path}: $.claimed_D: unknown field\n")
+
+
 def test_cli_invariants_eval(capsys):
     assert main(["invariants", "eval", "--point", "1,1,1",
                  "--format", "json"]) == 0
@@ -180,6 +189,22 @@ def test_cli_invariants_eval_large_height(capsys):
     exact = Fraction(data["i12"]["coeffs"][0])
     assert exact.numerator.bit_length() > 1100
     assert complex(data["i12_float"]).real == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_cli_invariants_eval_past_the_float_range(capsys):
+    # i12 has a numerator of about 2**8000 over 1, so the float rendering
+    # must scale the numerator without the denominator underflowing
+    assert main(["invariants", "eval", "--point=1e200,1,1", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    a = Fraction(10) ** 200
+    # the cube polynomials at p = a**3, q = r = 1
+    oracle = {"i6": a ** 6 + 2 - 10 * (2 * a ** 3 + 1), "i9": 0,
+              "i12": (2 * a ** 9 + 2 * (a ** 3 + 1) - 4 * (2 * a ** 6 + 1)
+                      + 2 * a ** 3 * (a ** 3 + 2))}
+    for key, value in oracle.items():
+        coeffs = [Fraction(c) for c in data[key]["coeffs"]]
+        assert coeffs == [value, 0, 0, 0], key
+    assert (data["i6_float"], data["i9_float"], data["i12_float"]) == ("(inf+0j)", "0j", "(inf+0j)")
 
 
 def test_cli_invariants_eval_bad_point(capsys):
@@ -457,6 +482,16 @@ def test_cli_kempfness_rejects_state_of_infinite_norm(cmd, tmp_path, capsys):
     huge = tmp_path / "huge.state"
     huge.write_text(json.dumps(data))
     assert _run(["kempfness", cmd, "--state", str(huge)], capsys) == \
+        (2, "", "error: state norm is not finite\n")
+
+
+def test_cli_kempfness_critical_rejects_an_amplitude_past_the_float_range(tmp_path, capsys):
+    # 10**700 over 1: the denominator underflows at the numerator's scale
+    data = json.loads(shipped_path("phi.state").read_text())
+    data["amps"][0]["coeffs"][0] = "1" + "0" * 700
+    huge = tmp_path / "huge.state"
+    huge.write_text(json.dumps(data))
+    assert _run(["kempfness", "critical", "--state", str(huge)], capsys) == \
         (2, "", "error: state norm is not finite\n")
 
 

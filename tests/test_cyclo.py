@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,16 @@ def test_float_embedding_multiplicative():
         lhs = (a * b).to_complex()
         rhs = a.to_complex() * b.to_complex()
         assert abs(lhs - rhs) < 1e-10
+
+
+def test_float_embedding_saturates_past_the_float_range():
+    # numerators 2**2000 and more past a denominator of 1 or 3 used to divide
+    # by a denominator that underflowed to 0.0; 10**400 saturated already
+    assert Cyclotomic(12, [10 ** 700, 0, 0, -10 ** 700], 1).to_complex() == complex(inf, -inf)
+    assert Cyclotomic(12, [-10 ** 700, 0, 0, 0], 3).to_complex() == complex(-inf, 0)
+    assert Cyclotomic(12, [10 ** 400, 0, 0, 0], 1).to_complex() == complex(inf, 0)
+    # a denominator past the float range is divided at its own scale
+    assert Cyclotomic(12, [10 ** 3000, 0, 0, 0], 2 ** 1100).to_complex() == complex(inf, 0)
 
 
 def test_exact_zero_embeds_to_zero():

@@ -44,3 +44,15 @@ def test_only_serialize_knows_the_file_formats():
     assert writers == {"serialize"}
     for cls in (Cyclotomic, Matrix, PureState, LocalOperator, CodeSubspace, KLReport):
         assert not hasattr(cls, "to_dict") and not hasattr(cls, "from_dict"), cls
+
+
+def test_only_linalg_knows_the_integer_tiers():
+    # the bounds that choose float64, int64 or Python ints live in linalg;
+    # every other module reaches them through _matmul and _scaled
+    tiers, users = {"_INT64_SAFE", "_FLOAT_EXACT"}, set()
+    for path in sorted(Path(amecode.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Name, ast.alias)) and name in tiers:
+                users.add(path.stem)
+    assert users == {"linalg"}

@@ -6,8 +6,7 @@ import pytest
 from amecode import invariants, suites
 from amecode.cyclo import Cyclotomic
 from amecode.groups import weyl_generators
-from amecode.invariants import (CartanPoint, check_weyl_invariance,
-                                eval_invariants, invariant_ratio_fingerprint)
+from amecode.invariants import CartanPoint, check_weyl_invariance, eval_invariants
 from amecode.linalg import Matrix, pack
 
 N = 12
@@ -132,37 +131,55 @@ def test_non_homogeneous_cubes_fail_the_homogeneity_clause(monkeypatch):
     assert not result.passed and "homogeneity=False" in result.actual
 
 
-def test_fingerprint_scale_invariance():
-    rng = random.Random(3)
-    for _ in range(20):
+def _cyclotomic_scalar(rng):
+    # a random non-zero element of the field, not only a rational
+    while True:
+        t = Cyclotomic(N, [rng.randint(-5, 5) for _ in range(4)], rng.randint(1, 5))
+        if not t.is_zero():
+            return t
+
+
+def test_orbit_witness_finds_an_element_onto_the_line(weyl):
+    rng = random.Random(5)
+    for _ in range(5):
         p = _rational_point(rng)
-        f = invariant_ratio_fingerprint(p)
-        assert invariant_ratio_fingerprint(p.scale(5)) == f
-        g = invariant_ratio_fingerprint(p.scale(Fraction(-2, 7)))
-        assert g == f and hash(g) == hash(f)
-        assert f != (f.branch, f.ratios)
+        k = rng.randrange(weyl.order)
+        q = p.transform(weyl.elements[k]).scale(_cyclotomic_scalar(rng))
+        j = invariants.orbit_witness(weyl, p, q)
+        assert j is not None and j <= k
+        # independently: q is a multiple of g_j * p, with the ratio read off
+        # at a non-zero coordinate
+        x = p.transform(weyl.elements[j])
+        i = next(i for i, v in enumerate(x) if not v.is_zero())
+        ratio = q[i] / x[i]
+        assert q == x.scale(ratio)
 
 
-def test_fingerprint_constant_on_orbits(weyl):
-    rng = random.Random(4)
-    for _ in range(20):
+def test_orbit_witness_of_a_multiple_is_the_identity(weyl):
+    rng = random.Random(6)
+    assert weyl.elements[0].is_identity()
+    for _ in range(3):
         p = _rational_point(rng)
-        f = invariant_ratio_fingerprint(p)
-        g = weyl.elements[rng.randrange(weyl.order)]
-        assert invariant_ratio_fingerprint(p.transform(g)) == f
+        assert invariants.orbit_witness(weyl, p, p.scale(_cyclotomic_scalar(rng))) == 0
 
 
-def test_fingerprint_branches():
-    f = invariant_ratio_fingerprint(CartanPoint.of(N, 1, 0, 0))
-    assert f.branch == "i6"
-    assert all(x.is_zero() for x in f.ratios)
-    # i6 = 0, i9 != 0 at (1, w-ish)?  use (1, 1, t) with t^3 chosen to kill i6
-    # simpler: all invariants zero only at the trivial point here
-    with pytest.raises(ZeroDivisionError):
-        invariant_ratio_fingerprint(CartanPoint.of(N, 0, 0, 0))
+def test_orbit_witness_none_across_orbits(weyl):
+    # the certificate: whether i9 vanishes is unchanged along an orbit and by
+    # scaling, and i9 is 0 at (1, 0, 0) but not at (1, 2, 3)
+    p, q = CartanPoint.of(N, 1, 0, 0), CartanPoint.of(N, 1, 2, 3)
+    assert eval_invariants(p).i9.is_zero() and not eval_invariants(q).i9.is_zero()
+    assert invariants.orbit_witness(weyl, p, q) is None
+    assert invariants.orbit_witness(weyl, q, p) is None
+    # with a zero first coordinate only the third minor tells (0, 1, 2) from
+    # (0, 1, 3); i6^3 / i9^2 is unchanged along an orbit and by scaling
+    p, q = CartanPoint.of(N, 0, 1, 2), CartanPoint.of(N, 0, 1, 3)
+    (s6, s9, _), (t6, t9, _) = eval_invariants(p), eval_invariants(q)
+    assert s6 ** 3 * t9 ** 2 != t6 ** 3 * s9 ** 2
+    assert invariants.orbit_witness(weyl, p, q) is None
 
 
-def test_fingerprints_separate_distinct_orbits():
-    f1 = invariant_ratio_fingerprint(CartanPoint.of(N, 1, 0, 0))
-    f2 = invariant_ratio_fingerprint(CartanPoint.of(N, 1, 2, 3))
-    assert f1 != f2
+def test_orbit_witness_rejects_a_zero_point(weyl):
+    zero, p = CartanPoint.of(N, 0, 0, 0), CartanPoint.of(N, 1, 2, 3)
+    for args in ((zero, p), (p, zero), (zero, zero)):
+        with pytest.raises(ValueError):
+            invariants.orbit_witness(weyl, *args)

@@ -19,12 +19,17 @@ def test_shipped_files_ingest_and_match_catalog():
         catalog.local_symmetry_generators())
     assert ser.load_shipped("coset-reps.ops") == list(
         catalog.coset_representatives())
+    # each carries a top-level description, the one field no reader reads
+    for name in ser.SHIPPED:
+        assert "description" in json.loads(ser.shipped_path(name).read_text())
 
 
 def test_roundtrip_through_files(tmp_path):
     objs = [
         catalog.ame_state(),
         catalog.code_332(),
+        CodeSubspace(3, 3, catalog.code_332().basis),  # claimed_d written as null
+        catalog.coset_representatives()[0],
         list(catalog.coset_representatives()),
         list(weyl_generators()),
         catalog.pauli_x(3, 12),
@@ -99,6 +104,14 @@ def test_shipped_files_roundtrip(tmp_path):
             assert again == obj
 
 
+def test_ingest_rejects_a_misspelt_field(tmp_path):
+    # claimed_D is not claimed_d: it must not ingest as claimed_d=None
+    data = json.loads(ser.shipped_path("c332.code").read_text())
+    data["claimed_D"] = data.pop("claimed_d")
+    with pytest.raises(ser.IngestError, match=r"\$\.claimed_D: unknown field"):
+        _ingest_json(tmp_path, data)
+
+
 def test_describe():
     assert "norm^2 = 1" in ser.describe(catalog.ame_state())
     assert "K=3" in ser.describe(catalog.code_332())
@@ -142,9 +155,17 @@ def _operator(factors) -> dict:
     (lambda d: _operator([]), r"\$\.factors: expected at least one factor"),
     (lambda d: dict(ser.to_dict(catalog.pauli_x(3, 12)), entries=[]),
      r"\$\.entries: expected a non-empty matrix, got 0x0"),
+    (lambda d: d["amps"][4].__setitem__("description", "x"),
+     r"\$\.amps\[4\]\.description: unknown field"),
+    (lambda d: d["amps"][4].__setitem__("format", "scalar"),
+     r"\$\.amps\[4\]\.format: unknown field"),
+    (lambda d: {"format": "operator-list",
+                "operators": [dict(_operator([[[_ONE]]]), format="matrix")]},
+     r"\$\.operators\[0\]\.format: expected 'operator', got 'matrix'"),
 ], ids=["top-level-list", "zero-denominator", "bare-int", "exponent", "too-few-coeffs",
         "huge-conductor", "string-dim", "missing-field", "mixed-conductor",
-        "non-square-factor", "no-factors", "empty-matrix"])
+        "non-square-factor", "no-factors", "empty-matrix",
+        "nested-description", "scalar-format", "nested-format"])
 def test_ingest_names_the_json_path(tmp_path, edit, where):
     data = ser.to_dict(catalog.ame_state())
     data = edit(data) or data
