@@ -307,7 +307,19 @@ class Cyclotomic:
         Scaling by a power of two does not change float rounding, so the
         result is the same as without it wherever that would not
         overflow.  A denominator that underflows at that scale is divided at
-        its own; components past the float range come out as +-inf."""
+        its own; components past the float range come out as +-inf.  Such a
+        result is recomputed per component, from the exact real part
+        (z + conj z) / 2 and the exact imaginary part (z - conj z) / 2, so
+        the rounding of the float zeta^j, scaled up by a huge coefficient,
+        cannot fill a component that is exactly 0."""
+        z = self._float()
+        if cmath.isfinite(z):
+            return z
+        c = self.conj()
+        re, im = (Cyclotomic(self.n, p.coeffs, 2 * p.den) for p in (self + c, self - c))
+        return complex(re._float().real if re else 0.0, im._float().imag if im else 0.0)
+
+    def _float(self) -> complex:
         f = _field(self.n)
         bits = max(abs(c).bit_length() for c in self.coeffs + (self.den,))
         shift = max(0, bits - _FLOAT_SAFE_BITS)

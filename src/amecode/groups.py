@@ -11,9 +11,11 @@ each search level is one integer matmul (linalg's packed kernel), and
 linalg.unpack builds the elements when they are read.  A product operator
 is an int32 row (scalar id, canonical-factor id per site), keyed by the
 row's bytes, and a level's products are numpy gathers from an int array of
-factor products and lookups of its distinct scalar pairs; missing factor
-products are formed by the packed kernel in one batch per level and site,
-and divided by their leading entry through tensor's packed scalar action.
+factor products and lookups of its distinct scalar pairs, one dict read per
+distinct pair; missing factor products are formed by the packed kernel in
+one batch per level and site, and divided by their leading entry through
+tensor's packed scalar action, with one field element and one inverse per
+distinct leading entry of the batch.
 The ids and both tables belong to the conductor, not the closure, so the
 closures of one process share them; the groups do not depend on the order
 they are built in.
@@ -120,7 +122,16 @@ class MatrixGroup:
         return self.index(g) is not None
 
     def set_equal(self, other: MatrixGroup) -> bool:
-        return set(self.elements) == set(other.elements)
+        """Whether the two groups have the same elements, decided on their
+        codes, so no element is built.  Groups of product operators of one
+        conductor share a table, in which equal operators have equal code
+        rows; dense groups of one shape and conductor compare the interned
+        keys (den, numerators) of their codes.  Any other pair differs."""
+        a, b = self.codec, other.codec
+        if isinstance(a, _ProductTable):
+            return a is b and set(a.keys(self.codes)) == set(b.keys(other.codes))
+        return (isinstance(b, _DenseTable) and a.identity == b.identity
+                and a.ids.keys(self.codes) == b.ids.keys(other.codes))
 
     def sample(self, k: int, seed: int = 0) -> list:
         rng = random.Random(seed)
@@ -252,6 +263,12 @@ class _PackedIds:
         matrix not seen before; no id is added."""
         return [self._ids.get(key) for key in self._lowest(x, dens)[2]]
 
+    def keys(self, ids) -> set:
+        """The set of the keys of an int array of ids (the key of id i is
+        the i-th key entered)."""
+        keys = list(self._ids)
+        return {keys[i] for i in ids.tolist()}
+
     def __call__(self, x, dens) -> list[int]:
         """Ids of the matrices with numerators x, shape (k, rows, cols, deg),
         over dens; the matrices not seen before get the next ids."""
@@ -363,14 +380,20 @@ class _ProductTable:
       each generator factor gets a column when first used;
     * scalar ids (a, b) -> id of a*b, a dict keyed by one int per pair, so
       it holds only the pairs formed: a thin closure such as diag(2, 1, 1)
-      makes a new scalar at every level.
+      makes a new scalar at every level.  Each scalar step of a level sorts
+      its pairs, reads the dict once per distinct pair and finds each
+      product's pair among them by binary search: the paper's steps have up
+      to 4830 products and at most 72 distinct pairs.
 
     Both groups of the paper use at most 216 factors per site and 42
     scalars, so nearly every product is a lookup, and the second of them to
     be closed finds most of its factor products filled.  The factor pairs a
     level lacks at a site are multiplied in one batch by the packed kernel
     of linalg, each over the product of its two denominators, and made
-    canonical by the exact inverse of the leading entry.  Factors are
+    canonical by the exact inverse of the leading entry; the batch builds
+    the field element, scalar id and inverse action of each distinct lead
+    (den, numerators) once (the paper's groups fill 1512 factor pairs with
+    9 distinct leads).  Factors are
     interned on their packed numerators in lowest terms; a right action is
     built only for a generator factor, and a Matrix only for a factor of an
     element that is built."""
@@ -406,22 +429,29 @@ class _ProductTable:
         one shape, in the factor table; b has a column."""
         x, dens = self.factors.x, self.factors.den
         right = [self._actions[self._columns[b]] for _, b in pairs]
-        left = np.stack([x[a] for a, _ in pairs])
-        p = _matmul(left.reshape(*left.shape[:2], -1), np.stack([r[0] for r in right]),
+        # np.array stacks these arrays of one shape at a fraction of the fixed
+        # cost of np.stack, which a thin closure pays at every level
+        left = np.array([x[a] for a, _ in pairs])
+        p = _matmul(left.reshape(*left.shape[:2], -1), np.array([r[0] for r in right]),
                     max(r[1] for r in right))
         d = p.shape[1]
         p = p.reshape(len(pairs), d * d, -1)
         dens = [dens[a] * dens[b] for a, b in pairs]
         # factors of invertible generators: every product has a nonzero entry
         first = np.abs(p).max(axis=2).astype(bool).argmax(axis=1).tolist()
-        leads = [Cyclotomic(self.n, p[k, j].tolist(), den)
+        # one Cyclotomic, scalar id and inverse action per distinct lead
+        # (den, numerators), in order of first occurrence
+        keys = {}
+        index = [keys.setdefault((den, *p[k, j].tolist()), len(keys))
                  for k, (j, den) in enumerate(zip(first, dens))]
+        leads = [Cyclotomic(self.n, list(key[1:]), key[0]) for key in keys]
         acts, inv_dens, bounds, _ = zip(*map(self._inverse_action, leads))
-        q = _matmul(p, np.stack(acts), max(bounds))
+        lead_ids = [self._scalar_id(c) for c in leads]
+        q = _matmul(p, np.array([acts[k] for k in index]), max(bounds))
         ids = self.factors(q.reshape(len(pairs), d, d, -1),
-                           [den * e for den, e in zip(dens, inv_dens)])
-        for (a, b), c, i in zip(pairs, leads, ids):
-            self._factor_mul[a, self._columns[b]] = (self._scalar_id(c), i)
+                           [den * inv_dens[k] for den, k in zip(dens, index)])
+        for (a, b), k, i in zip(pairs, index, ids):
+            self._factor_mul[a, self._columns[b]] = (lead_ids[k], i)
 
     def _factor_products(self, a, b):
         """(lead scalar ids, factor ids) of the products of factors a[i] and
@@ -447,12 +477,21 @@ class _ProductTable:
         return c
 
     def _scalar_products(self, a, b):
-        """Ids of scalars[a] * scalars[b], for int arrays that broadcast."""
+        """Ids of scalars[a] * scalars[b], for int arrays that broadcast.
+        The table is read once per distinct pair, the pairs it lacks are
+        formed in ascending order, and each product's id is gathered by its
+        pair's place among the distinct ones."""
         pairs = (a.astype(np.int64) << 32) | b
-        flat, table, scalars = pairs.ravel().tolist(), self._scalar_mul, self.scalars
-        for ab in sorted(set(flat).difference(table)):
-            table[ab] = self._scalar_id(scalars[ab >> 32] * scalars[ab & _LOW])
-        return np.array(list(map(table.__getitem__, flat)), dtype=np.int32).reshape(pairs.shape)
+        s = np.sort(pairs, axis=None)
+        distinct = s[np.concatenate(([True], s[1:] != s[:-1]))]
+        table, scalars = self._scalar_mul, self.scalars
+        ids = []
+        for ab in distinct.tolist():
+            i = table.get(ab)
+            if i is None:
+                i = table[ab] = self._scalar_id(scalars[ab >> 32] * scalars[ab & _LOW])
+            ids.append(i)
+        return np.array(ids, dtype=np.int32)[distinct.searchsorted(pairs)]
 
     def sites(self, codes):
         """The sites of tensor._apply_packed for the operators with these

@@ -114,6 +114,15 @@ def test_float_embedding_saturates_past_the_float_range():
     assert Cyclotomic(12, [10 ** 3000, 0, 0, 0], 2 ** 1100).to_complex() == complex(inf, 0)
 
 
+def test_float_embedding_keeps_an_exact_zero_component_past_the_float_range():
+    # the float zeta^3 = i carries a real part of about 2.8e-16; scaled by
+    # 10**400 it used to fill the real component with inf
+    assert Cyclotomic(12, [0, 0, 0, 10 ** 400], 1).to_complex() == complex(0, inf)
+    assert Cyclotomic(12, [0, 0, 0, -10 ** 400], 7).to_complex() == complex(0, -inf)
+    # 10**400 * zeta: both components are nonzero and past the range
+    assert Cyclotomic(12, [0, 10 ** 400, 0, 0], 1).to_complex() == complex(inf, inf)
+
+
 def test_exact_zero_embeds_to_zero():
     rng = random.Random(3)
     for _ in range(200):

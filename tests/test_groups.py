@@ -21,7 +21,7 @@ from amecode.groups import (ClosureCapExceeded, GeneratorTypeError, NotInNormali
                             normalizer_group_332, reflection,
                             sl_factorable, transversal_group,
                             verify_coset_representatives, weyl_generators, weyl_group)
-from amecode.linalg import Matrix
+from amecode.linalg import Matrix, _matmul
 from amecode.tensor import DimensionMismatch, LocalOperator, apply, fixed_by
 
 N = 12
@@ -160,6 +160,165 @@ def test_shared_operator_table_is_order_independent(order, local_sym):
         table, elements = built[name]
         assert np.array_equal(np.array(table), group.table)
         assert elements == _digest(group.elements)
+
+
+def _reference_scalar_products(table, a, b):
+    """_ProductTable._scalar_products read once per product: the missing
+    pairs filled in ascending order, then one dict read per product."""
+    pairs = (a.astype(np.int64) << 32) | b
+    flat, mul, scalars = pairs.ravel().tolist(), table._scalar_mul, table.scalars
+    for ab in sorted(set(flat).difference(mul)):
+        mul[ab] = table._scalar_id(scalars[ab >> 32] * scalars[ab & groups._LOW])
+    return np.array(list(map(mul.__getitem__, flat)), dtype=np.int32).reshape(pairs.shape)
+
+
+def _reference_fill_factors(table, pairs):
+    """_ProductTable._fill_factors with one lead, inverse action and scalar
+    id per factor pair."""
+    x, dens = table.factors.x, table.factors.den
+    right = [table._actions[table._columns[b]] for _, b in pairs]
+    left = np.stack([x[a] for a, _ in pairs])
+    p = _matmul(left.reshape(*left.shape[:2], -1), np.stack([r[0] for r in right]),
+                max(r[1] for r in right))
+    d = p.shape[1]
+    p = p.reshape(len(pairs), d * d, -1)
+    dens = [dens[a] * dens[b] for a, b in pairs]
+    first = np.abs(p).max(axis=2).astype(bool).argmax(axis=1).tolist()
+    leads = [Cyclotomic(table.n, p[k, j].tolist(), den)
+             for k, (j, den) in enumerate(zip(first, dens))]
+    acts, inv_dens, bounds, _ = zip(*map(table._inverse_action, leads))
+    q = _matmul(p, np.stack(acts), max(bounds))
+    ids = table.factors(q.reshape(len(pairs), d, d, -1),
+                        [den * e for den, e in zip(dens, inv_dens)])
+    for (a, b), c, i in zip(pairs, leads, ids):
+        table._factor_mul[a, table._columns[b]] = (table._scalar_id(c), i)
+
+
+# the four closures of the paper and the centralizer, each built by closure
+# itself (weyl_group and normalizer_group_332 cache their results)
+PAPER_CLOSURES = (
+    lambda: closure(weyl_generators(N), cap=6480),
+    lambda: transversal_group(N),
+    lambda: local_symmetry_group(N),
+    lambda: closure([catalog.xxx(3, 3, N), catalog.zzz(3, 3, N),
+                     *catalog.coset_representatives(N)], cap=58320),
+    lambda: closure([catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)], cap=90),
+)
+
+
+def _thin_operator():
+    return LocalOperator(N, 1, [Matrix(N, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])])
+
+
+def _fill_fresh_table(monkeypatch, order):
+    """A fresh conductor-12 operator table after the paper closures in the
+    given order, then a thin closure to its cap: (table, groups built)."""
+    table = groups._ProductTable(N)
+    monkeypatch.setattr(groups, "_product_table", lambda n: table)
+    built = [PAPER_CLOSURES[k]() for k in order]
+    with pytest.raises(ClosureCapExceeded):
+        closure([_thin_operator()], cap=200)
+    return table, built
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0)],
+                         ids=["paper-first", "centralizer-first"])
+def test_operator_table_matches_per_product_reference(monkeypatch, order):
+    """Looking scalar pairs and factor leads up once per distinct value
+    fills the shared table exactly as one lookup per product does."""
+    sides = []
+    for reference in (True, False):
+        with monkeypatch.context() as m:
+            if reference:
+                m.setattr(groups._ProductTable, "_scalar_products", _reference_scalar_products)
+                m.setattr(groups._ProductTable, "_fill_factors", _reference_fill_factors)
+            sides.append(_fill_fresh_table(m, order))
+    (ref, ref_groups), (new, new_groups) = sides
+    assert new.scalars == ref.scalars
+    assert new._scalar_mul == ref._scalar_mul
+    assert new.factors._ids == ref.factors._ids and new.factors.den == ref.factors.den
+    assert all(np.array_equal(a, b) for a, b in zip(new.factors.x, ref.factors.x))
+    assert new._columns == ref._columns
+    assert np.array_equal(new._factor_mul, ref._factor_mul)
+    for g, h in zip(new_groups, ref_groups):
+        assert np.array_equal(g.table, h.table) and np.array_equal(g.codes, h.codes)
+
+
+class _CountingDict(dict):
+    """A dict that counts its reads per key."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = {}
+
+    def _read(self, key):
+        self.reads[key] = self.reads.get(key, 0) + 1
+
+    def get(self, key, default=None):
+        self._read(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self._read(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self._read(key)
+        return super().__contains__(key)
+
+
+def test_closure_looks_up_each_distinct_scalar_pair_and_lead_once(monkeypatch):
+    table = groups._ProductTable(N)
+    table._scalar_mul = _CountingDict()
+    monkeypatch.setattr(groups, "_product_table", lambda n: table)
+    scalar_calls, lead_calls, leads = [], [], []
+    scalar_products, fill_factors = table._scalar_products, table._fill_factors
+
+    def counted_scalars(a, b):
+        table._scalar_mul.reads.clear()
+        out = scalar_products(a, b)
+        pairs = set(((a.astype(np.int64) << 32) | b).ravel().tolist())
+        scalar_calls.append((dict(table._scalar_mul.reads), pairs))
+        return out
+
+    def counted_factors(pairs):
+        leads.clear()
+        fill_factors(pairs)
+        lead_calls.append((list(leads), len(pairs)))
+
+    def counting_cyclotomic(n, coeffs, den=1):
+        leads.append((den, *coeffs))
+        return Cyclotomic(n, coeffs, den)
+
+    monkeypatch.setattr(table, "_scalar_products", counted_scalars)
+    monkeypatch.setattr(table, "_fill_factors", counted_factors)
+    monkeypatch.setattr(groups, "Cyclotomic", counting_cyclotomic)
+    x3, z3 = catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)
+    assert closure([x3, z3, *catalog.coset_representatives(N)], cap=58320).order == 5832
+    assert scalar_calls and lead_calls
+    for reads, pairs in scalar_calls:
+        assert reads.keys() <= pairs and max(reads.values(), default=0) <= 1
+    # one Cyclotomic per distinct (den, numerators) of a call's leads
+    for built, n_pairs in lead_calls:
+        assert 0 < len(built) == len(set(built)) <= n_pairs
+    # the normalizer's products have far fewer distinct leads than pairs
+    assert sum(len(b) for b, _ in lead_calls) < sum(n for _, n in lead_calls) // 10
+
+
+def test_set_equal_compares_codes(weyl, local_sym):
+    t = transversal_group()
+    assert t.set_equal(weyl) and weyl.set_equal(t)
+    assert "elements" not in vars(t)
+    x3, z3 = catalog.xxx(3, 3, N), catalog.zzz(3, 3, N)
+    c, swapped = closure([x3, z3], cap=90), closure([z3, x3], cap=90)
+    assert c.set_equal(swapped) and not c.set_equal(normalizer_group_332())
+    assert not c.set_equal(weyl) and not weyl.set_equal(c) and not c.set_equal(local_sym)
+    # a subgroup of the reflection group differs from it
+    assert not closure(weyl_generators(N)[:1], cap=30).set_equal(weyl)
+    # Q(zeta_8) has degree 4 too: the same numerators over another field
+    # are other matrices
+    assert not closure([Matrix(N, [[0, 1], [1, 0]])], cap=4).set_equal(
+        closure([Matrix(8, [[0, 1], [1, 0]])], cap=4))
 
 
 def test_dense_closure_grows_and_widens():
