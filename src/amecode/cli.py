@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -145,7 +146,19 @@ def cmd_group(args) -> int:
     return 0 if result.passed else 1
 
 
+# Python's int-to-string limit, which file coefficients meet too: a point
+# coordinate may have at most this many digits and a decimal exponent of at
+# most this size, checked before the Fraction, whose size the exponent sets
+_POINT_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE](?P<exp>[-+]?\d+(?:_\d+)*)\s*\Z")  # as Fraction reads it
+
+
 def _rational(text: str) -> Fraction:
+    exponent = _EXPONENT.search(text)
+    if (sum(c.isdigit() for c in text) > _POINT_DIGITS
+            or (exponent and abs(int(exponent["exp"])) > _POINT_DIGITS)):
+        raise ValueError(f"--point: {text!r} has more than {_POINT_DIGITS} digits "
+                         f"or a decimal exponent beyond {_POINT_DIGITS}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

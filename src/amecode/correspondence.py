@@ -10,10 +10,12 @@ orbit-level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .cyclo import sqrt_of_rational
 from .qecc import CodeSubspace, kl_check, r_uniform_check
-from .tensor import PureState, contract_site, orthonormal_defect, orthonormalize
+from .tensor import (PureState, _pack_states, contract_site, orthonormal_defect,
+                     orthonormalize)
 
 
 @dataclass
@@ -33,11 +35,9 @@ def purify_code(code: CodeSubspace) -> PureState:
     if code.dimension != d:
         raise ValueError(f"need K = D = {d} basis states, got {code.dimension}")
     n = code.conductor
-    amp = sqrt_of_rational(1, n) / sqrt_of_rational(d, n)
-    amps = []
-    for v in code.basis:
-        amps.extend(amp * a for a in v.amps)
-    return PureState(n, (d,) + code.basis[0].dims, amps)
+    x, den = _pack_states(code.basis)  # row i is |i> tensor |basis_i>
+    state = PureState._from_packed(n, (d,) + code.basis[0].dims, x, den)
+    return state.scale(sqrt_of_rational(Fraction(1, d), n))
 
 
 def reduce_state(v: PureState) -> CodeSubspace:

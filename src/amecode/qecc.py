@@ -35,7 +35,7 @@ from .cyclo import Cyclotomic, default_conductor
 from .groups import closure
 from .linalg import Matrix, _matmul
 from .tensor import (LocalOperator, PureState, _canon_factor, _check_operands, _dense_packed,
-                     _density, _local_elements, _reduction, _unpack, gram, in_span,
+                     _density, _local_elements, _reduction, gram, in_span,
                      orthonormal_defect, orthonormalize)
 
 
@@ -300,7 +300,7 @@ def stabilizer_subspace(generators, claimed_d: int | None = None) -> CodeSubspac
         part = _matmul(np.moveaxis(e, 0, -1), weights, int(weights.sum()))
         acc, den = acc * (total // den) + part.astype(object), total
     den *= group.order
-    cols = [_unpack(nn, dims, acc[:, j], den) for j in range(prod(dims))
+    cols = [PureState._from_packed(nn, dims, acc[:, j], den) for j in range(prod(dims))
             if (acc[:, j] != 0).any()]
     # image basis from projector columns, orthonormalized exactly
     basis = orthonormalize(cols, drop_dependent=True)

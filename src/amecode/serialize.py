@@ -7,7 +7,12 @@ written exactly as {conductor, coeffs: ["p/q", ...]} in the power basis,
 so files round-trip bit-exactly.  `ingest` validates the structural
 invariants of whatever it loads (orthonormality for codes, canonical
 factored form for operators) and raises IngestError with the failing
-check and its JSON path named.
+check and its JSON path named.  A document pays once per distinct value:
+each coefficient string is parsed once, and each distinct scalar is
+validated and built once, so a state of 81 amplitudes with 2 distinct
+values builds 2 field elements.  States are read as amplitudes, not
+packed: a common denominator of many distinct ones can run to thousands
+of digits.
 """
 
 from __future__ import annotations
@@ -15,14 +20,15 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
-from math import lcm
+from math import lcm, log10
 from pathlib import Path
 
 from .cyclo import Cyclotomic, euler_phi
 from .linalg import Matrix
 from .qecc import CodeSubspace
-from .tensor import LocalOperator, PureState
+from .tensor import LocalOperator, PureState, gram
 
 
 class IngestError(ValueError):
@@ -31,10 +37,11 @@ class IngestError(ValueError):
 
 # -- from dict ---------------------------------------------------------------
 #
-# Every reader takes the JSON value and its path ("$.amps[3].coeffs[1]"),
-# checks the value's type before using it, and raises IngestError naming
-# that path on the first mismatch, so no malformed file gets further than
-# ingest.  An unknown field, a misspelt one included, is an error too.
+# Every reader takes the JSON value, its path ("$.amps[3].coeffs[1]") and
+# the document's map of the scalars read so far (see _scalars), checks the
+# value's type before using it, and raises IngestError naming that path on
+# the first mismatch, so no malformed file gets further than ingest.  An
+# unknown field, a misspelt one included, is an error too.
 
 # The kernels' field tables grow as the cube of the field degree phi(N):
 # degree 64 (conductor 192) runs in 40 MB, degree 512 asks for 1 GiB.  The
@@ -42,6 +49,7 @@ class IngestError(ValueError):
 MAX_CONDUCTOR = 1024
 MAX_DEGREE = 64
 _RATIONAL = re.compile(r"(?P<num>[+-]?[0-9]+)(?:/(?P<den>[0-9]+))?")
+_SCALAR_KEYS = {"conductor", "coeffs"}
 
 
 def _kind(value) -> str:
@@ -68,11 +76,16 @@ def _fields(data, path: str, kind: str | None, *keys: str) -> None:
             raise IngestError(f"{path}.{key}: unknown field")
 
 
-def _items(value, path: str) -> list:
-    """[(item, its path)] for a JSON list."""
+def _list(value, path: str) -> list:
+    """The JSON list value at path."""
     if not isinstance(value, list):
         raise IngestError(f"{path}: expected a list, got {_kind(value)}")
-    return [(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+def _items(value, path: str) -> list:
+    """[(item, its path)] for a JSON list."""
+    return [(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path))]
 
 
 def _int(value, path: str, low: int = 1, high: int | None = None) -> int:
@@ -93,6 +106,20 @@ def _conductor(data, path: str) -> int:
     return n
 
 
+@lru_cache(maxsize=1024)
+def _rational(text: str) -> tuple[int, int]:
+    """(p, q) for a coefficient string "p" or "p/q" in decimal digits with
+    q > 0; ValueError naming the fault otherwise.  Each distinct string is
+    parsed once per process, up to the cache's bound."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f'expected a rational "p/q", got {text!r}')
+    num, den = int(match["num"]), int(match["den"] or 1)  # ValueError past the digit limit
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return num, den
+
+
 def _scalar(data, path: str, n: int) -> Cyclotomic:
     """A field element {conductor, coeffs} whose conductor is n, with
     coefficient strings "p" or "p/q" in decimal digits and q > 0."""
@@ -100,27 +127,51 @@ def _scalar(data, path: str, n: int) -> Cyclotomic:
     if _int(*_get(data, "conductor", path), high=MAX_CONDUCTOR) != n:
         raise IngestError(f"{path}.conductor: {data['conductor']} differs from "
                           f"the file conductor {n}")
+    coeffs, where = _get(data, "coeffs", path)
     pairs = []
-    for text, p in _items(*_get(data, "coeffs", path)):
-        match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
-        if match is None:
-            raise IngestError(f'{p}: expected a rational "p/q", got {text!r}')
+    for i, text in enumerate(_list(coeffs, where)):
         try:
-            num, den = int(match["num"]), int(match["den"] or 1)
-        except ValueError as exc:  # more digits than int() converts
-            raise IngestError(f"{p}: {exc}") from None
-        if not den:
-            raise IngestError(f"{p}: zero denominator in {text!r}")
-        pairs.append((num, den))
+            if not isinstance(text, str):
+                raise ValueError(f'expected a rational "p/q", got {text!r}')
+            pairs.append(_rational(text))
+        except ValueError as exc:
+            raise IngestError(f"{where}[{i}]: {exc}") from None
     den = lcm(*(q for _, q in pairs))
     try:
         return Cyclotomic(n, [p * (den // q) for p, q in pairs], den)
     except ValueError as exc:  # a wrong number of coefficients
-        raise IngestError(f"{path}.coeffs: {exc}") from None
+        raise IngestError(f"{where}: {exc}") from None
 
 
-def _rows(value, path: str, n: int, square: bool = False) -> Matrix:
-    rows = [[_scalar(e, p, n) for e, p in _items(*row)] for row in _items(value, path)]
+def _scalars(value, path: str, n: int, seen: dict) -> list[Cyclotomic]:
+    """The field elements of conductor n in the JSON list value at path.
+    seen maps (n, *coefficient strings) of each entry read before in the
+    document to its element, so an entry equal to one of those is that
+    element: each distinct entry is validated, parsed, built and given a
+    path once."""
+    out = []
+    for i, data in enumerate(_list(value, path)):
+        key = None
+        if (type(data) is dict and data.keys() == _SCALAR_KEYS
+                and type(data["conductor"]) is int and data["conductor"] == n
+                and type(data["coeffs"]) is list):
+            key = (n, *data["coeffs"])
+        try:
+            c = seen.get(key)
+        except TypeError:  # an unhashable coefficient, which _scalar rejects
+            c = key = None
+        if c is None:
+            # seen takes a key only once _scalar accepts it, so a key found
+            # there holds strings and is equal to no other JSON value
+            c = _scalar(data, f"{path}[{i}]", n)
+            if key is not None:
+                seen[key] = c
+        out.append(c)
+    return out
+
+
+def _rows(value, path: str, n: int, seen: dict, square: bool = False) -> Matrix:
+    rows = [_scalars(*row, n, seen) for row in _items(value, path)]
     try:
         m = Matrix(n, rows)
     except ValueError as exc:
@@ -133,22 +184,23 @@ def _rows(value, path: str, n: int, square: bool = False) -> Matrix:
     return m
 
 
-def _state_from_dict(data, path: str = "$") -> PureState:
+def _state_from_dict(data, path: str, seen: dict) -> PureState:
     _fields(data, path, "state", "conductor", "dims", "amps")
     n = _conductor(data, path)
     dims = [_int(*item) for item in _items(*_get(data, "dims", path))]
-    amps = [_scalar(a, p, n) for a, p in _items(*_get(data, "amps", path))]
+    amps = _scalars(*_get(data, "amps", path), n, seen)
     try:
         return PureState(n, dims, amps)
     except ValueError as exc:
         raise IngestError(f"{path}: invalid state: {exc}") from None
 
 
-def _operator_from_dict(data, path: str = "$") -> LocalOperator:
+def _operator_from_dict(data, path: str, seen: dict) -> LocalOperator:
     _fields(data, path, "operator", "conductor", "scalar", "factors")
     n = _conductor(data, path)
     scalar = _scalar(*_get(data, "scalar", path), n)
-    factors = [_rows(f, p, n, square=True) for f, p in _items(*_get(data, "factors", path))]
+    factors = [_rows(f, p, n, seen, square=True)
+               for f, p in _items(*_get(data, "factors", path))]
     if not factors:
         raise IngestError(f"{path}.factors: expected at least one factor")
     try:
@@ -160,14 +212,14 @@ def _operator_from_dict(data, path: str = "$") -> LocalOperator:
     return op
 
 
-def _matrix_from_dict(data, path: str = "$") -> Matrix:
+def _matrix_from_dict(data, path: str, seen: dict) -> Matrix:
     _fields(data, path, "matrix", "conductor", "entries")
-    return _rows(*_get(data, "entries", path), _conductor(data, path))
+    return _rows(*_get(data, "entries", path), _conductor(data, path), seen)
 
 
-def _code_from_dict(data, path: str = "$") -> CodeSubspace:
+def _code_from_dict(data, path: str, seen: dict) -> CodeSubspace:
     _fields(data, path, "code", "basis", "n", "D", "claimed_d")
-    basis = [_state_from_dict(s, p) for s, p in _items(*_get(data, "basis", path))]
+    basis = [_state_from_dict(s, p, seen) for s, p in _items(*_get(data, "basis", path))]
     n_sites = _int(*_get(data, "n", path))
     local_dim = _int(*_get(data, "D", path))
     claimed = data.get("claimed_d")
@@ -180,9 +232,9 @@ def _code_from_dict(data, path: str = "$") -> CodeSubspace:
 
 
 def _list_from_dict(read, kind: str, key: str):
-    def read_list(data, path: str = "$") -> list:
+    def read_list(data, path: str, seen: dict) -> list:
         _fields(data, path, kind, key)
-        return [read(item, p) for item, p in _items(*_get(data, key, path))]
+        return [read(item, p, seen) for item, p in _items(*_get(data, key, path))]
     return read_list
 
 
@@ -205,7 +257,7 @@ def from_dict(data):
     read = _READERS.get(kind) if isinstance(kind, str) else None
     if read is None:
         raise IngestError(f"$.format: unknown or missing format field: {kind!r}")
-    return read(data)
+    return read(data, "$", {})
 
 
 def ingest(path):
@@ -214,6 +266,8 @@ def ingest(path):
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
+    except RecursionError:
+        raise IngestError(f"cannot read {path}: JSON nested too deeply") from None
     try:
         return from_dict(data)
     except IngestError as exc:
@@ -270,9 +324,33 @@ def dumps(obj) -> str:
     return json.dumps(to_dict(obj), indent=1, sort_keys=True) + "\n"
 
 
+def _digits(k: int) -> int:
+    """The decimal digits of an int k > 0, counted without writing it out."""
+    d = int(k.bit_length() * log10(2)) + 1  # the count, or one more
+    return d if k >= 10 ** (d - 1) else d - 1
+
+
+def _norm_text(v: PureState) -> str:
+    """<v|v> as str gives it when rational and short; past the int-to-string
+    digit limit, which str would raise on, as a float with the digit counts
+    of its terms; a norm that is not rational (amplitudes whose squared
+    moduli lie in the real subfield) as a float."""
+    norm = gram([v])[0][0]
+    if not norm.is_rational():
+        return f"{norm.to_complex().real!r} (not rational)"
+    q = norm.as_fraction()
+    try:
+        return str(q)
+    except ValueError:
+        num, den = _digits(q.numerator), _digits(q.denominator)
+        value = repr(q.numerator / q.denominator) if num - den < 300 else f">= 1e{num - den - 1}"
+        return f"{value} ({num}-digit/{den}-digit fraction)"
+
+
 def describe(obj) -> str:
     if isinstance(obj, PureState):
-        return f"state on dims {obj.dims}, conductor {obj.n}, norm^2 = {obj.norm_sq()}"
+        return (f"state on dims {obj.dims}, conductor {obj.n}, "
+                f"norm^2 = {_norm_text(obj)}")
     if isinstance(obj, CodeSubspace):
         return (f"code n={obj.n_sites} D={obj.local_dim} K={obj.dimension}"
                 f" claimed_d={obj.claimed_d}")

@@ -3,6 +3,9 @@ reduced densities and site contraction.
 
 Amplitude order is row-major with site 1 varying slowest, so contracting
 the computational bra <j| against site 1 just slices the amplitude vector.
+A state carries its amplitudes as field elements, as packed integer
+numerators over one denominator, or both: kernel results are packed and
+build field elements only when something reads them.
 Operators are kept in canonical factored form: a global scalar times one
 matrix per site, each factor scaled so its first nonzero entry (row-major)
 equals 1.  Canonical forms make equality of tensor-product operators
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -32,9 +35,17 @@ def _check_dims(a, b):
 
 
 class PureState:
-    """Exact amplitude tensor over n qudit sites."""
+    """Exact amplitude tensor over n qudit sites.
 
-    __slots__ = ("n", "dims", "amps", "_hash", "_packed")
+    A state is built from its amplitudes, or by the kernels from packed
+    numerators over one denominator (see _pack), and each form is made from
+    the other when first read: the amplitudes with one Cyclotomic per
+    distinct numerator row.  Equality, sums, scaling, site contraction,
+    is_zero and inner products read the packed form only, so a state that
+    comes out of a kernel and goes back into one builds no field element
+    per amplitude; hashing, conversions and repr read the amplitudes."""
+
+    __slots__ = ("n", "dims", "_amps", "_hash", "_packed")
 
     def __init__(self, n: int, dims, amps):
         dims = tuple(int(d) for d in dims)
@@ -43,12 +54,45 @@ class PureState:
             raise ValueError(f"need {prod(dims)} amplitudes, got {len(amps)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "_amps", amps)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_packed", None)
 
+    @classmethod
+    def _from_packed(cls, n: int, dims, x, den: int) -> PureState:
+        """The state of conductor n on dims whose amplitudes are the
+        numerators x, prod(dims) rows of deg integers, over den > 0.  The
+        pair is kept in lowest terms, as _pack gives it for the same
+        amplitudes, so equal states have equal packed forms."""
+        dims = tuple(dims)
+        g = gcd(den, int(np.gcd.reduce(x, axis=None))) if den > 1 else 1
+        x = _compact(x // g if g > 1 else x).reshape(dims + (-1,))
+        x.flags.writeable = False
+        v = object.__new__(cls)
+        object.__setattr__(v, "n", n)
+        object.__setattr__(v, "dims", dims)
+        object.__setattr__(v, "_amps", None)
+        object.__setattr__(v, "_hash", None)
+        object.__setattr__(v, "_packed", (x, den // g))
+        return v
+
     def __setattr__(self, *a):
         raise AttributeError("PureState is immutable")
+
+    @property
+    def amps(self) -> tuple[Cyclotomic, ...]:
+        """The amplitudes, built from the packed form on first read."""
+        amps = self._amps
+        if amps is None:
+            x, den = self._packed
+            rows = list(map(tuple, x.reshape(-1, x.shape[-1]).tolist()))
+            distinct: dict = {}
+            for row in rows:
+                if row not in distinct:  # by membership: a zero Cyclotomic is falsy
+                    distinct[row] = Cyclotomic(self.n, row, den)
+            amps = tuple(map(distinct.__getitem__, rows))
+            object.__setattr__(self, "_amps", amps)
+        return amps
 
     @classmethod
     def basis_state(cls, n: int, dims, digits) -> PureState:
@@ -66,22 +110,26 @@ class PureState:
         return len(self.dims)
 
     def scale(self, c) -> PureState:
-        c = Matrix._as_cyc(self.n, c)
-        return PureState(self.n, self.dims, [c * a for a in self.amps])
+        """c * self, by one matmul with c's packed action."""
+        a, aden, bound, _ = _scalar_action(Matrix._as_cyc(self.n, c))
+        x, den = _pack(self)
+        y = _matmul(x.reshape(-1, x.shape[-1]), a, bound)
+        return PureState._from_packed(self.n, self.dims, y, den * aden)
 
     def __add__(self, other):
-        _check_dims(self, other)
-        return PureState(self.n, self.dims, [a + b for a, b in zip(self.amps, other.amps)])
+        x, den = _pack_states((self, other))
+        return PureState._from_packed(self.n, self.dims, x[0] + x[1], den)
 
     def __sub__(self, other):
-        _check_dims(self, other)
-        return PureState(self.n, self.dims, [a - b for a, b in zip(self.amps, other.amps)])
+        x, den = _pack_states((self, other))
+        return PureState._from_packed(self.n, self.dims, x[0] - x[1], den)
 
     def __neg__(self):
-        return PureState(self.n, self.dims, [-a for a in self.amps])
+        x, den = _pack(self)
+        return PureState._from_packed(self.n, self.dims, -x, den)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.amps)
+        return not _pack(self)[0].any()
 
     def norm_sq(self) -> Fraction:
         return gram([self])[0][0].as_fraction()
@@ -98,7 +146,10 @@ class PureState:
     def __eq__(self, other):
         if not isinstance(other, PureState):
             return NotImplemented
-        return self.n == other.n and self.dims == other.dims and self.amps == other.amps
+        if self.n != other.n or self.dims != other.dims:
+            return False
+        (x, den), (y, other_den) = _pack(self), _pack(other)
+        return den == other_den and np.array_equal(x, y)
 
     def __hash__(self):
         h = self._hash
@@ -114,12 +165,7 @@ class PureState:
 
 def inner(a: PureState, b: PureState) -> Cyclotomic:
     """<a|b>, conjugate-linear in the first argument."""
-    _check_dims(a, b)
-    acc = Cyclotomic.zero(a.n)
-    for x, y in zip(a.amps, b.amps):
-        if not (x.is_zero() or y.is_zero()):
-            acc = acc + x.conj() * y
-    return acc
+    return gram((a, b))[0][1]
 
 
 def contract_site(bra_index: int, site: int, v: PureState) -> PureState:
@@ -131,12 +177,9 @@ def contract_site(bra_index: int, site: int, v: PureState) -> PureState:
     d = v.dims[pos]
     if not 0 <= bra_index < d:
         raise IndexError(f"basis index {bra_index} out of range for dim {d}")
-    inner_sz = prod(v.dims[pos + 1:])
-    outer_sz = prod(v.dims[:pos])
-    block = d * inner_sz
-    amps = [v.amps[o * block + bra_index * inner_sz + r]
-            for o in range(outer_sz) for r in range(inner_sz)]
-    return PureState(v.n, v.dims[:pos] + v.dims[pos + 1:], amps)
+    x, den = _pack(v)
+    return PureState._from_packed(v.n, v.dims[:pos] + v.dims[pos + 1:],
+                                  x[(slice(None),) * pos + (bra_index,)], den)
 
 
 class LocalOperator:
@@ -339,11 +382,6 @@ def _pack(v: PureState):
     return packed
 
 
-def _unpack(n: int, dims, x, den: int) -> PureState:
-    return PureState(n, dims, [Cyclotomic(n, c, den)
-                               for c in x.reshape(-1, x.shape[-1]).tolist()])
-
-
 def _pack_states(states):
     """(x, den): states of one dims and conductor packed as numerators of
     shape (K, *dims, deg) over one denominator."""
@@ -495,7 +533,7 @@ def apply(op: LocalOperator, v: PureState) -> PureState:
     _check_operands(op, v)
     x, den = _pack(v)
     images, dens = _apply_packed(_sites([op]), x[None], den)
-    return _unpack(v.n, v.dims, images[0], dens[0])
+    return PureState._from_packed(v.n, v.dims, images[0], dens[0])
 
 
 def fixed_by(ops, v: PureState) -> list[bool]:

@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import json
+import random
 import re
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,7 @@ from amecode.cyclo import Cyclotomic
 from amecode.linalg import Matrix
 from amecode.serialize import dump, scalar_to_dict, shipped_path, to_dict
 from amecode.suites import SUITES, run_suite
-from amecode.tensor import LocalOperator
+from amecode.tensor import LocalOperator, PureState
 
 
 def _strip_elapsed(report: dict) -> dict:
@@ -353,6 +356,71 @@ def test_cli_builds_parser_once(monkeypatch, capsys):
 def test_cli_invariants_eval_zero_denominator(capsys):
     assert _run(["invariants", "eval", "--point=1/0,1,1"], capsys) == \
         (2, "", "error: --point: zero denominator in '1/0'\n")
+
+
+@pytest.mark.parametrize("coord", ["1e10000000", "1e-10000000", "1e4301", "7" * 4301])
+def test_cli_invariants_eval_rejects_a_huge_coordinate_before_building_it(coord, capsys):
+    # Fraction("1e10000000") alone takes seconds, and its invariants far
+    # more: the coordinate's size is checked on its text first
+    start = time.perf_counter()
+    code, out, err = _run(["invariants", "eval", f"--point={coord},1,1"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --point: ")
+    assert "4300" in err
+
+
+@pytest.mark.parametrize("coord", ["1e200", "1e400", "-1.5e3", "1_000/3"])
+def test_cli_invariants_eval_accepts_a_coordinate_within_the_bound(coord, capsys):
+    assert _run(["invariants", "eval", f"--point={coord},1,1"], capsys)[0] == 0
+
+
+def test_cli_ingest_of_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    assert _run(["ingest", str(deep)], capsys) == \
+        (2, "", f"error: cannot read {deep}: JSON nested too deeply\n")
+
+
+def _state_file(tmp_path, amps):
+    path = tmp_path / "generic.state"
+    dump(PureState(12, (3, 3, 3, 3), amps), path)
+    return path
+
+
+def test_cli_ingest_renders_a_norm_past_the_digit_limit(tmp_path, capsys):
+    # 81 distinct 40-digit denominators: norm^2 is a rational whose terms
+    # have about 6000 digits, more than str writes out
+    rng = random.Random(5)
+    amps = [Fraction(rng.randint(-10 ** 40, 10 ** 40), rng.randint(10 ** 39, 10 ** 40))
+            for _ in range(81)]
+    norm = sum(a * a for a in amps)
+    code, out, err = _run(["ingest", str(_state_file(tmp_path, amps)), "--format", "json"],
+                          capsys)
+    assert (code, err) == (0, "")
+    text = json.loads(out)["description"]
+    head = "state on dims (3, 3, 3, 3), conductor 12, norm^2 = "
+    assert text.startswith(head)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        num, den = len(str(norm.numerator)), len(str(norm.denominator))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert den > limit
+    assert text == f"{head}{float(norm)!r} ({num}-digit/{den}-digit fraction)"
+
+
+def test_cli_ingest_renders_a_norm_that_is_not_rational(tmp_path, capsys):
+    # |1 + zeta_12|^2 = 2 + sqrt(3) lies in the real subfield, not in Q
+    one_plus_zeta = Cyclotomic(12, [1, 1, 0, 0])
+    amps = [one_plus_zeta] + [0] * 80
+    code, out, err = _run(["ingest", str(_state_file(tmp_path, amps))], capsys)
+    assert (code, err) == (0, "")
+    head, value = out.splitlines()[-1].rsplit(" = ", 1)
+    assert head == "description: state on dims (3, 3, 3, 3), conductor 12, norm^2"
+    assert value.endswith(" (not rational)")
+    assert float(value.split()[0]) == pytest.approx(2 + 3 ** 0.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("argv", [["group", "close", "--gens",

@@ -220,3 +220,60 @@ def test_from_dict_fuzz_raises_only_ingest_error(doc):
         ser.from_dict(doc)
     except ser.IngestError:
         pass
+
+
+def _set(*keys, value):
+    """An edit that sets the value at keys, a path into the document."""
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return edit
+
+
+def _drop(*keys):
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        del doc[keys[-1]]
+    return edit
+
+
+_CODE = ser.to_dict(catalog.code_332())
+
+
+@pytest.mark.parametrize("doc, edit, message", [
+    (None, _set("amps", value={"a": 1}), "$.amps: expected a list, got dict"),
+    (None, _set("amps", 6, "coeffs", value="1/3"),
+     "$.amps[6].coeffs: expected a list, got str"),
+    (None, _set("amps", 6, "coeffs", 1, value=3),
+     '$.amps[6].coeffs[1]: expected a rational "p/q", got 3'),
+    (None, _set("amps", 6, "coeffs", 1, value=None),
+     '$.amps[6].coeffs[1]: expected a rational "p/q", got None'),
+    (None, _drop("amps", 6, "conductor"), "$.amps[6]: missing field 'conductor'"),
+    (None, _drop("amps", 6, "coeffs"), "$.amps[6]: missing field 'coeffs'"),
+    (None, _set("amps", 6, "conductor", value=True),
+     "$.amps[6].conductor: expected an integer, got bool"),
+    (None, _set("conductor", value=True), "$.conductor: expected an integer, got bool"),
+    (None, _drop("amps", 80), "$: invalid state: need 81 amplitudes, got 80"),
+    (None, _set("amps", 6, "coeffs", 0, value="7" * 5001),
+     "$.amps[6].coeffs[0]: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    (_CODE, _set("basis", 1, "amps", 7, "coeffs", 2, value="2/0"),
+     "$.basis[1].amps[7].coeffs[2]: zero denominator in '2/0'"),
+    (_CODE, _set("basis", 1, "amps", 7, "coeffs", value=["1", "2"]),
+     "$.basis[1].amps[7].coeffs: need 4 coefficients for conductor 12"),
+], ids=["amps-not-list", "coeffs-not-list", "int-coefficient", "null-coefficient",
+        "no-conductor", "no-coeffs", "bool-amp-conductor", "bool-conductor",
+        "amp-count", "5001-digits", "code-basis-zero-denominator", "code-basis-coeff-count"])
+def test_state_and_code_readers_pin_each_fault(tmp_path, doc, edit, message):
+    # each fault follows amplitudes equal to valid ones read before it, so
+    # a reader that reuses what it has read must still name the same fault
+    data = json.loads(json.dumps(doc or ser.to_dict(catalog.ame_state())))
+    edit(data)
+    with pytest.raises(ser.IngestError) as exc:
+        ser.from_dict(data)
+    assert str(exc.value) == message
+    with pytest.raises(ser.IngestError) as exc:
+        _ingest_json(tmp_path, data)
+    assert str(exc.value) == f"{tmp_path / 'doc.json'}: {message}"

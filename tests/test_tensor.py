@@ -1,15 +1,19 @@
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from amecode import catalog
 from amecode.cyclo import ConductorMismatch, Cyclotomic, root_of_unity
 from amecode.linalg import Matrix
 from amecode.qecc import UniformReport, pauli_error_basis, r_uniform_check
-from amecode.serialize import from_dict, to_dict
+from amecode.correspondence import roundtrip
+from amecode.serialize import _rational, dumps, from_dict, ingest, shipped_path, to_dict
 from amecode.tensor import (DensityOperator, DimensionMismatch, LocalOperator,
                             PureState, _local_elements, _reduction, _restriction, apply,
                             contract_site, fixed_by, gram, inner, orthonormalize,
@@ -45,6 +49,16 @@ def reference_apply(op, v):
     if op.scalar != Cyclotomic.one(v.n):
         amps = [op.scalar * a for a in amps]
     return PureState(v.n, v.dims, amps)
+
+
+def reference_inner(a, b):
+    """<a|b> term by term in field arithmetic: the reference for the Gram
+    kernel, which inner runs on too."""
+    acc = Cyclotomic.zero(a.n)
+    for x, y in zip(a.amps, b.amps):
+        if not (x.is_zero() or y.is_zero()):
+            acc = acc + x.conj() * y
+    return acc
 
 
 def _random_cyc(rng, n, height=5):
@@ -316,8 +330,9 @@ def test_packed_table_matches_inner_for_every_error(code332):
     assert len(errors) == 729
     for e in errors:
         images = [reference_apply(e.op, u) for u in code332.basis]
-        table = [[inner(ui, w) for w in images] for ui in code332.basis]
-        assert _restriction(e.op, code332.basis) == (table, [inner(w, w) for w in images])
+        table = [[reference_inner(ui, w) for w in images] for ui in code332.basis]
+        assert _restriction(e.op, code332.basis) == (table,
+                                                     [reference_inner(w, w) for w in images])
         assert _subset_table(code332.basis, e.op) == table
 
 
@@ -332,9 +347,9 @@ def test_packed_basis_generic_states():
         g = _random_operator(rng, N, dims)
         images = [reference_apply(g, u) for u in states]
         table, norms = _restriction(g, states)
-        assert table == [[inner(u, w) for w in images] for u in states]
+        assert table == [[reference_inner(u, w) for w in images] for u in states]
         assert _subset_table(states, g) == table
-        assert norms == [inner(w, w) for w in images]
+        assert norms == [reference_inner(w, w) for w in images]
     # an identity factor leaves its site out of the support and the reduction
     for pos in range(len(dims)):
         g = _random_operator(rng, N, dims)
@@ -342,7 +357,8 @@ def test_packed_basis_generic_states():
         factors[pos] = Matrix.identity(dims[pos], N)
         g = LocalOperator(N, g.scalar, factors)
         images = [reference_apply(g, u) for u in states]
-        assert _subset_table(states, g) == [[inner(u, w) for w in images] for u in states]
+        assert _subset_table(states, g) == [[reference_inner(u, w) for w in images]
+                                            for u in states]
 
 
 # -- partial traces and Gram tables against term-by-term field arithmetic ----
@@ -438,13 +454,16 @@ def test_partial_trace_large_numerators_stay_exact():
                               for _ in range(9)])
     for keep in ({1}, {2}, {1, 2}):
         assert partial_trace(v, keep) == reference_partial_trace(v, keep)
-    assert gram([v, v.conj()]) == [[inner(a, b) for b in (v, v.conj())] for a in (v, v.conj())]
+    assert gram([v, v.conj()]) == [[reference_inner(a, b) for b in (v, v.conj())]
+                                   for a in (v, v.conj())]
 
 
 def test_gram_matches_inner():
     rng = random.Random(13)
     states = [PureState(N, (3, 2), [_random_cyc(rng, N) for _ in range(6)]) for _ in range(4)]
-    assert gram(states) == [[inner(a, b) for b in states] for a in states]
+    table = gram(states)
+    assert table == [[reference_inner(a, b) for b in states] for a in states]
+    assert table == [[inner(a, b) for b in states] for a in states]
     with pytest.raises(DimensionMismatch):
         gram([states[0], catalog.ket("01", 3, N)])
 
@@ -468,3 +487,75 @@ def test_r_uniform_report_matches_reference(state, phi_unit):
         assert rep == reference_r_uniform(v, r)
     assert not r_uniform_check(v, 2).uniform
     assert r_uniform_check(phi_unit, 2) == reference_r_uniform(phi_unit, 2)
+
+
+# -- states built from packed numerators ------------------------------------
+
+@st.composite
+def _state_pairs(draw, n=None, dims=None):
+    """(packed, reference): one state built from numerators over a common
+    denominator that is not the least (times a drawn factor, some rows
+    zero), and from its Cyclotomic amplitudes."""
+    n = n or draw(st.sampled_from([12, 24]))
+    deg = len(Cyclotomic.one(n).coeffs)
+    dims = dims or draw(st.sampled_from([(3, 3), (2, 3, 2), (3,)]))
+    rows = draw(st.lists(st.tuples(st.tuples(*[st.integers(-6, 6)] * deg),
+                                   st.integers(1, 12), st.booleans()),
+                         min_size=prod(dims), max_size=prod(dims)))
+    amps = [Cyclotomic(n, coeffs, den) if keep else Cyclotomic.zero(n)
+            for coeffs, den, keep in rows]
+    den = lcm(*(a.den for a in amps)) * draw(st.integers(1, 30))
+    x = np.array([[c * (den // a.den) for c in a.coeffs] for a in amps],
+                 dtype=draw(st.sampled_from([np.int64, object])))
+    return PureState._from_packed(n, dims, x, den), PureState(n, dims, amps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_state_pairs(), st.data(), st.integers(-5, 5), st.integers(1, 7))
+def test_packed_states_agree_with_amplitude_states(pair, data, k, m):
+    p, v = pair
+    assert p == v and v == p and hash(p) == hash(v)
+    assert p.amps == v.amps
+    assert [(z.real.hex(), z.imag.hex()) for z in p.to_complex()] == \
+        [(z.real.hex(), z.imag.hex()) for z in v.to_complex()]
+    assert dumps(p) == dumps(v)
+    assert p.is_zero() == all(a.is_zero() for a in v.amps)
+    c = Cyclotomic(p.n, [k] + [m] * (len(v.amps[0].coeffs) - 1), m)
+    assert p.scale(c).amps == tuple(c * a for a in v.amps)
+    assert (-p).amps == tuple(-a for a in v.amps)
+    for site in range(1, v.sites + 1):
+        step = prod(v.dims[site:])
+        for i in range(v.dims[site - 1]):
+            want = [a for j, a in enumerate(v.amps) if j // step % v.dims[site - 1] == i]
+            assert contract_site(i, site, p).amps == tuple(want)
+    assert inner(p, p) == reference_inner(v, v)
+    q, w = data.draw(_state_pairs(p.n, p.dims))
+    assert (p + q).amps == tuple(a + b for a, b in zip(v.amps, w.amps))
+    assert (p - q).amps == tuple(a - b for a, b in zip(v.amps, w.amps))
+    assert (p == q) == (v.amps == w.amps)
+    assert (p - p).is_zero() and p - p == PureState(p.n, p.dims, [0] * len(v.amps))
+    assert inner(p, q) == reference_inner(v, w) and inner(q, p) == reference_inner(w, v)
+
+
+def test_ingest_and_roundtrip_pay_per_distinct_value(monkeypatch):
+    # phi.state has 81 amplitudes of 2 distinct values, written with 2
+    # distinct coefficient strings
+    path = shipped_path("phi.state")
+    _rational.cache_clear()
+    built = []
+    init = Cyclotomic.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counting_init)
+    phi = ingest(path)
+    info = _rational.cache_info()
+    assert (info.misses, info.hits + info.misses) == (2, 8)  # the 2 distinct amplitudes
+    assert len(built) == 2
+    roundtrip(phi)  # fills the process-wide caches the round trip reads
+    built.clear()
+    assert roundtrip(ingest(path)).roundtrip_exact
+    assert 2 < len(built) < len(phi.amps)
