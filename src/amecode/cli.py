@@ -148,8 +148,10 @@ def cmd_group(args) -> int:
 
 # Python's int-to-string limit, which file coefficients meet too: a point
 # coordinate may have at most this many digits and a decimal exponent of at
-# most this size, checked before the Fraction, whose size the exponent sets
+# most this size, checked before the Fraction, whose size the exponent sets;
+# every integer the report writes is checked against it before writing
 _POINT_DIGITS = 4300
+_TOO_LONG = 10 ** _POINT_DIGITS  # the least integer with more digits
 _EXPONENT = re.compile(r"[eE](?P<exp>[-+]?\d+(?:_\d+)*)\s*\Z")  # as Fraction reads it
 
 
@@ -171,6 +173,12 @@ def cmd_invariants(args) -> int:
         raise ValueError("--point needs three comma-separated rationals a,b,c")
     coords = [_rational(p) for p in parts]
     t = eval_invariants(CartanPoint.of(CONDUCTOR, *coords))
+    written = [(repr(p), (c.numerator, c.denominator)) for p, c in zip(parts, coords)]
+    written += [(name, (v.den, *v.coeffs)) for name, v in zip(t._fields, t)]
+    for name, ints in written:
+        if any(abs(k) >= _TOO_LONG for k in ints):
+            raise ValueError(f"--point: {name} has a numerator or denominator of more "
+                             f"than {_POINT_DIGITS} digits")
     _emit({"point": [str(c) for c in coords],
            "i6": serialize.scalar_to_dict(t.i6), "i9": serialize.scalar_to_dict(t.i9),
            "i12": serialize.scalar_to_dict(t.i12),

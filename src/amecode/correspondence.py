@@ -43,7 +43,9 @@ def purify_code(code: CodeSubspace) -> PureState:
 def reduce_state(v: PureState) -> CodeSubspace:
     """Code spanned by sqrt(D) * <i|_1 v for 0 <= i < D; equals the image of
     D * Tr_1(|v><v|).  Raises if the site-1 matricization is rank-deficient
-    (the state is not 1-uniform at site 1)."""
+    (the state is not 1-uniform at site 1).  The columns' Gram table is
+    formed once: exact Gram-Schmidt makes an orthonormal basis, so the code
+    does not check it again."""
     d = v.dims[0]
     n = v.n
     root_d = sqrt_of_rational(d, n)
@@ -56,7 +58,7 @@ def reduce_state(v: PureState) -> CodeSubspace:
                              "1-uniform at site 1") from None
     if any(v.dims[1] != dd for dd in v.dims[1:]):
         raise ValueError("mixed local dimensions")
-    return CodeSubspace(len(v.dims) - 1, v.dims[1], cols)
+    return CodeSubspace._of_orthonormal(len(v.dims) - 1, v.dims[1], cols)
 
 
 def _describe_code(code: CodeSubspace) -> str:

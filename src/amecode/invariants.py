@@ -4,12 +4,14 @@ invariance and homogeneity decided on fixed integer lattices, and an
 exact orbit witness: the element of a gate group that maps one point onto
 the line of another.
 
-`eval_invariants` and `orbit_witness` compute with `Cyclotomic` field
-elements, one point at a time.  `check_weyl_invariance` evaluates all 91
-points of its lattice at once, on packed integer numerators (a `_Stack`
-per coordinate, as in the packed kernel of `linalg`), and compares them
-with the integer values at the lattice points; both sides run the one
-definition of the polynomials, `_of_cubes`.
+`eval_invariants` evaluates one point on its coordinates' numerators over
+a common denominator, by homogeneity: Python ints for a rational point,
+so the field sees only the three values.  `orbit_witness` computes with
+`Cyclotomic` field elements, one point at a time.  `check_weyl_invariance`
+evaluates all 91 points of its lattice at once, on packed integer
+numerators (a `_Stack` per coordinate, as in the packed kernel of
+`linalg`), and compares them with the integer values at the lattice
+points; all three run the one definition of the polynomials, `_of_cubes`.
 
 All three polynomials depend on the coordinates only through their cubes
 p = a^3, q = b^3, r = c^3:
@@ -73,8 +75,22 @@ def _of_cubes(p, q, r):
 
 
 def eval_invariants(point: CartanPoint) -> InvariantTriple:
-    """Exact values of the degree-6, 9 and 12 invariants at the point."""
-    return InvariantTriple(*_of_cubes(*(x ** 3 for x in point)))
+    """Exact values of the degree-6, 9 and 12 invariants at the point.
+
+    _of_cubes runs once, on the coordinates' numerators A, B, C over their
+    common denominator den: a Python int for a rational coordinate, else a
+    Cyclotomic over 1.  Each cube polynomial F is homogeneous of degree
+    m = 2, 3, 4 in the cubes (is_homogeneous decides this exactly), so
+    F((A/den)^3, (B/den)^3, (C/den)^3) = F(A^3, B^3, C^3) / den^(3m), and
+    each value is one field element over den^(3m), reduced once.  On a
+    rational point that is integer arithmetic and three Cyclotomics."""
+    n, den = point.n, lcm(*(x.den for x in point))
+    nums = [x.coeffs[0] * (den // x.den) if x.is_rational()
+            else Cyclotomic(n, [c * (den // x.den) for c in x.coeffs]) for x in point]
+    zeros = (0,) * (len(point.a.coeffs) - 1)
+    return InvariantTriple(*(
+        Cyclotomic(n, f.coeffs if isinstance(f, Cyclotomic) else (f, *zeros), den ** (3 * m))
+        for m, f in zip((2, 3, 4), _of_cubes(*(x ** 3 for x in nums)))))
 
 
 def is_homogeneous() -> bool:

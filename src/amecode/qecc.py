@@ -46,6 +46,20 @@ class CodeSubspace:
     __slots__ = ("n_sites", "local_dim", "basis", "claimed_d")
 
     def __init__(self, n_sites: int, local_dim: int, basis, claimed_d: int | None = None):
+        self._set(n_sites, local_dim, basis, claimed_d)
+        pair = orthonormal_defect(self.basis)
+        if pair is not None:
+            raise ValueError(f"basis not orthonormal at pair ({pair[0]},{pair[1]})")
+
+    @classmethod
+    def _of_orthonormal(cls, n_sites: int, local_dim: int, basis) -> CodeSubspace:
+        """The code on a basis its caller has found orthonormal: the dims
+        are checked, the Gram table is not formed again."""
+        code = object.__new__(cls)
+        code._set(n_sites, local_dim, basis, None)
+        return code
+
+    def _set(self, n_sites, local_dim, basis, claimed_d):
         basis = tuple(basis)
         if not basis:
             raise ValueError("empty basis")
@@ -53,9 +67,6 @@ class CodeSubspace:
         for v in basis:
             if v.dims != dims:
                 raise ValueError(f"basis state dims {v.dims} != {dims}")
-        pair = orthonormal_defect(basis)
-        if pair is not None:
-            raise ValueError(f"basis not orthonormal at pair ({pair[0]},{pair[1]})")
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "local_dim", local_dim)
         object.__setattr__(self, "basis", basis)

@@ -418,15 +418,21 @@ def _gram(x, n: int):
     return _matmul(p, t2, t2_bound)
 
 
-def gram(states) -> list[list[Cyclotomic]]:
-    """The table [<u_i|u_j>] of states of one dims and conductor, by one
-    packed contraction; field elements are built only for its entries."""
-    states = tuple(states)
-    n = states[0].n
+def _gram_table(states):
+    """(t, den): t[i, j] holds the numerators over den**2 of <u_i|u_j>, for
+    states of one dims and conductor, by one packed contraction."""
     x, den = _pack_states(states)
-    g = _gram(x.reshape(len(states), -1, x.shape[-1]), n)
+    g = _gram(x.reshape(len(states), -1, x.shape[-1]), states[0].n)
     # g[i, j] = <u_j|u_i>, so the table is g transposed
-    return [[Cyclotomic(n, c, den * den) for c in col] for col in g.transpose(1, 0, 2).tolist()]
+    return g.transpose(1, 0, 2), den
+
+
+def gram(states) -> list[list[Cyclotomic]]:
+    """The table [<u_i|u_j>] of states of one dims and conductor; field
+    elements are built only for its entries."""
+    states = tuple(states)
+    t, den = _gram_table(states)
+    return [[Cyclotomic(states[0].n, c, den * den) for c in row] for row in t.tolist()]
 
 
 def in_span(coeffs, norm: Cyclotomic) -> bool:
@@ -438,11 +444,16 @@ def in_span(coeffs, norm: Cyclotomic) -> bool:
 
 def orthonormal_defect(states):
     """The first pair (i, j), in row-major order, with <u_i|u_j> != delta_ij,
-    or None when the states are orthonormal."""
-    g = gram(states)
-    one, zero = Cyclotomic.one(g[0][0].n), Cyclotomic.zero(g[0][0].n)
-    return next(((i, j) for i, row in enumerate(g) for j, val in enumerate(row)
-                 if val != (one if i == j else zero)), None)
+    or None when the states are orthonormal.
+
+    Decided on the packed Gram numerators over den**2, with no field
+    element built: the power basis is a basis, so <u_i|u_j> == delta_ij
+    exactly when its numerator is den**2 * delta_ij in the constant
+    coefficient and 0 in every other."""
+    t, den = _gram_table(tuple(states))
+    delta = _scaled(np.eye(len(t), dtype=np.int64), den * den)
+    pairs = np.argwhere((t[:, :, 0] != delta) | (t[:, :, 1:] != 0).any(axis=-1))
+    return (int(pairs[0][0]), int(pairs[0][1])) if len(pairs) else None
 
 
 def _check_operands(op: LocalOperator, v: PureState):

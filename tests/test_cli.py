@@ -6,6 +6,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -373,6 +374,34 @@ def test_cli_invariants_eval_rejects_a_huge_coordinate_before_building_it(coord,
 @pytest.mark.parametrize("coord", ["1e200", "1e400", "-1.5e3", "1_000/3"])
 def test_cli_invariants_eval_accepts_a_coordinate_within_the_bound(coord, capsys):
     assert _run(["invariants", "eval", f"--point={coord},1,1"], capsys)[0] == 0
+
+
+# stdout of `invariants eval` at six points, as written before the
+# evaluation moved to integer numerators: each format's bytes are pinned
+_GOLDEN = json.loads((Path(__file__).parent / "golden" / "invariants_eval.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("case", _GOLDEN, ids=[c["label"] for c in _GOLDEN])
+def test_cli_invariants_eval_writes_the_pinned_bytes(case, fmt, capsys):
+    assert _run(["invariants", "eval", f"--point={case['point']}", "--format", fmt],
+                capsys) == (0, case[fmt], "")
+
+
+@pytest.mark.parametrize("point, name", [("1e4300,1,1", "'1e4300'"), ("1e1000,1,1", "i6"),
+                                         ("1e-400,1e-400,1", "i12")])
+def test_cli_invariants_eval_rejects_a_value_too_long_to_write(point, name, tmp_path, capsys):
+    # 1e4300 passes the bound on its text, but has 4301 digits; at 1e1000
+    # i6 has about 6000, and at (1e-400, 1e-400, 1) the denominator of i12 has 4800
+    out = tmp_path / "report.json"
+    for extra in ([], ["--format", "json"], ["--out", str(out)]):
+        start = time.perf_counter()
+        code, stdout, err = _run(["invariants", "eval", f"--point={point}", *extra], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: --point: {name} has a numerator or denominator of more "
+                       "than 4300 digits\n")
+    assert not out.exists()
 
 
 def test_cli_ingest_of_deeply_nested_json_is_an_input_error(tmp_path, capsys):

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
-from amecode import catalog
+from amecode import catalog, tensor
 from amecode.correspondence import purify_code, reduce_state, roundtrip
 from amecode.cyclo import default_conductor, root_of_unity
 from amecode.qecc import CodeSubspace, kl_check, r_uniform_check
@@ -52,6 +52,31 @@ def test_reduce_state(code332, phi_unit):
 def test_reduce_rank_deficient():
     with pytest.raises(ValueError):
         reduce_state(catalog.ket("000", 3, N))
+
+
+def test_reduce_state_forms_the_gram_table_once(monkeypatch, code332, phi_unit):
+    calls = []
+    kernel = tensor._gram
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(tensor, "_gram", counting)
+    red = reduce_state(phi_unit)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert red.span_equal(code332)
+
+
+def test_reduce_state_orthonormalizes_a_full_rank_state():
+    # <1|_1 v overlaps <0|_1 v, so the columns go through Gram-Schmidt; the
+    # full constructor check confirms the result is orthonormal
+    def k(s):
+        return catalog.ket(s, 3, N)
+    red = reduce_state(k("000") + k("100") + k("111") + k("222"))
+    assert CodeSubspace(2, 3, red.basis).basis == red.basis
+    assert red.span_equal(CodeSubspace(2, 3, [k("00"), k("11"), k("22")]))
 
 
 def test_roundtrip_code(code332):

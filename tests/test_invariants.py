@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from amecode import invariants, suites
 from amecode.cyclo import Cyclotomic
@@ -51,6 +53,83 @@ def test_matches_monomial_oracle_on_random_rationals():
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         assert _as_fracs(eval_invariants(CartanPoint.of(N, a, b, c))) == _oracle(a, b, c)
+
+
+def _field_path(point):
+    # the reference: the cube polynomials in field arithmetic on the point
+    return invariants.InvariantTriple(*invariants._of_cubes(*(x ** 3 for x in point)))
+
+
+_HEIGHT = 10 ** 40
+_numerators = st.integers(-_HEIGHT, _HEIGHT) | st.sampled_from([0, 1, -1])
+
+
+@st.composite
+def _rational_points(draw):
+    """Three rationals of height up to 10**40, zeros and negatives included,
+    over one shared denominator or over their own."""
+    if draw(st.booleans()):
+        den = draw(st.integers(1, _HEIGHT))
+        return [Fraction(draw(_numerators), den) for _ in range(3)]
+    return [Fraction(draw(_numerators), draw(st.integers(1, _HEIGHT))) for _ in range(3)]
+
+
+@st.composite
+def _points_with_irrational_coordinates(draw):
+    """A point of conductor 12 or 24 with one or three coordinates that are
+    not rational; the rest are rationals."""
+    n = draw(st.sampled_from([12, 24]))
+    deg = len(Cyclotomic.one(n).coeffs)
+    coords = list(draw(_rational_points()))
+    for i in draw(st.sampled_from([[0], [1], [2], [0, 1, 2]])):
+        coeffs = draw(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=deg, max_size=deg))
+        coeffs[draw(st.integers(1, deg - 1))] = draw(st.integers(1, 10 ** 12))
+        coords[i] = Cyclotomic(n, coeffs, draw(st.integers(1, 10 ** 12)))
+    return CartanPoint.of(n, *coords)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_rational_points())
+def test_rational_points_match_field_path_and_oracle(coords):
+    t = eval_invariants(CartanPoint.of(N, *coords))
+    assert t == _field_path(CartanPoint.of(N, *coords))
+    assert _as_fracs(t) == _oracle(*coords)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_points_with_irrational_coordinates())
+def test_irrational_points_match_field_path(point):
+    assert eval_invariants(point) == _field_path(point)
+
+
+def test_rational_point_takes_no_field_arithmetic(monkeypatch):
+    # the integer numerators carry the evaluation; the field sees only the
+    # three values, each built once over den**(3m)
+    coords = (Fraction(-7, 3), 5, Fraction(10 ** 30 + 1, 2 ** 40))
+    point = CartanPoint.of(N, *coords)
+    calls = {"arithmetic": 0, "built": 0}
+
+    def counting(method):
+        def wrapper(*args):
+            calls["arithmetic"] += 1
+            return method(*args)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "__pow__", "__truediv__", "inv"):
+        monkeypatch.setattr(Cyclotomic, name, counting(getattr(Cyclotomic, name)))
+    init = Cyclotomic.__init__
+
+    def counting_init(self, *args):
+        calls["built"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Cyclotomic, "__init__", counting_init)
+    t = eval_invariants(point)
+    assert calls == {"arithmetic": 0, "built": 3}
+    assert _as_fracs(t) == _oracle(*coords)
 
 
 def test_homogeneity_exact():

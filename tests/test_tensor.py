@@ -16,8 +16,8 @@ from amecode.correspondence import roundtrip
 from amecode.serialize import _rational, dumps, from_dict, ingest, shipped_path, to_dict
 from amecode.tensor import (DensityOperator, DimensionMismatch, LocalOperator,
                             PureState, _local_elements, _reduction, _restriction, apply,
-                            contract_site, fixed_by, gram, inner, orthonormalize,
-                            partial_trace)
+                            contract_site, fixed_by, gram, inner, orthonormal_defect,
+                            orthonormalize, partial_trace)
 
 N = 12
 
@@ -536,6 +536,66 @@ def test_packed_states_agree_with_amplitude_states(pair, data, k, m):
     assert (p == q) == (v.amps == w.amps)
     assert (p - p).is_zero() and p - p == PureState(p.n, p.dims, [0] * len(v.amps))
     assert inner(p, q) == reference_inner(v, w) and inner(q, p) == reference_inner(w, v)
+
+
+def _reference_defect(states):
+    """The first pair, in row-major order, of the field-element table of
+    <u_i|u_j> that is not delta_ij."""
+    return next(((i, j) for i, u in enumerate(states) for j, w in enumerate(states)
+                 if reference_inner(u, w) != (1 if i == j else 0)), None)
+
+
+@st.composite
+def _near_orthonormal_sets(draw):
+    """(packed, reference) pairs of up to five states on (3, 3): computational
+    kets times roots of unity, which are orthonormal, then up to two drawn
+    defects (a multiple of one state added to another or to itself, by a
+    root of unity or a drawn field element), and
+    sometimes a random state from _state_pairs in a drawn place."""
+    n = draw(st.sampled_from([12, 24]))
+    deg = len(Cyclotomic.one(n).coeffs)
+    k = draw(st.integers(1, 4))
+    kets = draw(st.lists(st.integers(0, 8), min_size=k, max_size=k, unique=True))
+    states = [PureState(n, (3, 3), [root_of_unity(draw(st.integers(0, n - 1)), n) if t == i
+                                    else 0 for t in range(9)]) for i in kets]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        # a root of unity often has constant coefficient 0, so only the
+        # other coefficients of the overlap it makes tell it from 0
+        c = draw(st.builds(root_of_unity, st.integers(1, n - 1), st.just(n))
+                 | st.builds(Cyclotomic, st.just(n),
+                             st.lists(st.integers(-3, 3), min_size=deg, max_size=deg),
+                             st.integers(1, 4)))
+        states[i] = states[i] + states[j].scale(c)
+    pairs = [(v, v) for v in states]
+    if draw(st.booleans()):
+        pairs.insert(draw(st.integers(0, k)), draw(_state_pairs(n, (3, 3))))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_near_orthonormal_sets())
+def test_orthonormal_defect_matches_field_reference(pairs):
+    want = _reference_defect([v for _, v in pairs])
+    assert orthonormal_defect([p for p, _ in pairs]) == want
+    assert orthonormal_defect(v for _, v in pairs) == want
+
+
+def test_orthonormal_defect_with_denominators_past_int64():
+    # (m^2 - k^2, 2mk) / (m^2 + k^2) is a unit vector, and den**2 has about
+    # 160 bits, so the diagonal is compared as Python ints
+    m, k = 2 ** 40 + 15, 2 ** 39 + 7
+    den = m * m + k * k
+    a, b = Fraction(m * m - k * k, den), Fraction(2 * m * k, den)
+    u = PureState(N, (3,), [a, b, 0])
+    w = PureState(N, (3,), [-b, a, 0])
+    z = catalog.ket("2", 3, N)
+    assert orthonormal_defect([u, w, z]) is None
+    zeta = root_of_unity(1, N)
+    for states in ([u, w, u], [u, w.scale(Fraction(den + 1, den)), z], [u + z, w, z],
+                   [u, w + u.scale(zeta), z]):
+        assert orthonormal_defect(states) == _reference_defect(states) is not None
 
 
 def test_ingest_and_roundtrip_pay_per_distinct_value(monkeypatch):
