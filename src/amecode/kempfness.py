@@ -13,7 +13,10 @@ criticality and 1e-6 for flow convergence.  The sampled checks, the
 criticality test and the flows work on stacks of matrices and states (the
 flows of one call advance in lockstep), but every matrix still goes through
 its own LAPACK or BLAS call, so their floats are those of one matrix and
-one state at a time, and a single state is a stack of one.
+one state at a time, and a single state is a stack of one.  The sampler
+takes the normals and uniforms of all the draws of one call in bulk, one
+call of each kind per distinct site dimension, so `count` draws in one call
+are not the draws of `count` calls.
 """
 
 from __future__ import annotations
@@ -202,48 +205,77 @@ def _renorm_det(m: np.ndarray) -> np.ndarray:
 
 def random_group_element(dims, rng: np.random.Generator, scale: float = 1.0):
     """One determinant-1 matrix per site: exp of a random traceless matrix
-    of spectral norm <= scale."""
+    of spectral norm <= scale; random_group_elements with count 1."""
     return [m[0] for m in random_group_elements(dims, rng, 1, scale)]
 
 
 def random_group_elements(dims, rng: np.random.Generator, count: int,
                           scale: float = 1.0):
-    """`count` draws of random_group_element, taken from rng in the same
-    order as `count` calls to it; returns one (count, d, d) stack per site."""
-    # the sites of dimension d go through the steps below as one stack
-    sites = {d: [k for k, e in enumerate(dims) if e == d] for d in set(dims)}
-    draws = {d: np.empty((len(ks), count, 2, d, d)) for d, ks in sites.items()}
-    weights = {d: np.empty((len(ks), count)) for d, ks in sites.items()}
-    slots = [(d, sites[d].index(k)) for k, d in enumerate(dims)]
-    for i in range(count):
-        for d, j in slots:
-            # real parts then imaginary parts: the normals of two (d, d) draws
-            rng.standard_normal(out=draws[d][j, i])
-            weights[d][j, i] = rng.uniform(0.0, 1.0)
+    """`count` random determinant-1 products; returns one (count, d, d)
+    stack per site.
+
+    For each distinct site dimension d, in sorted order, the draws of all
+    its sites come from one standard_normal and one uniform call (see
+    _random_exponents), so the stream differs from `count` calls of
+    random_group_element.  Each matrix is exp of a random traceless matrix
+    scaled to spectral norm u * scale, u uniform on [0, 1), then scaled to
+    determinant 1.  The exponential runs on one site's rows at a time,
+    which keeps its working set to one site's stack."""
     out = [None] * len(dims)
-    for d, ks in sites.items():
-        z = draws[d].reshape(-1, 2, d, d)
-        u = weights[d].reshape(-1)
-        m = z[:, 0] + 1j * z[:, 1]
-        diag = np.arange(d)
-        m[:, diag, diag] -= (np.trace(m, axis1=1, axis2=2) / d)[:, None]
-        m *= (u * scale / np.linalg.norm(m, 2, axis=(-2, -1)))[:, None, None]
-        for k, g in zip(ks, _renorm_det(_expm(m)).reshape(len(ks), count, d, d)):
-            out[k] = g
+    for ks, m, norm in _random_exponents(dims, rng, count, scale):
+        for j, k in enumerate(ks):
+            rows = slice(j * count, (j + 1) * count)
+            out[k] = _renorm_det(_expm(m[rows], norm[rows]))
     return out
 
 
-def _expm(m: np.ndarray) -> np.ndarray:
-    """exp of each matrix of an (N, d, d) stack: scaling and squaring on the
-    Taylor series, fine at these sizes.  Each matrix is squared as often as
-    its own norm asks."""
-    norm = np.linalg.norm(m, 2, axis=(-2, -1))
+def _random_exponents(dims, rng: np.random.Generator, count: int, scale: float):
+    """The exponents of random_group_elements: for each distinct site
+    dimension d in sorted order, (sites, m, norm) with m the (len(sites) *
+    count, d, d) stack of traceless matrices and norm their spectral norms
+    (to rounding).  Row j * count + i is draw i of site sites[j].
+
+    The real and imaginary parts of all rows come from one
+    standard_normal((rows, 2, d, d)) call and the norms from the uniform
+    call after it, rng.uniform(0, 1, rows) * scale."""
+    out = []
+    for d in sorted(set(dims)):
+        sites = [k for k, e in enumerate(dims) if e == d]
+        z = rng.standard_normal((len(sites) * count, 2, d, d))
+        norm = rng.uniform(0.0, 1.0, len(sites) * count) * scale
+        m = z[:, 0] + 1j * z[:, 1]
+        diag = np.arange(d)
+        m[:, diag, diag] -= (np.trace(m, axis1=1, axis2=2) / d)[:, None]
+        m *= (norm / np.linalg.norm(m, 2, axis=(-2, -1)))[:, None, None]
+        out.append((sites, m, norm))
+    return out
+
+
+# 1/k!, k = 0..15: the degree-15 Taylor polynomial of exp in four blocks of
+# four; on norm <= 1/2 its truncation error 0.5**16 / 16! is about 7e-19
+_TAYLOR_BLOCKS = [[1.0 / math.factorial(4 * j + i) for i in range(4)] for j in range(4)]
+
+
+def _expm(m: np.ndarray, norm=None) -> np.ndarray:
+    """exp of each matrix of an (N, d, d) stack by scaling and squaring.
+
+    Each matrix is divided by 2**s, the least s that takes its spectral
+    norm (`norm`, one per matrix, or an SVD when None) to 1/2 or less; the
+    degree-15 Taylor polynomial is evaluated by Paterson–Stockmeyer (a^2,
+    a^3 and a^4, then Horner in a^4 over four blocks: 6 products); and the
+    result is squared s times, each matrix as often as its own norm asks."""
+    if norm is None:
+        norm = np.linalg.norm(m, 2, axis=(-2, -1))
     s = np.ceil(np.log2(np.maximum(norm / 0.5, 1.0))).astype(int)
     a = m / (2.0 ** s)[:, None, None]
-    out = term = np.broadcast_to(np.eye(m.shape[-1], dtype=complex), m.shape)
-    for k in range(1, 20):
-        term = term @ a / k
-        out = out + term
+    a2 = a @ a
+    a3 = a2 @ a
+    a4 = a2 @ a2
+    eye = np.eye(m.shape[-1])
+    out = None
+    for c in reversed(_TAYLOR_BLOCKS):
+        block = c[0] * eye + c[1] * a + c[2] * a2 + c[3] * a3
+        out = block if out is None else out @ a4 + block
     for j in range(s.max(initial=0)):
         sel = s > j
         out[sel] = out[sel] @ out[sel]

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import lcm, log10
+from math import gcd, lcm, log10
 from pathlib import Path
 
 from .cyclo import Cyclotomic, euler_phi
@@ -281,9 +280,12 @@ def ingest(path):
 
 def scalar_to_dict(c: Cyclotomic) -> dict:
     """{conductor, coeffs}: each power-basis coefficient as "p/q" in lowest terms."""
-    return {"conductor": c.n,
-            "coeffs": [f"{q.numerator}/{q.denominator}"
-                       for q in (Fraction(a, c.den) for a in c.coeffs)]}
+    first, *rest = c.coeffs
+    if not any(rest):
+        # rational: the constructor made gcd(first, den) == 1
+        return {"conductor": c.n, "coeffs": [f"{first}/{c.den}"] + ["0/1"] * len(rest)}
+    return {"conductor": c.n, "coeffs": [f"{a // g}/{c.den // g}" for a in c.coeffs
+                                         for g in [gcd(a, c.den)]]}
 
 
 def _entries(m: Matrix) -> list:

@@ -25,9 +25,9 @@ from .groups import (centralizer_containment_check, local_symmetry_report,
                      transversal_group, verify_coset_representatives,
                      weyl_generators, weyl_group)
 from .invariants import check_weyl_invariance, is_homogeneous
-from .kempfness import (FloatState, apply_sitewise, criticality_equivalence,
+from .kempfness import (FloatState, _apply_stack, criticality_equivalence,
                         gradient_check, kempf_ness_inequality_test,
-                        norm_minimization_flows, random_group_element)
+                        norm_minimization_flows, random_group_elements)
 from .linalg import Matrix
 from .qecc import (distance, kl_check, pauli_error_basis, r_uniform_check,
                    singleton_check, stabilizer_subspace)
@@ -252,9 +252,9 @@ def check_kempf_ness(seed: int) -> CheckResult:
                                       seed=seed, slack=KN_RATIO_SLACK)
     part_a = ineq.all_above_one and ineq.min_ratio >= 1 - KN_RATIO_SLACK
 
-    rng = np.random.default_rng(seed)
-    starts = [apply_sitewise(random_group_element(phi.dims, rng, scale=1.0), phi)
-              for _ in range(FLOW_STARTS)]
+    gs = random_group_elements(phi.dims, np.random.default_rng(seed), FLOW_STARTS)
+    starts = [FloatState(phi.dims, row) for row in
+              _apply_stack(gs, phi.tensor()[None]).reshape(FLOW_STARTS, -1)]
     flows_ok = 0
     worst_gap = 0.0
     worst_resid = 0.0

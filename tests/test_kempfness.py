@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from amecode import catalog
+from amecode import catalog, suites
 from amecode.kempfness import (CriticalityReport, EquivalenceReport, FloatState,
                                FlowReport, GradientReport, InequalityReport,
                                apply_sitewise, criticality_equivalence,
@@ -13,13 +13,16 @@ from amecode.kempfness import (CriticalityReport, EquivalenceReport, FloatState,
                                norm_minimization_flow, norm_minimization_flows,
                                random_group_element, random_group_elements,
                                site_reductions)
-from amecode.kempfness import _expm_hermitian, _gell_mann_cached, _random_unitary
+from amecode.kempfness import (_expm, _expm_hermitian, _gell_mann_cached,
+                               _random_exponents, _random_unitary)
 
 
 # -- the per-sample loops the batched code replaced, kept as the reference ----
 
 
 def _reference_expm(m):
+    """The 19-term Taylor series with scaling and squaring that the sampler
+    used before its degree-15 polynomial, kept as an accuracy reference."""
     norm = np.linalg.norm(m, 2)
     s = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
     a = m / (2 ** s)
@@ -33,20 +36,48 @@ def _reference_expm(m):
     return out
 
 
+def _reference_taylor15(m, norm):
+    """exp of one matrix of known spectral norm by the sampler's recipe:
+    scale to norm <= 1/2, the degree-15 Taylor polynomial by
+    Paterson-Stockmeyer, then square."""
+    s = int(np.ceil(np.log2(max(norm / 0.5, 1.0))))
+    a = m / 2.0 ** s
+    a2 = a @ a
+    a3 = a2 @ a
+    a4 = a2 @ a2
+    out = None
+    for j in (3, 2, 1, 0):
+        c = [1.0 / math.factorial(4 * j + i) for i in range(4)]
+        block = c[0] * np.eye(len(m)) + c[1] * a + c[2] * a2 + c[3] * a3
+        out = block if out is None else out @ a4 + block
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def _reference_renorm_det(m):
     d = m.shape[0]
     det = np.linalg.det(m)
     return m / det ** (1.0 / d)
 
 
-def _reference_group_element(dims, rng, scale=1.0):
-    mats = []
-    for d in dims:
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m -= np.trace(m) / d * np.eye(d)
-        m *= rng.uniform(0.0, 1.0) * scale / np.linalg.norm(m, 2)
-        mats.append(_reference_renorm_det(_reference_expm(m)))
-    return mats
+def _reference_group_elements(dims, rng, count, scale=1.0):
+    """`count` draws from the sampler's bulk normals and uniforms, one
+    matrix at a time: entry i is the list of site matrices of draw i."""
+    draws = [[None] * len(dims) for _ in range(count)]
+    for d in sorted(set(dims)):
+        sites = [k for k, e in enumerate(dims) if e == d]
+        z = rng.standard_normal((len(sites) * count, 2, d, d))
+        u = rng.uniform(0.0, 1.0, len(sites) * count)
+        for j, k in enumerate(sites):
+            for i in range(count):
+                r = j * count + i
+                m = z[r, 0] + 1j * z[r, 1]
+                m -= np.trace(m) / d * np.eye(d)
+                norm = u[r] * scale
+                m *= norm / np.linalg.norm(m, 2)
+                draws[i][k] = _reference_renorm_det(_reference_taylor15(m, norm))
+    return draws
 
 
 def _reference_apply(mats, state):
@@ -61,8 +92,7 @@ def _reference_inequality(state, samples, seed, slack=1e-9):
     base = state.norm_sq()
     min_ratio = np.inf
     witness = None
-    for _ in range(samples):
-        g = _reference_group_element(state.dims, rng)
+    for g in _reference_group_elements(state.dims, rng, samples):
         ratio = _reference_apply(g, state).norm_sq() / base
         if ratio < min_ratio:
             min_ratio = ratio
@@ -77,7 +107,7 @@ def _reference_gradient_check(seed, pairs, h=1e-5, dims=(3, 3, 3)):
     max_anti = 0.0
     for _ in range(pairs):
         v = FloatState.random(dims, rng)
-        g = _reference_group_element(dims, rng, scale=0.5)
+        g = _reference_group_elements(dims, rng, 1, scale=0.5)[0]
         psi = _reference_apply(g, v)
         analytic = log_norm_gradient(psi)
         for k, d in enumerate(dims):
@@ -327,16 +357,15 @@ def test_criticality_lu_invariance():
 
 
 def test_group_element_stacks_match_sequential_draws():
-    for dims in ((3, 3, 3, 3), (2, 3, 2)):
-        stacks = random_group_elements(dims, np.random.default_rng(4), 50)
-        rng = np.random.default_rng(4)
+    for dims, scale in (((3, 3, 3, 3), 1.0), ((2, 3, 2), 1.0), ((3, 2, 4, 2), 0.5)):
+        stacks = random_group_elements(dims, np.random.default_rng(4), 50, scale)
+        draws = _reference_group_elements(dims, np.random.default_rng(4), 50, scale)
         for i in range(50):
-            for k, m in enumerate(_reference_group_element(dims, rng)):
+            for k, m in enumerate(draws[i]):
                 assert np.array_equal(stacks[k][i], m)
-        rng = np.random.default_rng(4)
         assert all(np.array_equal(a, b) for a, b in zip(
-            random_group_element(dims, rng), _reference_group_element(
-                dims, np.random.default_rng(4))))
+            random_group_element(dims, np.random.default_rng(4), scale),
+            _reference_group_elements(dims, np.random.default_rng(4), 1, scale)[0]))
 
 
 def test_inequality_matches_reference_loop():
@@ -379,9 +408,8 @@ def test_flow_matches_reference_loop():
 def _seeded_starts(seed, count):
     """The starts of the suite's flows: random orbit points of phi."""
     phi = FloatState.from_exact(catalog.ame_state())
-    rng = np.random.default_rng(seed)
-    return [apply_sitewise(random_group_element(phi.dims, rng, scale=1.0), phi)
-            for _ in range(count)]
+    gs = random_group_elements(phi.dims, np.random.default_rng(seed), count)
+    return [apply_sitewise([g[i] for g in gs], phi) for i in range(count)]
 
 
 def test_flows_match_reference_loop_per_state():
@@ -458,3 +486,92 @@ def test_criticality_equivalence_matches_reference_loop(seed):
     for count in (1, 7, 100):
         assert (criticality_equivalence(count, seed=seed)
                 == _reference_criticality_equivalence(count, seed))
+
+
+# -- the sampler: one bulk draw per site dimension, the degree-15 exponential --
+
+
+class _CountingGenerator:
+    """A Generator that records the name of each method called on it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 2), (3, 2, 4, 2), (2,)])
+def test_sampler_draws_in_bulk_per_site_dimension(dims):
+    rng = _CountingGenerator(np.random.default_rng(0))
+    stacks = random_group_elements(dims, rng, 100)
+    assert rng.calls == ["standard_normal", "uniform"] * len(set(dims))
+    assert [s.shape for s in stacks] == [(100, d, d) for d in dims]
+
+
+def _sampler_stack(seed):
+    """Every exponent the sampler draws in check_kempf_ness(seed), the
+    inequality's, the flow starts' and the gradient check's, as one stack
+    with its norms."""
+    draws = [_random_exponents((3, 3, 3, 3), np.random.default_rng(seed), count, 1.0)
+             for count in (suites.INEQUALITY_SAMPLES, suites.FLOW_STARTS)]
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        FloatState.random((3, 3, 3), rng)
+        draws.append(_random_exponents((3, 3, 3), rng, 1, 0.5))
+    return (np.concatenate([m for draw in draws for _, m, _ in draw]),
+            np.concatenate([norm for draw in draws for _, _, norm in draw]))
+
+
+def test_expm_with_known_norms_is_bit_identical():
+    # seeds 0-63 cover every seed the tests, the demos and the BENCH files use
+    for seed in range(64):
+        m, norm = _sampler_stack(seed)
+        assert np.array_equal(_expm(m, norm), _expm(m))
+
+
+def _relative_errors(x, want):
+    return (np.linalg.norm(x - want, 2, axis=(-2, -1))
+            / np.linalg.norm(want, 2, axis=(-2, -1)))
+
+
+def _scaled_to_norms(m, norms):
+    return m * (norms / np.linalg.norm(m, 2, axis=(-2, -1)))[:, None, None]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expm_matches_eigh_on_hermitian_stacks(d):
+    rng = np.random.default_rng(d)
+    z = rng.standard_normal((2000, d, d)) + 1j * rng.standard_normal((2000, d, d))
+    h = _scaled_to_norms(z + z.conj().swapaxes(-1, -2), rng.uniform(0.0, 2.0, 2000))
+    assert _relative_errors(_expm(h), _expm_hermitian(h, 1.0)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_expm_matches_the_19_term_series(d):
+    rng = np.random.default_rng(10 + d)
+    z = rng.standard_normal((2000, d, d)) + 1j * rng.standard_normal((2000, d, d))
+    z -= (np.trace(z, axis1=1, axis2=2) / d)[:, None, None] * np.eye(d)
+    m = _scaled_to_norms(z, rng.uniform(0.0, 1.0, 2000))
+    want = np.array([_reference_expm(x) for x in m])
+    assert _relative_errors(_expm(m), want).max() <= 1e-14
+
+
+def test_expm_of_zero_is_the_identity():
+    for d in (2, 3):
+        assert np.array_equal(_expm(np.zeros((5, d, d), dtype=complex)),
+                              np.broadcast_to(np.eye(d), (5, d, d)))
+    assert np.array_equal(_expm(np.zeros((2, 3, 3), dtype=complex), np.zeros(2)),
+                          np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 13, 31, 50, 61])
+def test_kempf_ness_check_passes(seed):
+    result = suites.check_kempf_ness(seed)
+    assert result.passed, result.actual

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from amecode import catalog
 from amecode import serialize as ser
-from amecode.cyclo import Cyclotomic
+from amecode.cyclo import Cyclotomic, euler_phi
 from amecode.groups import weyl_generators
 from amecode.qecc import CodeSubspace
 
@@ -127,6 +128,27 @@ def _ingest_json(tmp_path, data):
     p = tmp_path / "doc.json"
     p.write_text(json.dumps(data))
     return ser.ingest(p)
+
+
+def _fraction_scalar_to_dict(c):
+    """scalar_to_dict by one Fraction per coefficient."""
+    return {"conductor": c.n,
+            "coeffs": [f"{q.numerator}/{q.denominator}"
+                       for q in (Fraction(a, c.den) for a in c.coeffs)]}
+
+
+_COEFFS = st.one_of(st.integers(-60, 60), st.integers(-10 ** 30, 10 ** 30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from([3, 4, 12, 24]), rational=st.booleans(), data=st.data())
+def test_scalar_to_dict_matches_the_fraction_path(n, rational, data):
+    rest = euler_phi(n) - 1
+    coeffs = [data.draw(_COEFFS)] + ([0] * rest if rational else data.draw(
+        st.lists(_COEFFS, min_size=rest, max_size=rest)))
+    den = data.draw(_COEFFS.filter(bool))
+    c = Cyclotomic(n, coeffs, den)
+    assert ser.scalar_to_dict(c) == _fraction_scalar_to_dict(c)
 
 
 _ONE, _ZERO = ser.scalar_to_dict(Cyclotomic.one(12)), ser.scalar_to_dict(Cyclotomic.zero(12))
