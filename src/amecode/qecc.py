@@ -9,15 +9,22 @@ site set S and its complement, as M_i; then for every operator E_S on S
 
     <u_i|E_S|u_j> = tr(E_S R_S[j, i]),   R_S[j, i] = M_j M_i^dagger,
 
-and all the blocks R_S are one packed Gram contraction of the K stacked
-matricizations (`tensor._reduction`).  `kl_check` forms R_S once per error
-support and gets the tables of all errors on S from one integer contraction
-with the packed errors; `distance` needs no errors at all, since the delta
-condition holds for every operator on S exactly when R_S[j, i] =
-delta_ij R_S[0, 0].  Decisions are made on integer numerators, and field
-elements are built only for the entries a `KLReport` lists in `violations`.
-Each Pauli error basis is built once per process and shared as an
-immutable tuple: it supplies `kl_check`'s default errors and their labels.
+and the blocks R_S of every site set of one size are one packed Gram
+contraction of the stacked matricizations (`tensor._reductions`).  One
+predicate on integer numerators decides them: R_S[j, i] = delta_ij
+R_S[0, 0], and optionally R_S[0, 0] a multiple of I.  The first part holds
+exactly when every operator on S has a table c(E) delta_ij, which is all
+`distance` needs, for any local dimension; with K = 1 and the second part
+it is `r_uniform_check`'s test of a reduction.  `kl_check` forms the
+reductions once per size of its errors' supports.  A support whose table
+passes both parts, and whose errors are all traceless, is decided without
+expanding an error: with R_S[0, 0] = lambda I, c(E) = lambda tr(E) = 0.
+So is the empty support when its table passes, as purity does not concern
+it.  Only the errors of any other support are expanded, and their K x K
+tables come from one integer contraction with R_S.  Field elements are
+built only for the entries a `KLReport` lists in `violations`.  Each Pauli
+error basis is built once per process and shared as an immutable tuple: it
+supplies `kl_check`'s default errors and their labels.
 """
 
 from __future__ import annotations
@@ -33,9 +40,9 @@ import numpy as np
 from . import catalog
 from .cyclo import Cyclotomic, default_conductor
 from .groups import closure
-from .linalg import Matrix, _matmul
+from .linalg import Matrix, _matmul, _scaled
 from .tensor import (LocalOperator, PureState, _canon_factor, _check_operands, _dense_packed,
-                     _density, _local_elements, _reduction, gram, in_span,
+                     _density, _gram, _gram_table, _local_elements, _reductions,
                      orthonormal_defect, orthonormalize)
 
 
@@ -84,14 +91,24 @@ class CodeSubspace:
         return self.basis[0].n
 
     def span_equal(self, other: CodeSubspace) -> bool:
-        """One Gram table of both bases; each basis must lie in the other's
-        span."""
+        """Whether each basis lies in the other's span: against an
+        orthonormal basis x, y does exactly when sum_i |<x_i|y>|^2 = <y|y>
+        (Pythagoras).  Decided on the packed Gram numerators t over den**2
+        of both bases, with no field element built: sum_i t[i, y] *
+        conj(t[i, y]) = t[y, y] * den**2, the left sides one more _gram,
+        batched over the rows of the cross blocks."""
         k = self.dimension
         if other.dimension != k:
             return False
-        g = gram(self.basis + other.basis)
-        return (all(in_span([row[j] for row in g[k:]], g[j][j]) for j in range(k))
-                and all(in_span([row[j] for row in g[:k]], g[j][j]) for j in range(k, 2 * k)))
+        t, den = _gram_table(self.basis + other.basis)
+        # t[i, j] = <u_i|u_j>; row j of cross holds the coefficients of the
+        # other's vector j against this basis, row k + j those of this
+        # basis's vector j against the other
+        cross = np.concatenate([t[:k, k:], t[k:, :k]], axis=1).swapaxes(0, 1)
+        sums = _gram(cross[:, None], self.conductor)[:, 0, 0]
+        diag = np.arange(2 * k)
+        norms = np.roll(t[diag, diag], -k, axis=0)
+        return np.array_equal(sums, _scaled(norms, den * den))
 
     def __repr__(self):
         return (f"CodeSubspace(n={self.n_sites}, D={self.local_dim}, "
@@ -115,6 +132,12 @@ class ErrorBasisElement:
     @property
     def weight(self) -> int:
         return len(self.support)
+
+    @cached_property
+    def traceless(self) -> bool:
+        """Whether tr(op) = 0, the scalar times the traces of the factors:
+        true of every X^a Z^b other than the identity."""
+        return self.op.scalar.is_zero() or any(f.trace().is_zero() for f in self.op.factors)
 
 
 def error_label(exponents) -> str:
@@ -168,19 +191,39 @@ class KLReport:
     violations: list = field(default_factory=list)
 
 
+def _delta_holds(g, k: int, scalar: bool = False):
+    """For each table g[s] of _reductions of K states, shape (S, K*dim,
+    K*dim, deg), whether its blocks satisfy R[j, i] = delta_ij R[0, 0] and,
+    with scalar, whether R[0, 0] is a multiple of the identity too: a bool
+    array of shape (S,), decided on the integer numerators."""
+    s, dim = len(g), g.shape[1] // k
+    blocks = g.reshape(s, k, dim, k, dim, -1)  # blocks[:, j, :, i] = R[j, i]
+    eye = np.eye(k, dtype=bool)[:, None, :, None, None]
+    holds = (blocks == np.where(eye, blocks[:, :1, :, :1], 0)).reshape(s, -1).all(axis=1)
+    if scalar:
+        first = blocks[:, 0, :, 0]
+        eye = np.eye(dim, dtype=bool)[:, :, None]
+        holds &= (first == np.where(eye, first[:, :1, :1], 0)).reshape(s, -1).all(axis=1)
+    return holds
+
+
 def kl_check(code: CodeSubspace, d: int, errors=None) -> KLReport:
     """Check <u_i|E|u_j> = c(E) delta_ij for every error of weight < d;
     pure additionally means c(E) = 0 for 0 < wt(E) < d.
 
     The errors (the Pauli basis of weight < d, which for d > n + 1 is every
-    weight up to n, or an explicit list) are
-    grouped by their support S, in their order.  Each group needs one
-    _reduction of the codewords onto S, the blocks R_S[j, i] = M_j M_i^dagger
-    of their matricizations over S and its complement, since
-    <u_i|E_S|u_j> = tr(E_S R_S[j, i]); then one integer contraction of R_S
-    with the packed errors gives every K x K table of the group.  Each error
-    is decided on those integers; `violations`, in the errors' order, is the
-    only place where values are built as field elements."""
+    weight up to n, or an explicit list) are grouped by their support S, in
+    their order, and the reductions R_S[j, i] = M_j M_i^dagger of the
+    codewords onto all the supports of one size come from one _reductions;
+    <u_i|E_S|u_j> = tr(E_S R_S[j, i]).  When R_S[j, i] = delta_ij R_S[0, 0]
+    with R_S[0, 0] a multiple of the identity, every operator on S has a
+    table c(E) delta_ij and every traceless one has c(E) = 0, so a support
+    whose table holds and whose errors are traceless (or the empty support,
+    which purity does not concern) is decided with no error expanded.  On
+    any other support one integer contraction of R_S with the packed errors
+    gives every K x K table, and each error is decided on those integers;
+    `violations`, in the errors' order, is the only place where values are
+    built as field elements."""
     if d < 1:
         raise ValueError("distance must be >= 1")
     if errors is None:
@@ -192,34 +235,30 @@ def kl_check(code: CodeSubspace, d: int, errors=None) -> KLReport:
     for idx, e in enumerate(errors):
         _check_operands(e.op, code.basis[0])
         groups.setdefault(e.support, []).append(idx)
+    by_size: dict = {}
+    for support in groups:
+        by_size.setdefault(len(support), []).append(support)
     eye = np.eye(k, dtype=bool)
     is_pure = True
     flagged = {}
-    for support, idxs in groups.items():
-        _, g, rden = _reduction(code.basis, support)
-        vals, dens = _local_elements([errors[i].op for i in idxs], support, g, k)
-        nonzero = (vals != 0).any(axis=-1)
-        bad = np.where(eye, (vals != vals[:, :1, :1]).any(axis=-1), nonzero)
-        # a flagged error also fails is_code, which is_pure is joined with
-        if support and nonzero[:, 0, 0].any():
-            is_pure = False
-        for c in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
-            flagged[idxs[c]] = (vals[c], dens[c] * rden, bad[c])
+    for supports in by_size.values():
+        tables, rden = _reductions(code.basis, supports)
+        for support, g, holds in zip(supports, tables, _delta_holds(tables, k, scalar=True)):
+            idxs = groups[support]
+            if holds and (not support or all(errors[i].traceless for i in idxs)):
+                continue
+            vals, dens = _local_elements([errors[i].op for i in idxs], support, g, k)
+            nonzero = (vals != 0).any(axis=-1)
+            bad = np.where(eye, (vals != vals[:, :1, :1]).any(axis=-1), nonzero)
+            # a flagged error also fails is_code, which is_pure is joined with
+            if support and nonzero[:, 0, 0].any():
+                is_pure = False
+            for c in np.flatnonzero(bad.any(axis=(1, 2))).tolist():
+                flagged[idxs[c]] = (vals[c], dens[c] * rden, bad[c])
     violations = [(errors[idx].label, i, j, Cyclotomic(n, vals[i, j].tolist(), den))
                   for idx, (vals, den, bad) in sorted(flagged.items())
                   for i, j in np.argwhere(bad).tolist()]
     return KLReport(d, not flagged, is_pure and not flagged, violations)
-
-
-def _kl_holds_on(basis, keep_pos) -> bool:
-    """Whether <u_i|E|u_j> = c(E) delta_ij for every operator E on the
-    sites keep_pos: exactly when R_S[j, i] = delta_ij R_S[0, 0]."""
-    k = len(basis)
-    _, g, _ = _reduction(basis, keep_pos)
-    dim = len(g) // k
-    blocks = g.reshape(k, dim, k, dim, -1).transpose(0, 2, 1, 3, 4)
-    eye = np.eye(k, dtype=bool)
-    return not (blocks[~eye] != 0).any() and (blocks[eye] == blocks[0, 0]).all()
 
 
 def distance(code: CodeSubspace) -> int:
@@ -227,13 +266,17 @@ def distance(code: CodeSubspace) -> int:
     The sweep at d + 1 holds exactly when every operator on every d-site
     subset S satisfies the delta condition, that is R_S[j, i] =
     delta_ij R_S[0, 0]; smaller subsets are partial traces of these, so
-    each candidate is decided from the size-d subsets alone, with no error
-    basis and so for any local dimension.  Capped at n+1, past which no new
-    errors exist (the cap is only reachable for one-dimensional codes, where
-    the delta condition is vacuous)."""
+    each candidate is decided from the size-d subsets alone, all reduced
+    by one _reductions, with no error basis and so for any local
+    dimension.  Capped at n+1, past which no new errors exist (the cap is
+    only reachable for one-dimensional codes, where the delta condition is
+    vacuous)."""
     n = code.n_sites
     d = 1
-    while d <= n and all(_kl_holds_on(code.basis, s) for s in combinations(range(n), d)):
+    while d <= n:
+        tables, _ = _reductions(code.basis, list(combinations(range(n), d)))
+        if not _delta_holds(tables, code.dimension).all():
+            break
         d += 1
     return d
 
@@ -259,20 +302,29 @@ def r_uniform_check(v: PureState, r: int) -> UniformReport:
         raise ValueError(f"r={r} out of range 1..{sites}")
     if v.is_zero():
         raise ValueError("zero state")
+    # the subsets that keep equal dimensions are reduced together
+    subsets = list(combinations(range(sites), r))
+    by_dim: dict = {}
+    for keep_pos in subsets:
+        by_dim.setdefault(prod(v.dims[p] for p in keep_pos), []).append(keep_pos)
+    reduced = {}
+    for keeps in by_dim.values():
+        tables, den = _reductions((v,), keeps)
+        reduced.update(zip(keeps, zip(tables, _delta_holds(tables, 1, scalar=True).tolist())))
     ns = None
     uniform = True
     worst_subset = None
     worst = 0.0
-    for keep in combinations(range(1, sites + 1), r):
-        kdims, g, den = _reduction((v,), [p - 1 for p in keep])
-        dim = len(g)
-        diagonal = np.eye(dim, dtype=bool)
-        if not g[~diagonal].any() and (g[diagonal] == g[0, 0]).all():
+    for keep_pos in subsets:
+        g, holds = reduced[keep_pos]
+        keep = tuple(p + 1 for p in keep_pos)
+        if holds:
             dev = 0.0
         else:
             uniform = False
             ns = v.norm_sq() if ns is None else ns
-            rho = _density(v.n, kdims, g, den).scale(Fraction(1, 1) / ns)
+            dim = len(g)
+            rho = _density(v.n, [v.dims[p] for p in keep_pos], g, den).scale(Fraction(1, 1) / ns)
             target = Matrix.identity(dim, v.n).scale(Fraction(1, dim))
             dev = max(abs(x - y) for rw, tw in zip(rho.mat.to_complex(), target.to_complex())
                       for x, y in zip(rw, tw))

@@ -396,26 +396,31 @@ def _pack_states(states):
 
 
 @lru_cache(maxsize=None)
-def _gram_maps(n: int):
-    """(C, bound of C, T2, bound of T2): x @ C conjugates coefficient
-    vectors, and T2 is linalg._product_map(n)."""
-    conj = _structure(n)[1]
-    return (conj, _col_bound(conj), *_product_map(n))
+def _conj_products(n: int):
+    """(P, bound of P): P, of shape (deg, deg*deg), maps a coefficient
+    vector x to the coefficients of zeta^t * conj(x) for t = 0..deg-1, so
+    that x * conj(y) = sum_t x[t] (y @ P)[t]."""
+    t, conj = _structure(n)
+    deg = len(conj)
+    p = np.einsum("au,tuw->atw", conj.astype(object), t).reshape(deg, deg * deg)
+    return _compact(p), _col_bound(p)
 
 
 def _gram(x, n: int):
-    """Numerators over den**2 of the Gram matrix of rows x packed over den,
-    shape (K, t, deg): g[i, j] = sum_t x[i, t] * conj(x[j, t]), shape
-    (K, K, deg).  One conjugation, one contraction over t and one map of
-    the deg x deg coefficient products to deg, each bound-checked."""
-    conj, conj_bound, t2, t2_bound = _gram_maps(n)
-    k, width, deg = x.shape
-    cx = _matmul(x, conj, conj_bound)
-    rows = x.transpose(0, 2, 1).reshape(k * deg, width)
-    cols = cx.transpose(1, 0, 2).reshape(width, k * deg)
-    p = _matmul(rows, cols, width * _max_abs(cx))
-    p = p.reshape(k, deg, k, deg).transpose(0, 2, 1, 3).reshape(k, k, deg * deg)
-    return _matmul(p, t2, t2_bound)
+    """Numerators over den**2 of the Gram matrices of rows x packed over
+    den, shape (..., K, t, deg): g[..., i, j] = sum_t x[..., i, t] *
+    conj(x[..., j, t]), shape (..., K, K, deg), one table per leading
+    index.  One map of every coefficient vector to its conjugate's
+    multiples by each power of zeta, then one contraction of the rows with
+    each row's multiples over t and the powers, each bound-checked once
+    for the whole batch; no array formed is larger than deg times the rows
+    or than the tables."""
+    p, p_bound = _conj_products(n)
+    *batch, k, width, deg = x.shape
+    # y[..., j, (t, s), u] = coefficient u of zeta^s * conj(x[..., j, t])
+    y = _matmul(x.reshape(-1, deg), p, p_bound).reshape(*batch, k, width * deg, deg)
+    g = _matmul(x.reshape(*batch, 1, k, width * deg), y, width * deg * _max_abs(y))
+    return g.swapaxes(-3, -2)
 
 
 def _gram_table(states):
@@ -683,17 +688,35 @@ def _reduction(states, keep_pos):
     """(kdims, g, den): the blocks R[j, i] = M_j M_i^dagger of states
     u_1..u_K, where M_i is the matricization M[keep, traced] of u_i's packed
     amplitudes over the sites at the sorted 0-based positions keep_pos
-    (possibly none).  g / den holds them as integer numerators of shape
-    (K*dim, K*dim, deg), indexed ((j, b), (i, a)) with dim the product of
-    kdims: the Gram matrix of the rows of the K stacked matricizations.  For
-    one state, g / den is its reduction |v><v| onto keep_pos."""
+    (possibly none), as _reductions forms them for one support.  g / den
+    holds them as integer numerators of shape (K*dim, K*dim, deg), indexed
+    ((j, b), (i, a)) with dim the product of kdims.  For one state, g / den
+    is its reduction |v><v| onto keep_pos."""
+    g, den = _reductions(states, [keep_pos])
+    return [states[0].dims[p] for p in keep_pos], g[0], den
+
+
+def _reductions(states, supports):
+    """(g, den): g[s] / den holds the blocks of _reduction(states,
+    supports[s]), for supports that keep equal dimensions: the Gram
+    matrix of the rows of the K stacked matricizations over supports[s].
+    The matricizations of a chunk of supports are stacked and all their
+    blocks formed by one _gram; a chunk holds as many supports as fit
+    _CHUNK_ENTRIES packed integers in the largest array _gram forms for
+    one (its coefficient products or its blocks)."""
     x, den = _pack_states(states)
-    sites = x.ndim - 2
-    trace_pos = [p for p in range(sites) if p not in keep_pos]
-    kdims = [x.shape[p + 1] for p in keep_pos]
-    m = x.transpose([0] + [p + 1 for p in (*keep_pos, *trace_pos)] + [sites + 1])
-    m = m.reshape(len(states) * prod(kdims), -1, x.shape[-1])
-    return kdims, _gram(m, states[0].n), den * den
+    k, sites, deg = len(states), x.ndim - 2, x.shape[-1]
+    dim = prod(x.shape[p + 1] for p in supports[0])
+    step = max(1, _CHUNK_ENTRIES // (max(x.size, k * dim * k * dim) * deg))
+    out = []
+    for start in range(0, len(supports), step):
+        m = []
+        for keep_pos in supports[start:start + step]:
+            trace_pos = [p for p in range(sites) if p not in keep_pos]
+            m.append(x.transpose([0] + [p + 1 for p in (*keep_pos, *trace_pos)] + [sites + 1])
+                     .reshape(k * dim, -1, deg))
+        out.append(_gram(np.stack(m), states[0].n))
+    return (out[0] if len(out) == 1 else np.concatenate(out)), den * den
 
 
 def _density(n: int, kdims, g, den: int) -> DensityOperator:

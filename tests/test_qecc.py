@@ -4,9 +4,10 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb, prod
 
+import numpy as np
 import pytest
 
-from amecode import catalog, tensor
+from amecode import catalog, qecc, tensor
 from amecode.correspondence import reduce_state
 from amecode.cyclo import ConductorMismatch, Cyclotomic, default_conductor, root_of_unity
 from amecode.groups import closure
@@ -15,8 +16,8 @@ from amecode.qecc import (CodeSubspace, ErrorBasisElement, _pauli_error_basis, d
                           error_label, kl_check,
                           pauli_error_basis, r_uniform_check, singleton_check,
                           stabilizer_subspace)
-from amecode.tensor import (DimensionMismatch, LocalOperator, PureState, _reduction, apply,
-                            fixed_by, inner, orthonormalize)
+from amecode.tensor import (DimensionMismatch, LocalOperator, PureState, _reduction,
+                            _reductions, apply, fixed_by, gram, in_span, inner, orthonormalize)
 
 N = 12
 N2 = default_conductor(2)
@@ -285,6 +286,34 @@ def test_span_equal_by_gram(code332):
     assert not code.span_equal(code332)
 
 
+def _reference_span_equal(a, b):
+    """span_equal in field arithmetic: one gram table of both bases and
+    Pythagoras through in_span, each basis against the other."""
+    k = a.dimension
+    if b.dimension != k:
+        return False
+    g = gram(a.basis + b.basis)
+    return (all(in_span([row[j] for row in g[k:]], g[j][j]) for j in range(k))
+            and all(in_span([row[j] for row in g[:k]], g[j][j]) for j in range(k, 2 * k)))
+
+
+def test_span_equal_matches_field_reference(code332):
+    s1, s2, s3 = code332.basis
+    w = root_of_unity(5, N)
+    # a rotation of s1 and w s2: the same span as {s1, s2} in another basis
+    mixed = CodeSubspace(3, 3, [s1.scale(Fraction(3, 5)) + s2.scale(w * Fraction(4, 5)),
+                                s2.scale(w * Fraction(3, 5)) - s1.scale(Fraction(4, 5))])
+    images = _normalizer_images(2, 5)
+    large = _large_denominator_code()
+    pairs = [(CodeSubspace(3, 3, [s1, s2]), mixed), (mixed, CodeSubspace(3, 3, [s1, s3])),
+             (code332, CodeSubspace(3, 3, [s3, s1.scale(w), s2])), (code332, large),
+             (large, CodeSubspace(3, 3, [large.basis[2], large.basis[0], large.basis[1]])),
+             (images[0], code332), (images[1], large), (code332, mixed)]
+    verdicts = [a.span_equal(b) for a, b in pairs]
+    assert verdicts == [_reference_span_equal(a, b) for a, b in pairs]
+    assert verdicts == [True, False, True, False, True, True, False, False]
+
+
 # -- references: the per-error sweep and the dense projector -------------------
 
 
@@ -471,7 +500,89 @@ def test_stabilizer_subspace_matches_dense_projector(gens):
     assert stabilizer_subspace(gens()).basis == _reference_stabilizer(gens())
 
 
-def test_chunked_expansion_matches_reference(monkeypatch, code332):
+def _assert_batched_reductions_match(states, size):
+    """_reductions of every support of one size equals _reduction of each."""
+    supports = list(combinations(range(states[0].sites), size))
+    tables, den = _reductions(states, supports)
+    assert len(tables) == len(supports)
+    for support, table in zip(supports, tables):
+        _, g, rden = _reduction(states, support)
+        assert rden == den and np.array_equal(table, g)
+
+
+@pytest.mark.parametrize("name", ["phi-pairs", "332-one-site", "332-two-site",
+                                  "large-denominators-one-site",
+                                  "large-denominators-two-site"])
+def test_batched_reductions_match_per_subset(name, phi_unit, code332):
+    states, size = {
+        "phi-pairs": lambda: ((phi_unit,), 2),
+        "332-one-site": lambda: (code332.basis, 1),
+        "332-two-site": lambda: (code332.basis, 2),
+        "large-denominators-one-site": lambda: (_large_denominator_code().basis, 1),
+        "large-denominators-two-site": lambda: (_large_denominator_code().basis, 2),
+    }[name]()
+    _assert_batched_reductions_match(states, size)
+
+
+def _counting(monkeypatch, module, name):
+    """The arguments of every call to module.name, recorded in a list."""
+    calls = []
+    kernel = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_only_failing_supports_are_expanded(monkeypatch, code332):
+    calls = _counting(monkeypatch, qecc, "_local_elements")
+    # a passing sweep expands no support
+    rep = kl_check(code332, 2)
+    assert rep.is_code and rep.is_pure and not rep.violations
+    assert calls == []
+    # at d = 3 the 0- and 1-site supports pass and the 2-site ones fail
+    rep = kl_check(code332, 3)
+    assert [tuple(c[1]) for c in calls] == [(0, 1), (0, 2), (1, 2)]
+    assert (rep.is_code, rep.is_pure, rep.violations) == _reference_kl(code332, 3)
+
+
+def test_error_with_a_trace_is_expanded(monkeypatch, code332):
+    # diag(1, 2, 3) on site 1: its support passes the delta condition, but
+    # its trace is not 0, so only the expansion finds c(E) != 0
+    diag = Matrix(N, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    ident = Matrix.identity(3, N)
+    traced = ErrorBasisElement(LocalOperator(N, 1, [diag, ident, ident]), None, "diag123.I.I")
+    assert not traced.traceless
+    assert all(e.traceless for e in pauli_error_basis(3, 3, 3)[1:])
+    errors = list(pauli_error_basis(3, 3, 1)) + [traced]
+    calls = _counting(monkeypatch, qecc, "_local_elements")
+    rep = kl_check(code332, 2, errors=errors)
+    assert [tuple(c[1]) for c in calls] == [(0,)]
+    assert (rep.is_code, rep.is_pure, rep.violations) == _reference_kl(code332, 2, errors)
+    assert rep.is_code and not rep.is_pure
+
+
+def test_one_contraction_per_support_size(monkeypatch, phi_unit, code332):
+    code442, trivial = catalog.code_442(), _CODES["trivial"]()
+    calls = _counting(monkeypatch, tensor, "_gram")
+    r_uniform_check(phi_unit, 2)
+    assert len(calls) == 1
+    cases = [(lambda: kl_check(code332, 2), 2), (lambda: kl_check(code332, 3), 3),
+             (lambda: kl_check(code442, 2), 2),
+             # candidates 1 (passes) and 2 (fails)
+             (lambda: distance(code332), 2), (lambda: distance(code442), 2),
+             # one-dimensional: candidates 1, 2 and 3 all pass
+             (lambda: distance(trivial), 3)]
+    for check, contractions in cases:
+        calls.clear()
+        check()
+        assert len(calls) == contractions
+
+
+def test_chunked_expansion_matches_reference(monkeypatch, code332, phi_unit):
     # one operator per chunk: the tables, the sums and the images do not change
     monkeypatch.setattr(tensor, "_CHUNK_ENTRIES", 1)
     for d in (2, 3):
@@ -482,3 +593,7 @@ def test_chunked_expansion_matches_reference(monkeypatch, code332):
     ops = [e.op for e in pauli_error_basis(3, 3, 3, N)]
     for v in code332.basis:
         assert fixed_by(ops, v) == [apply(op, v) == v for op in ops]
+    # one support per batch of reductions
+    for states, size in [((phi_unit,), 2), (code332.basis, 1), (code332.basis, 2),
+                         (_large_denominator_code().basis, 2)]:
+        _assert_batched_reductions_match(states, size)

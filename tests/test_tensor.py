@@ -476,12 +476,16 @@ def _bell_pairs(pairs):
     return PureState(N, (3,) * 4, amps)
 
 
-@pytest.mark.parametrize("state", ["bell-12-34", "bell-14-23", "ket-0000", "monomial"])
+@pytest.mark.parametrize("state", ["bell-12-34", "bell-14-23", "ket-0000", "monomial",
+                                   "monomial-mixed-dims"])
 def test_r_uniform_report_matches_reference(state, phi_unit):
+    # the mixed dims keep subsets of unequal dimensions, reduced apart
     v = {"bell-12-34": lambda: _bell_pairs([(1, 2), (3, 4)]),
          "bell-14-23": lambda: _bell_pairs([(1, 4), (2, 3)]),
          "ket-0000": lambda: catalog.ket("0000", 3, N),
-         "monomial": lambda: _random_monomial_state((3, 3, 3, 3), random.Random(14))}[state]()
+         "monomial": lambda: _random_monomial_state((3, 3, 3, 3), random.Random(14)),
+         "monomial-mixed-dims": lambda: _random_monomial_state((2, 3, 2, 3),
+                                                               random.Random(15))}[state]()
     for r in (1, 2):
         rep = r_uniform_check(v, r)
         assert rep == reference_r_uniform(v, r)
