@@ -11,12 +11,16 @@ non-increasing along every run.
 This module is deliberately floating point; tolerances default to 1e-8 for
 criticality and 1e-6 for flow convergence.  The sampled checks, the
 criticality test and the flows work on stacks of matrices and states (the
-flows of one call advance in lockstep), but every matrix still goes through
-its own LAPACK or BLAS call, so their floats are those of one matrix and
-one state at a time, and a single state is a stack of one.  The sampler
-takes the normals and uniforms of all the draws of one call in bulk, one
-call of each kind per distinct site dimension, so `count` draws in one call
-are not the draws of `count` calls.
+flows of one call advance in lockstep), and each row of a stack gets the
+floats it gets alone, so a single state is a stack of one: products,
+determinants, eigenvalues and QR factors are numpy's stacked LAPACK and
+BLAS routines, one call per matrix, and norms and expectations are numpy
+reductions along each row in a fixed order.  Spectral norms come from the
+eigenvalues of m^dag m, not from an SVD.  The random draws of one call come
+in bulk: the sampler takes one standard_normal and one uniform call per
+distinct site dimension, so `count` draws in one call are not the draws of
+`count` calls, and the gradient check and the criticality corpus draw all
+their states and unitaries the same way.
 """
 
 from __future__ import annotations
@@ -39,12 +43,10 @@ class FloatState:
 
     @classmethod
     def random(cls, dims, rng: np.random.Generator) -> FloatState:
-        size = math.prod(dims)
-        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return cls(tuple(dims), v)
+        return cls(tuple(dims), _random_vectors(rng, 1, math.prod(dims))[0])
 
     def norm_sq(self) -> float:
-        return float(np.vdot(self.vec, self.vec).real)
+        return float(_row_norms_sq(self.vec[None])[0])
 
     def tensor(self) -> np.ndarray:
         return self.vec.reshape(self.dims)
@@ -80,6 +82,14 @@ def _gell_mann_cached(d: int) -> np.ndarray:
     return stack
 
 
+def _random_vectors(rng: np.random.Generator, count: int, size: int) -> np.ndarray:
+    """`count` complex Gaussian vectors of length `size` from one
+    standard_normal((count, 2, size)) call: row i takes the real parts, then
+    the imaginary parts, of draw i."""
+    z = rng.standard_normal((count, 2, size))
+    return z[:, 0] + 1j * z[:, 1]
+
+
 def _positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -98,9 +108,9 @@ def _reductions(t: np.ndarray):
     (S, *dims): one (S, d, d) stack per site.
 
     Site k is the (d, rest) @ (rest, d) product over the conjugate that
-    tensordot forms for a single state, divided by the row's own vdot
-    norm, so a stack of one gives the floats of one state."""
-    ns = np.array(_row_norms_sq(t))
+    tensordot forms for a single state, divided by the row's own norm
+    (_row_norms_sq), so a stack of one gives the floats of one state."""
+    ns = _row_norms_sq(t)
     if not np.all(np.isfinite(ns)):
         raise ValueError("state norm is not finite")
     if np.any(ns <= 0):
@@ -108,7 +118,7 @@ def _reductions(t: np.ndarray):
     out = []
     for k in range(1, t.ndim):
         a = np.moveaxis(t, k, 1)
-        a = a.reshape(len(t), a.shape[1], -1)
+        a = a.reshape(len(t), a.shape[1], math.prod(a.shape[2:]))
         b = np.ascontiguousarray(a.conj().transpose(0, 2, 1))
         out.append(a @ b / ns[:, None, None])
     return out
@@ -116,9 +126,10 @@ def _reductions(t: np.ndarray):
 
 def _expectations(rhos):
     """tr(rho L_a) for each row of each site's stack and each Gell-Mann
-    matrix L_a: one (S, d*d - 1) complex array per site."""
-    return [np.trace(rho[:, None] @ _gell_mann_cached(rho.shape[-1])[None],
-                     axis1=2, axis2=3) for rho in rhos]
+    matrix L_a: one (S, d*d - 1) complex array per site, each entry the sum
+    of rho_ij (L_a)_ji in i, j order."""
+    return [np.einsum("sij,aji->sa", rho, _gell_mann_cached(rho.shape[-1]))
+            for rho in rhos]
 
 
 def _lie_residuals(rhos) -> list:
@@ -146,10 +157,10 @@ class CriticalityReport:
     residual_marginal: float
 
 
-def _criticality(states, tol: float) -> list:
-    """is_critical of each of states, which share dims, as one stack."""
+def _criticality(t: np.ndarray, tol: float) -> list:
+    """is_critical of each row of a (S, *dims) stack of tensors."""
     _positive("tol", tol)
-    rhos = _reductions(_stack(states))
+    rhos = _reductions(t)
     lie = _lie_residuals(rhos)
     marg = np.max([np.abs(np.linalg.eigvalsh(_centered(rho))).max(axis=1) for rho in rhos],
                   axis=0)
@@ -162,7 +173,7 @@ def is_critical(state: FloatState, tol: float = 1e-8) -> CriticalityReport:
     expectations (residual_lie) and maximally mixed single-site reductions
     in spectral norm (residual_marginal); critical iff both <= tol, which
     must be finite and positive."""
-    return _criticality([state], tol)[0]
+    return _criticality(state.tensor()[None], tol)[0]
 
 
 def _apply_stack(mats, t: np.ndarray) -> np.ndarray:
@@ -187,20 +198,18 @@ def apply_sitewise(mats, state: FloatState) -> FloatState:
     return FloatState(state.dims, t.reshape(-1))
 
 
-def _row_norms_sq(images: np.ndarray) -> list:
-    """<v|v> of each row, one vdot per row as FloatState.norm_sq takes it."""
-    return [float(np.vdot(row, row).real)
-            for row in images.reshape(len(images), math.prod(images.shape[1:]))]
+def _row_norms_sq(images: np.ndarray) -> np.ndarray:
+    """<v|v> of each row of a (S, ...) stack: re^2 + im^2 summed along each
+    row by one numpy reduction, which sums a row in an order set by its
+    length alone."""
+    flat = images.reshape(len(images), math.prod(images.shape[1:]))
+    return (flat.real ** 2 + flat.imag ** 2).sum(axis=1)
 
 
 def _renorm_det(m: np.ndarray) -> np.ndarray:
     """Scale each matrix of a (..., d, d) stack to determinant 1."""
     d = m.shape[-1]
-    det = np.linalg.det(m)
-    # root of each determinant by the scalar power: the array power takes
-    # another route for some exponents (a square root for d = 2)
-    root = np.array([x ** (1.0 / d) for x in det.ravel()]).reshape(det.shape)
-    return m / root[..., None, None]
+    return m / (np.linalg.det(m) ** (1.0 / d))[..., None, None]
 
 
 def random_group_element(dims, rng: np.random.Generator, scale: float = 1.0):
@@ -246,9 +255,17 @@ def _random_exponents(dims, rng: np.random.Generator, count: int, scale: float):
         m = z[:, 0] + 1j * z[:, 1]
         diag = np.arange(d)
         m[:, diag, diag] -= (np.trace(m, axis1=1, axis2=2) / d)[:, None]
-        m *= (norm / np.linalg.norm(m, 2, axis=(-2, -1)))[:, None, None]
+        m *= (norm / _spectral_norms(m))[:, None, None]
         out.append((sites, m, norm))
     return out
+
+
+def _spectral_norms(m: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of a (..., d, d) stack, any d: the
+    square root of the largest eigenvalue of m^dag m, one stacked eigvalsh
+    in place of an SVD per matrix.  It squares the entries, so they must
+    stay within about 1e-150 to 1e150 in magnitude."""
+    return np.sqrt(np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)[..., -1])
 
 
 # 1/k!, k = 0..15: the degree-15 Taylor polynomial of exp in four blocks of
@@ -260,12 +277,13 @@ def _expm(m: np.ndarray, norm=None) -> np.ndarray:
     """exp of each matrix of an (N, d, d) stack by scaling and squaring.
 
     Each matrix is divided by 2**s, the least s that takes its spectral
-    norm (`norm`, one per matrix, or an SVD when None) to 1/2 or less; the
-    degree-15 Taylor polynomial is evaluated by Paterson–Stockmeyer (a^2,
-    a^3 and a^4, then Horner in a^4 over four blocks: 6 products); and the
-    result is squared s times, each matrix as often as its own norm asks."""
+    norm (`norm`, one per matrix, or _spectral_norms when None) to 1/2 or
+    less; the degree-15 Taylor polynomial is evaluated by Paterson–Stockmeyer
+    (a^2, a^3 and a^4, then Horner in a^4 over four blocks: 6 products); and
+    the result is squared s times, each matrix as often as its own norm
+    asks."""
     if norm is None:
-        norm = np.linalg.norm(m, 2, axis=(-2, -1))
+        norm = _spectral_norms(m)
     s = np.ceil(np.log2(np.maximum(norm / 0.5, 1.0))).astype(int)
     a = m / (2.0 ** s)[:, None, None]
     a2 = a @ a
@@ -326,8 +344,8 @@ def norm_minimization_flows(states, max_iters: int = 5000, step: float = 1.0,
     line search shrinks eta to 1e-14 and runs that reach max_iters.
 
     The flows still running advance in lockstep, one candidate each per
-    round, through stacked LAPACK and BLAS calls that treat every matrix on
-    its own; each flow keeps its own eta, norm trace and accept/halve
+    round, through stacked calls that treat every matrix and row on its
+    own; each flow keeps its own eta, norm trace and accept/halve
     decisions, so its report is the one it would get alone.
     """
     if max_iters < 1:
@@ -340,25 +358,32 @@ def norm_minimization_flows(states, max_iters: int = 5000, step: float = 1.0,
     t = _stack(states)
     dims = t.shape[1:]
     cur = t.reshape(len(t), -1)
-    norms = [[n] for n in _row_norms_sq(cur)]
+    norms = [[n] for n in _row_norms_sq(cur).tolist()]
     rhos = _reductions(t)
     residual = _lie_residuals(rhos)
     converged = [r <= tol for r in residual]
     eta = [step] * len(t)
     iterations = [0 if c else 1 for c in converged]
-    hs = [_centered(rho) for rho in rhos]
+    # the sites of each distinct dimension move side by side: hs[j][:, i] is
+    # the (len(sites[j]), d, d) stack of flow i's site moves
+    sites = [[k for k, e in enumerate(dims) if e == d] for d in sorted(set(dims))]
+    hs = [np.array([_centered(rhos[k]) for k in ks]) for ks in sites]
     running = [i for i, c in enumerate(converged) if not c]
     while running:
         # a flow whose line search has shrunk eta to nothing stops
         running = [i for i in running if eta[i] > 1e-14]
         if not running:
             break
-        mats = [_renorm_det(_expm_hermitian(h[running], -np.array([eta[i] for i in running])))
-                for h in hs]
+        mats = [None] * len(dims)
+        for ks, h in zip(sites, hs):
+            moves = _renorm_det(_expm_hermitian(h[:, running],
+                                                -np.array([eta[i] for i in running])))
+            for k, m in zip(ks, moves):
+                mats[k] = m
         cand = _apply_stack(mats, cur[running].reshape(len(running), *dims))
         cand = cand.reshape(len(running), -1)
         kept, moved = [], []
-        for i, row, n in zip(running, cand, _row_norms_sq(cand)):
+        for i, row, n in zip(running, cand, _row_norms_sq(cand).tolist()):
             if n > norms[i][-1] * (1 + 1e-12):
                 eta[i] *= 0.5  # rejected: the same iteration retries next round
                 kept.append(i)
@@ -371,8 +396,8 @@ def norm_minimization_flows(states, max_iters: int = 5000, step: float = 1.0,
             moved.append(i)
         if moved:
             rhos = _reductions(cur[moved].reshape(len(moved), *dims))
-            for h, rho in zip(hs, rhos):
-                h[moved] = _centered(rho)
+            for ks, h in zip(sites, hs):
+                h[:, moved] = [_centered(rhos[k]) for k in ks]
             for i, r in zip(moved, _lie_residuals(rhos)):
                 residual[i] = r
                 converged[i] = r <= tol
@@ -404,9 +429,10 @@ def kempf_ness_inequality_test(state: FloatState, samples: int = 1000,
     rng = np.random.default_rng(seed)
     base = state.norm_sq()
     gs = random_group_elements(state.dims, rng, samples)
-    ratios = [n / base for n in _row_norms_sq(_apply_stack(gs, state.tensor()[None]))]
-    witness = next((r for r in ratios if r < 1 - slack), None)
-    return InequalityReport(samples, float(min(ratios, default=np.inf)),
+    ratios = _row_norms_sq(_apply_stack(gs, state.tensor()[None])) / base
+    below = ratios[ratios < 1 - slack]
+    witness = float(below[0]) if len(below) else None
+    return InequalityReport(samples, float(ratios.min(initial=np.inf)),
                             witness is None, witness)
 
 
@@ -430,6 +456,11 @@ def gradient_check(seed: int = 0, pairs: int = 20, dims=(3, 3, 3)) -> GradientRe
     The error is measured relative to the full gradient vector per pair.
     Anti-Hermitian directions generate unitaries, so their derivatives must
     vanish; the maximum such derivative is reported as well.
+
+    All pairs come from one draw: the states from one standard_normal call,
+    then the group elements from one random_group_elements(dims, rng, pairs,
+    0.5) call.  Every pair's image g v and its images under g with one
+    factor moved by a step go through one _apply_stack.
     """
     h = 1e-5  # the finite-difference step
     # steps[d] holds exp(hL_a), exp(-hL_a), exp(ihL_a) in rows 3a, 3a+1, 3a+2;
@@ -441,30 +472,31 @@ def gradient_check(seed: int = 0, pairs: int = 20, dims=(3, 3, 3)) -> GradientRe
         steps[d] = np.array([e for lam, ea in zip(basis, anti)
                              for e in (_expm_hermitian(lam, h),
                                        _expm_hermitian(lam, -h), ea)])
-    offsets = np.cumsum([0] + [len(steps[d]) for d in dims])
+    # row 0 of a pair is g itself; rows offsets[k]:offsets[k + 1] are g with
+    # its site-k factor moved by a step
+    offsets = np.cumsum([1] + [len(steps[d]) for d in dims])
+    rows = offsets[-1]
     rng = np.random.default_rng(seed)
+    v = _random_vectors(rng, pairs, math.prod(dims))
+    mats = []
+    for k, (d, g) in enumerate(zip(dims, random_group_elements(dims, rng, pairs, 0.5))):
+        m = np.repeat(g[:, None], rows, axis=1)
+        m[:, offsets[k]:offsets[k + 1]] = steps[d] @ g[:, None]
+        mats.append(m.reshape(pairs * rows, d, d))
+    images = _apply_stack(mats, np.repeat(v, rows, axis=0).reshape(pairs * rows, *dims))
+    logs = np.log(_row_norms_sq(images)).reshape(pairs, rows)
+    psi = images.reshape(pairs, rows, *dims)[:, 0]
     max_rel = 0.0
     max_anti = 0.0
-    for _ in range(pairs):
-        v = FloatState.random(dims, rng)
-        g = random_group_element(dims, rng, scale=0.5)
-        psi = apply_sitewise(g, v)
-        analytic = log_norm_gradient(psi)
-        f0 = math.log(psi.norm_sq())
-        # rows offsets[k]:offsets[k + 1] are g with its site-k factor moved by a step
-        mats = []
-        for k, d in enumerate(dims):
-            m = np.repeat(g[k][None], offsets[-1], axis=0)
-            m[offsets[k]:offsets[k + 1]] = steps[d] @ g[k]
-            mats.append(m)
-        logs = [math.log(n) for n in _row_norms_sq(_apply_stack(mats, v.tensor()[None]))]
-        for k in range(len(dims)):
-            fp, fm, fa = (np.array(logs[offsets[k] + i:offsets[k + 1]:3]) for i in range(3))
-            fd = (fp - fm) / (2 * h)
-            max_anti = max([max_anti, *(abs(x - f0) / h for x in fa)])
-            rel = np.linalg.norm(analytic[k] - fd) / np.linalg.norm(analytic[k])
-            max_rel = max(max_rel, float(rel))
-    return GradientReport(pairs, max_rel, float(max_anti))
+    for k, e in enumerate(_expectations(_reductions(psi))):
+        analytic = 2.0 * e.real
+        fp, fm, fa = np.moveaxis(
+            logs[:, offsets[k]:offsets[k + 1]].reshape(pairs, e.shape[1], 3), 2, 0)
+        fd = (fp - fm) / (2 * h)
+        rel = np.linalg.norm(analytic - fd, axis=1) / np.linalg.norm(analytic, axis=1)
+        max_rel = max(max_rel, rel.max(initial=0.0))
+        max_anti = max(max_anti, (np.abs(fa - logs[:, :1]) / h).max(initial=0.0))
+    return GradientReport(pairs, float(max_rel), float(max_anti))
 
 
 @dataclass
@@ -474,10 +506,14 @@ class EquivalenceReport:
     disagreements: list
 
 
-def _random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def _random_unitaries(d: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` random d x d unitaries as one stack: the Q factors of complex
+    Gaussian matrices, from one standard_normal((count, 2, d, d)) call and
+    one stacked QR, each column rephased by the phase of R's diagonal."""
+    z = rng.standard_normal((count, 2, d, d))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def critical_state_pool():
@@ -501,22 +537,42 @@ def criticality_equivalence(count: int = 100, seed: int = 0,
     """Classify a seeded corpus of states by both criticality conditions and
     count agreements.  The corpus alternates generic random states with
     random local-unitary images of exactly critical ones, so both classes
-    are represented away from the tolerance boundary."""
+    are represented away from the tolerance boundary: state i is a random
+    state of dims_cycle[i % 3] for even i and, for odd i, the image of
+    pool[(i // 2) % 4] under one random unitary per site.
+
+    The random states of each dims come from one standard_normal call, in
+    the order of dims_cycle; then the unitaries of each site dimension d, in
+    sorted order, from one _random_unitaries call, laid out pool entry by
+    pool entry, site by site, image by image."""
     rng = np.random.default_rng(seed)
     pool = critical_state_pool()
     dims_cycle = [(3, 3, 3), (3, 3, 3, 3), (2, 2, 2)]
-    states = []
-    for i in range(count):
-        if i % 2 == 0:
-            states.append(FloatState.random(dims_cycle[i % len(dims_cycle)], rng))
-        else:
-            base = pool[(i // 2) % len(pool)]
-            mats = [_random_unitary(d, rng) for d in base.dims]
-            states.append(apply_sitewise(mats, base))
+    groups = []  # (indices, (len(indices), *dims) stack of their tensors)
+    for c, dims in enumerate(dims_cycle):
+        idx = [i for i in range(0, count, 2) if i % len(dims_cycle) == c]
+        v = _random_vectors(rng, len(idx), math.prod(dims))
+        groups.append((idx, v.reshape(len(idx), *dims)))
+    images = [[i for i in range(1, count, 2) if (i // 2) % len(pool) == p]
+              for p in range(len(pool))]
+    need = {}
+    for base, idx in zip(pool, images):
+        for d in base.dims:
+            need[d] = need.get(d, 0) + len(idx)
+    units = {d: _random_unitaries(d, rng, need[d]) for d in sorted(need)}
+    for base, idx in zip(pool, images):
+        mats = []
+        for d in base.dims:
+            mats.append(units[d][:len(idx)])
+            units[d] = units[d][len(idx):]
+        groups.append((idx, _apply_stack(mats, base.tensor()[None])))
+    stacks = {}  # one stack per dims
+    for idx, t in groups:
+        stacks.setdefault(t.shape[1:], []).append((idx, t))
     reports = {}
-    for dims in dict.fromkeys(s.dims for s in states):  # one stack per dims
-        idx = [i for i, s in enumerate(states) if s.dims == dims]
-        reports.update(zip(idx, _criticality([states[i] for i in idx], tol)))
+    for parts in stacks.values():
+        reports.update(zip([i for idx, _ in parts for i in idx],
+                           _criticality(np.concatenate([t for _, t in parts]), tol)))
     agreements = 0
     disagreements = []
     for i in range(count):

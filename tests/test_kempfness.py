@@ -14,7 +14,8 @@ from amecode.kempfness import (CriticalityReport, EquivalenceReport, FloatState,
                                random_group_element, random_group_elements,
                                site_reductions)
 from amecode.kempfness import (_expm, _expm_hermitian, _gell_mann_cached,
-                               _random_exponents, _random_unitary)
+                               _lie_residuals, _random_exponents, _random_unitaries,
+                               _reductions, _row_norms_sq, _spectral_norms)
 
 
 # -- the per-sample loops the batched code replaced, kept as the reference ----
@@ -55,10 +56,21 @@ def _reference_taylor15(m, norm):
     return out
 
 
+def _reference_norm_sq(vec):
+    """<v|v> of one flat vector: re^2 + im^2 summed by one reduction."""
+    return float((vec.real ** 2 + vec.imag ** 2).sum())
+
+
+def _reference_spectral_norm(m):
+    """The spectral norm of one matrix: the root of the largest eigenvalue
+    of m^dag m."""
+    return math.sqrt(np.linalg.eigvalsh(m.conj().T @ m)[-1])
+
+
 def _reference_renorm_det(m):
+    """m over a d-th root of its determinant, taken as an array power."""
     d = m.shape[0]
-    det = np.linalg.det(m)
-    return m / det ** (1.0 / d)
+    return m / (np.array([np.linalg.det(m)]) ** (1.0 / d))[0]
 
 
 def _reference_group_elements(dims, rng, count, scale=1.0):
@@ -75,7 +87,7 @@ def _reference_group_elements(dims, rng, count, scale=1.0):
                 m = z[r, 0] + 1j * z[r, 1]
                 m -= np.trace(m) / d * np.eye(d)
                 norm = u[r] * scale
-                m *= norm / np.linalg.norm(m, 2)
+                m *= norm / _reference_spectral_norm(m)
                 draws[i][k] = _reference_renorm_det(_reference_taylor15(m, norm))
     return draws
 
@@ -89,11 +101,11 @@ def _reference_apply(mats, state):
 
 def _reference_inequality(state, samples, seed, slack=1e-9):
     rng = np.random.default_rng(seed)
-    base = state.norm_sq()
+    base = _reference_norm_sq(state.vec)
     min_ratio = np.inf
     witness = None
     for g in _reference_group_elements(state.dims, rng, samples):
-        ratio = _reference_apply(g, state).norm_sq() / base
+        ratio = _reference_norm_sq(_reference_apply(g, state).vec) / base
         if ratio < min_ratio:
             min_ratio = ratio
         if ratio < 1 - slack and witness is None:
@@ -102,38 +114,40 @@ def _reference_inequality(state, samples, seed, slack=1e-9):
 
 
 def _reference_gradient_check(seed, pairs, h=1e-5, dims=(3, 3, 3)):
+    """The gradient check one pair and one direction at a time, from the
+    bulk draws: every state first, then every group element."""
     rng = np.random.default_rng(seed)
+    z = rng.standard_normal((pairs, 2, math.prod(dims)))
+    draws = _reference_group_elements(dims, rng, pairs, scale=0.5)
     max_rel = 0.0
     max_anti = 0.0
-    for _ in range(pairs):
-        v = FloatState.random(dims, rng)
-        g = _reference_group_elements(dims, rng, 1, scale=0.5)[0]
+    for p, g in enumerate(draws):
+        v = FloatState(dims, z[p, 0] + 1j * z[p, 1])
         psi = _reference_apply(g, v)
-        analytic = log_norm_gradient(psi)
-        for k, d in enumerate(dims):
+        f0 = np.log(_reference_norm_sq(psi.vec))
+        for k, (d, rho) in enumerate(zip(dims, _reference_site_reductions(psi))):
             basis = _gell_mann_cached(d)
+            analytic = np.array([2.0 * _reference_expectation(rho, lam).real for lam in basis])
             fd = np.zeros(len(basis))
             for a, lam in enumerate(basis):
-                plus = [m.copy() for m in g]
-                minus = [m.copy() for m in g]
-                plus[k] = _expm_hermitian(lam, h) @ g[k]
-                minus[k] = _expm_hermitian(lam, -h) @ g[k]
-                fp = math.log(_reference_apply(plus, v).norm_sq())
-                fm = math.log(_reference_apply(minus, v).norm_sq())
+                moved = []
+                for step in (_expm_hermitian(lam, h), _expm_hermitian(lam, -h),
+                             _reference_expm(1j * lam * h)):
+                    mats = [m.copy() for m in g]
+                    mats[k] = step @ g[k]
+                    moved.append(np.log(_reference_norm_sq(_reference_apply(mats, v).vec)))
+                fp, fm, fa = moved
                 fd[a] = (fp - fm) / (2 * h)
-                anti = [m.copy() for m in g]
-                anti[k] = _reference_expm(1j * lam * h) @ g[k]
-                fa = math.log(_reference_apply(anti, v).norm_sq())
-                f0 = math.log(psi.norm_sq())
                 max_anti = max(max_anti, abs(fa - f0) / h)
-            rel = np.linalg.norm(analytic[k] - fd) / np.linalg.norm(analytic[k])
+            rel = (np.linalg.norm(analytic - fd, axis=-1)
+                   / np.linalg.norm(analytic, axis=-1))
             max_rel = max(max_rel, float(rel))
     return GradientReport(pairs, max_rel, float(max_anti))
 
 
 def _reference_site_reductions(state):
     t = state.tensor()
-    ns = state.norm_sq()
+    ns = _reference_norm_sq(state.vec)
     sites = len(state.dims)
     out = []
     for k in range(sites):
@@ -142,11 +156,17 @@ def _reference_site_reductions(state):
     return out
 
 
+def _reference_expectation(rho, lam):
+    """tr(rho lam) of one matrix pair: the sum of rho_ij lam_ji in i, j order."""
+    d = len(rho)
+    return sum(rho[i, j] * lam[j, i] for i in range(d) for j in range(d))
+
+
 def _reference_lie_residual(rhos, dims):
     res = 0.0
     for rho, d in zip(rhos, dims):
         for lam in _gell_mann_cached(d):
-            res = max(res, float(abs(np.trace(rho @ lam))))
+            res = max(res, float(abs(_reference_expectation(rho, lam))))
     return res
 
 
@@ -160,20 +180,45 @@ def _reference_is_critical(state, tol=1e-8):
     return CriticalityReport(bool(res_lie <= tol and res_marg <= tol), res_lie, res_marg)
 
 
+def _reference_unitary(z):
+    """The rephased Q factor of one complex Gaussian matrix."""
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def _reference_criticality_equivalence(count, seed, tol=1e-8):
+    """The corpus from the bulk draws (the random states of each dims, then
+    the unitaries of each site dimension), each state built and classified
+    on its own."""
     rng = np.random.default_rng(seed)
     pool = critical_state_pool()
+    dims_cycle = [(3, 3, 3), (3, 3, 3, 3), (2, 2, 2)]
+    states = {}
+    for c, dims in enumerate(dims_cycle):
+        idx = [i for i in range(0, count, 2) if i % 3 == c]
+        z = rng.standard_normal((len(idx), 2, math.prod(dims)))
+        for r, i in enumerate(idx):
+            states[i] = FloatState(dims, z[r, 0] + 1j * z[r, 1])
+    images = [[i for i in range(1, count, 2) if (i // 2) % len(pool) == p]
+              for p in range(len(pool))]
+    # row of each (image, site) in its dimension's draw: pool entry, site, image
+    rows = {}
+    need = {}
+    for p, base in enumerate(pool):
+        for k, d in enumerate(base.dims):
+            for i in images[p]:
+                rows[i, k] = need.get(d, 0)
+                need[d] = need.get(d, 0) + 1
+    z = {d: rng.standard_normal((need[d], 2, d, d)) for d in sorted(need)}
+    for p, base in enumerate(pool):
+        for i in images[p]:
+            mats = [_reference_unitary(z[d][rows[i, k], 0] + 1j * z[d][rows[i, k], 1])
+                    for k, d in enumerate(base.dims)]
+            states[i] = _reference_apply(mats, base)
     agreements = 0
     disagreements = []
-    dims_cycle = [(3, 3, 3), (3, 3, 3, 3), (2, 2, 2)]
     for i in range(count):
-        if i % 2 == 0:
-            state = FloatState.random(dims_cycle[i % len(dims_cycle)], rng)
-        else:
-            base = pool[(i // 2) % len(pool)]
-            mats = [_random_unitary(d, rng) for d in base.dims]
-            state = _reference_apply(mats, base)
-        rep = _reference_is_critical(state, tol)
+        rep = _reference_is_critical(states[i], tol)
         if (rep.residual_lie <= tol) == (rep.residual_marginal <= tol):
             agreements += 1
         else:
@@ -183,7 +228,7 @@ def _reference_criticality_equivalence(count, seed, tol=1e-8):
 
 def _reference_flow(state, max_iters=5000, step=1.0, tol=1e-7):
     cur = state
-    norms = [cur.norm_sq()]
+    norms = [_reference_norm_sq(cur.vec)]
     eta = step
     residual = _reference_lie_residual(_reference_site_reductions(cur), cur.dims)
     iterations = 0
@@ -196,14 +241,14 @@ def _reference_flow(state, max_iters=5000, step=1.0, tol=1e-7):
         while eta > 1e-14:
             mats = [_reference_renorm_det(_expm_hermitian(h, -eta)) for h in hs]
             cand = _reference_apply(mats, cur)
-            if cand.norm_sq() <= norms[-1] * (1 + 1e-12):
+            if _reference_norm_sq(cand.vec) <= norms[-1] * (1 + 1e-12):
                 accepted = cand
                 break
             eta *= 0.5
         if accepted is None:
             break
         cur = accepted
-        norms.append(cur.norm_sq())
+        norms.append(_reference_norm_sq(cur.vec))
         if norms[-1] < 1e-30:
             break
         eta = min(eta * 1.5, step)
@@ -349,7 +394,7 @@ def test_criticality_equivalence():
 def test_criticality_lu_invariance():
     rng = np.random.default_rng(9)
     for base in critical_state_pool():
-        mats = [_random_unitary(d, rng) for d in base.dims]
+        mats = [_random_unitaries(d, rng, 1)[0] for d in base.dims]
         assert is_critical(apply_sitewise(mats, base), 1e-8).critical
 
 
@@ -472,7 +517,7 @@ def test_is_critical_matches_reference_loop():
               FloatState.from_exact(catalog.ket("000", 3, 12)),
               *(FloatState.random(dims, rng)
                 for dims in ((2, 2, 2), (3, 3, 3), (3, 3, 3, 3), (9, 2)) for _ in range(3))]
-    states += [apply_sitewise([_random_unitary(d, rng) for d in base.dims], base)
+    states += [apply_sitewise([_random_unitaries(d, rng, 1)[0] for d in base.dims], base)
                for base in critical_state_pool()]
     for v in states:
         for tol in (1e-8, 1e-6):
@@ -517,14 +562,13 @@ def test_sampler_draws_in_bulk_per_site_dimension(dims):
 
 def _sampler_stack(seed):
     """Every exponent the sampler draws in check_kempf_ness(seed), the
-    inequality's, the flow starts' and the gradient check's, as one stack
-    with its norms."""
+    inequality's, the flow starts' and the gradient check's (drawn after its
+    20 states), as one stack with its norms."""
     draws = [_random_exponents((3, 3, 3, 3), np.random.default_rng(seed), count, 1.0)
              for count in (suites.INEQUALITY_SAMPLES, suites.FLOW_STARTS)]
     rng = np.random.default_rng(seed)
-    for _ in range(20):
-        FloatState.random((3, 3, 3), rng)
-        draws.append(_random_exponents((3, 3, 3), rng, 1, 0.5))
+    rng.standard_normal((20, 2, 27))
+    draws.append(_random_exponents((3, 3, 3), rng, 20, 0.5))
     return (np.concatenate([m for draw in draws for _, m, _ in draw]),
             np.concatenate([norm for draw in draws for _, _, norm in draw]))
 
@@ -543,6 +587,18 @@ def _relative_errors(x, want):
 
 def _scaled_to_norms(m, norms):
     return m * (norms / np.linalg.norm(m, 2, axis=(-2, -1)))[:, None, None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 9])
+def test_spectral_norms_match_the_svd(d):
+    # at every scale whose squares stay in the normal range
+    rng = np.random.default_rng(20 + d)
+    z = rng.standard_normal((2000, d, d)) + 1j * rng.standard_normal((2000, d, d))
+    for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
+        m = z * scale
+        want = np.linalg.norm(m, 2, axis=(-2, -1))
+        assert (np.abs(_spectral_norms(m) - want) / want).max() <= 1e-14
+    assert np.array_equal(_spectral_norms(np.zeros((3, d, d), dtype=complex)), np.zeros(3))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -571,7 +627,35 @@ def test_expm_of_zero_is_the_identity():
                           np.broadcast_to(np.eye(3), (2, 3, 3)))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 13, 31, 50, 61])
+@pytest.mark.parametrize("seed", range(64))
 def test_kempf_ness_check_passes(seed):
-    result = suites.check_kempf_ness(seed)
-    assert result.passed, result.actual
+    # both float checks, on every seed the tests, the demos and the BENCH files use
+    for check in (suites.check_kempf_ness, suites.check_criticality_equivalence):
+        result = check(seed)
+        assert result.passed, result.actual
+
+
+# -- stacks: each row gets the floats it gets alone ----------------------------
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1000])
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3), (2, 2, 2)])
+def test_row_norms_and_residuals_are_those_of_a_stack_of_one(rows, dims):
+    rng = np.random.default_rng(rows)
+    t = (rng.standard_normal((rows, *dims)) + 1j * rng.standard_normal((rows, *dims))) \
+        * rng.uniform(0.1, 10.0, rows).reshape(rows, *(1,) * len(dims))
+    norms = _row_norms_sq(t)
+    residuals = _lie_residuals(_reductions(t))
+    for i in range(rows):
+        assert np.array_equal(norms[i:i + 1], _row_norms_sq(t[i:i + 1]))
+        assert residuals[i] == _lie_residuals(_reductions(t[i:i + 1]))[0]
+    assert np.array_equal(norms, [_reference_norm_sq(row.reshape(-1)) for row in t])
+
+
+def test_empty_draws():
+    phi = FloatState.from_exact(catalog.ame_state())
+    assert gradient_check(pairs=0) == GradientReport(0, 0.0, 0.0)
+    assert kempf_ness_inequality_test(phi, samples=0).min_ratio == np.inf
+    assert criticality_equivalence(0) == EquivalenceReport(0, 0, [])
+    assert [s.shape for s in random_group_elements((2, 3), np.random.default_rng(0), 0)] \
+        == [(0, 2, 2), (0, 3, 3)]
