@@ -407,7 +407,7 @@ class _ProductTable:
         self._columns = {}  # generator factor id -> its column of _factor_mul
         self._actions = []  # per column: (right action of its factor, bound)
         self._factor_mul = np.full((0, 0, 2), -1, dtype=np.int32)  # -1: not formed yet
-        self._scalar_mul = {}  # (a << 32) | b -> id of scalars[a] * scalars[b]
+        self._scalar_mul = {}  # (b << 32) | a -> id of scalars[a] * scalars[b]
         self._site_actions = {}  # factor id -> its _factor_actions entry, built to act on a state
 
     def _scalar_id(self, c: Cyclotomic) -> int:
@@ -479,9 +479,12 @@ class _ProductTable:
     def _scalar_products(self, a, b):
         """Ids of scalars[a] * scalars[b], for int arrays that broadcast.
         The table is read once per distinct pair, the pairs it lacks are
-        formed in ascending order, and each product's id is gathered by its
-        pair's place among the distinct ones."""
-        pairs = (a.astype(np.int64) << 32) | b
+        formed in ascending order of their keys, and each product's id is
+        gathered by its pair's place among the distinct ones.  A key puts b
+        in its high half: an int hashes to itself, so the low bits, which
+        pick a dict slot, hold a, which takes many values, and not b, a
+        lead or generator scalar, which takes few."""
+        pairs = (b.astype(np.int64) << 32) | a
         s = np.sort(pairs, axis=None)
         distinct = s[np.concatenate(([True], s[1:] != s[:-1]))]
         table, scalars = self._scalar_mul, self.scalars
@@ -489,7 +492,7 @@ class _ProductTable:
         for ab in distinct.tolist():
             i = table.get(ab)
             if i is None:
-                i = table[ab] = self._scalar_id(scalars[ab >> 32] * scalars[ab & _LOW])
+                i = table[ab] = self._scalar_id(scalars[ab & _LOW] * scalars[ab >> 32])
             ids.append(i)
         return np.array(ids, dtype=np.int32)[distinct.searchsorted(pairs)]
 

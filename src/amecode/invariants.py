@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cyclo import Cyclotomic
-from .linalg import Matrix, _col_bound, _matmul, _product_map, _scaled, pack
+from .linalg import Matrix, _col_bound, _matmul, _product_map, _scaled, pack, right_actions
 
 
 class CartanPoint(NamedTuple):
@@ -184,11 +184,25 @@ def check_weyl_invariance(gate: Matrix) -> bool:
 def orbit_witness(group, p: CartanPoint, q: CartanPoint) -> int | None:
     """The index of the first element g of a group of 3x3 gates with g * p
     parallel to q: all three 2x2 minors of (g * p, q) are exactly 0.  None
-    when no element maps p onto the line of q; ValueError for a zero point."""
+    when no element maps p onto the line of q; ValueError for a zero point.
+
+    The elements are packed once, over one denominator, and transformed as
+    one integer contraction of their rows with the packed column p (its
+    right action).  Every g * p is then over the same denominator, so the
+    minors x_i q_j - x_j q_i vanish exactly when they do on the numerators,
+    which _Stacks of the coordinates decide for all the elements at once."""
     if any(all(x.is_zero() for x in point) for point in (p, q)):
         raise ValueError("a zero point lies on no line")
-    for k, g in enumerate(group.elements):
-        x = p.transform(g)
-        if all(x[i] * q[j] == x[j] * q[i] for i, j in ((0, 1), (0, 2), (1, 2))):
-            return k
-    return None
+    g, _ = pack(group.elements)
+    deg = g.shape[-1]
+    col, _ = pack([Matrix(p.n, [[x] for x in p])])
+    a, bounds = right_actions(col, p.n)
+    # x[k, i] holds the numerators of coordinate i of g_k * p
+    x = _matmul(g.reshape(-1, 3 * deg), a[0], bounds[0]).reshape(len(g), 3, deg)
+    row, _ = pack([Matrix(q.n, [list(q)])])
+    xs = [_Stack(x[:, i], 1, p.n) for i in range(3)]
+    qs = [_Stack(row[0, 0, j][None], 1, q.n) for j in range(3)]
+    off = np.any([((xs[i] * qs[j] - xs[j] * qs[i]).x != 0).any(axis=1)
+                  for i, j in ((0, 1), (0, 2), (1, 2))], axis=0)
+    hits = np.flatnonzero(~off)
+    return int(hits[0]) if len(hits) else None

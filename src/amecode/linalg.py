@@ -243,11 +243,13 @@ def _identity(size: int, n: int) -> Matrix:
 # deg): the power-basis numerators of every entry over one common
 # denominator.  Right-multiplying by a matrix y is then one integer matmul
 # of the packed rows with right_actions(y), built from the reduced powers of
-# zeta.  Before every contraction the largest sum it can form is bounded.
-# Below 2**53 it runs in float64 through BLAS: every product and partial sum
-# is an integer of at most that size, so each is exact in any summation
-# order, and the result is cast back to int64.  Below 2**62 it runs on
-# int64 arrays, and beyond that on Python ints (dtype=object, still exact).
+# zeta.  Before every contraction (or, in tensor, once for a chain of them)
+# the largest sum it can form is bounded, and _tier maps the bound to the
+# arithmetic.  Below 2**53 it runs in float64 through BLAS: every product
+# and partial sum is an integer of at most that size, so each is exact in
+# any summation order, and the result is cast back to int64.  Below 2**62
+# it runs on int64 arrays, and beyond that on Python ints (dtype=object,
+# still exact).
 
 _FLOAT_EXACT = 1 << 53
 _INT64_SAFE = 1 << 62
@@ -272,15 +274,21 @@ def _fits(limit: int, a: int, b: int) -> bool:
     return a < limit and b < limit and a * b < limit
 
 
+def _tier(bound: int):
+    """The dtype of a chain of exact contractions whose operands, products
+    and partial sums are all integers of absolute value at most bound:
+    float64 below 2**53, int64 below 2**62, else Python ints (object)."""
+    return np.float64 if bound < _FLOAT_EXACT else np.int64 if bound < _INT64_SAFE else object
+
+
 def _matmul(x, m, m_bound: int):
     """Exact x @ m, where m_bound is _col_bound(m) (or any larger int).
-    m_bound also bounds every entry of m, so when it and max|x| fit a
-    tier, both operands convert to it."""
+    m_bound also bounds every entry of m, so both operands convert to the
+    tier of m_bound, max|x| and their product."""
     top = _max_abs(x)
-    if _fits(_FLOAT_EXACT, m_bound, top):
-        return np.matmul(x.astype(np.float64), m.astype(np.float64)).astype(np.int64)
-    dtype = np.int64 if _fits(_INT64_SAFE, m_bound, top) else object
-    return np.matmul(x.astype(dtype, copy=False), m.astype(dtype, copy=False))
+    dtype = _tier(max(m_bound, top, m_bound * top))
+    y = np.matmul(x.astype(dtype, copy=False), m.astype(dtype, copy=False))
+    return y.astype(np.int64) if dtype is np.float64 else y
 
 
 def _scaled(x, k):
@@ -301,7 +309,7 @@ def _structure(n: int):
     deg = f.degree
     t = np.array([[f.powers[i + j] for j in range(deg)] for i in range(deg)], dtype=object)
     c = np.array([f.powers[(j * (n - 1)) % n] for j in range(deg)], dtype=object)
-    return t.reshape(deg, deg, deg), _compact(c)
+    return _compact(t.reshape(deg, deg, deg)), _compact(c)
 
 
 @lru_cache(maxsize=None)
@@ -347,6 +355,10 @@ def right_actions(y, n: int):
     rows of x @ y[j] are x's packed rows (flattened to m*deg) @ A[j], over
     the product of the two denominators; bounds[j] is _col_bound(A[j])."""
     k, m, c, deg = y.shape
-    a = np.einsum("jbcu,tus->jbtcs", y.astype(object), _structure(n)[0])
+    t = _structure(n)[0]
+    # each entry of A sums deg products, and each column sum m * deg entries
+    dtype = np.int64 if m * deg * deg * _max_abs(y) * _max_abs(t) < _INT64_SAFE else object
+    # a[j, b, t, c, s] = sum_u y[j, b, c, u] * T[t, u, s]
+    a = np.tensordot(y.astype(dtype), t.astype(dtype), axes=([3], [1])).transpose(0, 1, 3, 2, 4)
     a = a.reshape(k, m * deg, c * deg)
     return _compact(a), np.abs(a).sum(axis=-2).max(axis=-1).tolist()

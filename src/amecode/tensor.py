@@ -22,7 +22,7 @@ import numpy as np
 
 from .cyclo import ConductorMismatch, Cyclotomic, sqrt_of_rational
 from .linalg import (Matrix, _col_bound, _compact, _matmul, _max_abs, _product_map, _scaled,
-                     _structure, pack, right_actions, unpack)
+                     _structure, _tier, pack, right_actions, unpack)
 
 
 class DimensionMismatch(ValueError):
@@ -336,11 +336,13 @@ def _canon_inv(f: Matrix) -> tuple[Cyclotomic, Matrix]:
 # one integer (d*deg) x (d*deg) matrix, and a product operator is one matmul
 # per non-identity site plus one for a scalar other than 1.  Operators are
 # given per site as their distinct actions and an index into them, so a
-# batch acts with each distinct factor's action once.  Before every
-# contraction the largest sum it can form is bounded, which picks exact
-# float64, int64 or Python-int arithmetic.  The factor actions and the
-# bound-checked matmul come from linalg's packed matrix kernel, which the
-# dense closures of groups use too.
+# batch acts with each distinct factor's action once.  apply, _restriction
+# and fixation run one chain of such contractions (_chain), whose largest
+# sum is bounded once per call (_bounds); the bound picks exact float64,
+# int64 or Python-int arithmetic (linalg._tier) for every site.  The
+# factor actions and the bound-checked matmul of the other kernels come
+# from linalg's packed matrix kernel, which the dense closures of groups
+# use too.
 
 _CHUNK_ENTRIES = 1 << 18  # packed integers a chunk of images or operators holds (bounds peak memory)
 
@@ -352,8 +354,9 @@ def _factor_actions(x, dens, n: int) -> list:
     y @ A / den; bound is _col_bound(A), and identity whether f is the
     identity matrix."""
     a, bounds = right_actions(x.swapaxes(1, 2), n)
-    return [(m, den, bound, den == 1 and np.array_equal(m, np.eye(len(m), dtype=m.dtype)))
-            for m, den, bound in zip(a, dens, bounds)]
+    identity = (a == np.eye(a.shape[1], dtype=a.dtype)).all(axis=(1, 2)).tolist()
+    return [(m, den, bound, den == 1 and same)
+            for m, den, bound, same in zip(a, dens, bounds, identity)]
 
 
 @lru_cache(maxsize=1 << 12)
@@ -492,56 +495,106 @@ def _sites(ops):
     return out
 
 
-def _apply_packed(sites, x, den: int):
-    """Images of packed states under product operators.
-
-    x holds S states, shape (S, *dims, deg), over the denominator den.  The
-    C operators come per site, each factor position and then the scalar,
-    which acts as a 1 x 1 factor on one more site, of dimension 1: a site
-    is None where every operator acts as the identity, else (A, dens,
-    bound, index), the distinct actions A over dens (an object array),
-    bound the largest of their _col_bounds, and index[c] the action of
-    operator c.  S and C pair up as in np.matmul (equal, or one of them 1).
-    While x is still one state, a site is contracted once per distinct
-    action it uses and the results gathered.  Returns the images, whose
-    leading axis broadcasts to max(S, C), and the denominators of the
-    operators' images, an object array that broadcasts likewise."""
-    dens = np.array([den], dtype=object)
+def _chain(sites, x):
+    """The images of x, shape (S, *dims, deg), under the operators given
+    per site, each factor position and then the scalar, which acts as a
+    1 x 1 factor on one more site, of dimension 1.  A site is None where
+    every operator acts as the identity, else (A, index): the distinct
+    actions A, in x's dtype, and index[c] the action of operator c.  One
+    matmul per live site, in that dtype; S and C pair up as in np.matmul
+    (equal, or one of them 1)."""
     x = x[..., None, :]
     for pos, site in enumerate(sites):
         if site is None:
             continue
-        a, adens, bound, index = site
+        a, index = site
         y = np.moveaxis(x, pos + 1, -2)
         shape = y.shape
         y = y.reshape(shape[0], -1, shape[-2] * shape[-1])
         del x  # read only through y from here, so when y is a copy x can be freed
-        if len(y) == 1 < len(index):
-            used, inverse = np.unique(index, return_inverse=True)
-            y = _matmul(y, a[used], bound)[inverse]
-        else:
-            y = _matmul(y, a[index], bound)
+        y = np.matmul(y, a[index])
         x = np.moveaxis(y.reshape(y.shape[:1] + shape[1:]), -2, pos + 1)
-        dens = dens * adens[index]
-    return x[..., 0, :], dens
+    return x[..., 0, :]
+
+
+def _bounds(sites, x):
+    """(top, image bound, scale bound) for product operators given per site
+    as (A, dens, bound, index) or None, acting on numerators x.  A
+    contraction multiplies the largest entry by at most the column bound
+    of its action, so top = max(max|x|, 1) times the product of the live
+    sites' bounds bounds every entry of every intermediate and of every
+    action.  The product of each live site's largest denominator bounds
+    the factor by which an image's denominator exceeds x's."""
+    top = max(_max_abs(x), 1)
+    live = [s for s in sites if s is not None]
+    return top, top * prod(s[2] for s in live), prod(max(s[1]) for s in live)
+
+
+def _apply_packed(sites, x, den: int):
+    """Images of packed states under product operators.
+
+    x holds S states, shape (S, *dims, deg), over the denominator den, and
+    the operators come per site as _chain takes them, with each site's
+    actions as (A, dens, bound, index): over the denominators dens (an
+    object array), bound the largest of their _col_bounds.  The arithmetic
+    is picked once, from the image bound of _bounds, and every site runs in
+    it.  Returns the images as int64 or Python ints, whose leading axis
+    broadcasts to max(S, C), and the denominators of the operators'
+    images, an object array that broadcasts likewise."""
+    dtype = _tier(_bounds(sites, x)[1])
+    images = _chain([None if s is None else (s[0].astype(dtype), s[3]) for s in sites],
+                    x.astype(dtype))
+    dens = np.array([den], dtype=object)
+    for s in sites:
+        if s is not None:
+            dens = dens * s[1][s[3]]
+    return images.astype(np.int64) if dtype is np.float64 else images, dens
 
 
 def _fixed(sites, count: int, x, den: int) -> list[bool]:
     """For each of count operators, given per site as _apply_packed takes
-    them, whether it fixes the state packed as x over den.  Images are
-    formed in chunks of about _CHUNK_ENTRIES packed integers, and a chunk
-    is compared with the state by one cross-multiplication: image * den ==
-    x * (the image's denominator), without building any field element."""
-    step = max(1, _CHUNK_ENTRIES // x.size)
-    out = []
-    for start in range(0, count, step):
-        part = [None if s is None else (*s[:3], s[3][start:start + step]) for s in sites]
-        images, dens = _apply_packed(part, x[None], den)
-        same = _scaled(images, den) == _scaled(x, dens.reshape(-1, *(1,) * x.ndim))
-        del images  # so that no two chunks of images are held at once
-        same = np.broadcast_to(same, (min(step, count - start), *x.shape))
-        out += same.reshape(len(same), -1).all(axis=1).tolist()
-    return out
+    them, whether it fixes the state packed as x over den.  Its image has
+    numerators y over den * s, s the product of its actions' denominators,
+    so it fixes the state exactly when y == x * s, which builds no field
+    element.  One arithmetic serves the whole call, picked from the larger
+    of the two sides' bounds (_bounds), and the actions and the s convert
+    to it once.  The operators run in chunks whose images hold about
+    _CHUNK_ENTRIES / 8 packed integers, so that each working array stays
+    small, taken in the order of their action at the first live site.  x
+    is contracted there once with each action, in blocks of actions whose
+    images hold about _CHUNK_ENTRIES packed integers, and the chunks of
+    the operators that use a block gather their images from it."""
+    top, image_bound, scale_bound = _bounds(sites, x)
+    dtype = _tier(max(image_bound, top * scale_bound))
+    acts = [None if s is None else (s[0].astype(dtype), s[3]) for s in sites]
+    live = [pos for pos, s in enumerate(acts) if s is not None]
+    if not live:  # every operator is the identity
+        return [True] * count
+    scales = np.ones(count, dtype=dtype)
+    for pos in live:
+        scales = scales * sites[pos][1].astype(dtype)[sites[pos][3]]
+    x = x.astype(dtype)
+    lead = live[0]
+    a, index = acts[lead]
+    acts[lead] = None
+    # the head is kept with the next live site's axis beside the powers,
+    # where _chain reads it, so a chunk's gathered rows need no other copy
+    axis = live[1] + 1 if len(live) > 1 else -2
+    order = np.argsort(index, kind="stable")
+    ranked = index[order]
+    block, step = max(1, _CHUNK_ENTRIES // x.size), max(1, _CHUNK_ENTRIES // (8 * x.size))
+    out = np.empty(count, dtype=bool)
+    for lo in range(0, len(a), block):
+        head = _chain([None] * lead + [(a, np.arange(lo, min(lo + block, len(a))))], x[None])
+        head = np.ascontiguousarray(np.moveaxis(head[..., None, :], axis, -2))
+        first, last = np.searchsorted(ranked, [lo, lo + block]).tolist()
+        for start in range(first, last, step):
+            rows = order[start:min(start + step, last)]
+            images = _chain([None if s is None else (s[0], s[1][rows]) for s in acts],
+                            np.moveaxis(head[index[rows] - lo], -2, axis)[..., 0, :])
+            same = images == x * scales[rows].reshape(-1, *(1,) * x.ndim)
+            out[rows] = same.reshape(len(rows), -1).all(axis=1)
+    return out.tolist()
 
 
 def apply(op: LocalOperator, v: PureState) -> PureState:

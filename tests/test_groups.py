@@ -165,10 +165,10 @@ def test_shared_operator_table_is_order_independent(order, local_sym):
 def _reference_scalar_products(table, a, b):
     """_ProductTable._scalar_products read once per product: the missing
     pairs filled in ascending order, then one dict read per product."""
-    pairs = (a.astype(np.int64) << 32) | b
+    pairs = (b.astype(np.int64) << 32) | a
     flat, mul, scalars = pairs.ravel().tolist(), table._scalar_mul, table.scalars
     for ab in sorted(set(flat).difference(mul)):
-        mul[ab] = table._scalar_id(scalars[ab >> 32] * scalars[ab & groups._LOW])
+        mul[ab] = table._scalar_id(scalars[ab & groups._LOW] * scalars[ab >> 32])
     return np.array(list(map(mul.__getitem__, flat)), dtype=np.int32).reshape(pairs.shape)
 
 
@@ -277,7 +277,7 @@ def test_closure_looks_up_each_distinct_scalar_pair_and_lead_once(monkeypatch):
     def counted_scalars(a, b):
         table._scalar_mul.reads.clear()
         out = scalar_products(a, b)
-        pairs = set(((a.astype(np.int64) << 32) | b).ravel().tolist())
+        pairs = set(((b.astype(np.int64) << 32) | a).ravel().tolist())
         scalar_calls.append((dict(table._scalar_mul.reads), pairs))
         return out
 

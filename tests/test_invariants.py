@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from amecode import invariants, suites
 from amecode.cyclo import Cyclotomic
-from amecode.groups import weyl_generators
+from amecode.groups import weyl_generators, weyl_group
 from amecode.invariants import CartanPoint, check_weyl_invariance, eval_invariants
 from amecode.linalg import Matrix, pack
 
@@ -255,6 +255,56 @@ def test_orbit_witness_none_across_orbits(weyl):
     (s6, s9, _), (t6, t9, _) = eval_invariants(p), eval_invariants(q)
     assert s6 ** 3 * t9 ** 2 != t6 ** 3 * s9 ** 2
     assert invariants.orbit_witness(weyl, p, q) is None
+
+
+def _reference_orbit_witness(group, p, q):
+    """orbit_witness as a Cyclotomic loop over the elements: the reference
+    for the packed contraction."""
+    for k, g in enumerate(group.elements):
+        x = p.transform(g)
+        if all(x[i] * q[j] == x[j] * q[i] for i, j in ((0, 1), (0, 2), (1, 2))):
+            return k
+    return None
+
+
+def _orbit_witness_cases(group, n, rng):
+    """(p, q) pairs at conductor n: hits onto an element's image, scaled by
+    a field element and by a large rational; misses across orbits; the pair
+    with a zero first coordinate; and points with cyclotomic coordinates."""
+    def scalar():
+        while True:
+            t = Cyclotomic(n, [rng.randint(-5, 5) for _ in range(len(Cyclotomic.one(n).coeffs))],
+                           rng.randint(1, 5))
+            if not t.is_zero():
+                return t
+
+    def point():
+        return CartanPoint.of(n, *(Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+                                   for _ in range(3)))
+    cases = []
+    for _ in range(3):
+        p = point()
+        g = group.elements[rng.randrange(group.order)]
+        cases.append((p, p.transform(g).scale(scalar())))
+        cases.append((p, p.transform(g).scale(Fraction(10 ** 30 + 7, 3 ** 40))))
+        cases.append((p.scale(scalar()), p.transform(g)))
+    p = CartanPoint(*(scalar() for _ in range(3)))
+    cases.append((p, p.transform(group.elements[-1]).scale(scalar())))
+    cases.append((CartanPoint.of(n, 1, 0, 0), CartanPoint.of(n, 1, 2, 3)))
+    cases.append((CartanPoint.of(n, 1, 2, 3), CartanPoint.of(n, 1, 0, 0)))
+    cases.append((CartanPoint.of(n, 0, 1, 2), CartanPoint.of(n, 0, 1, 3)))
+    cases.append((point(), point()))
+    return cases
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_orbit_witness_matches_the_field_loop(n):
+    group = weyl_group(n)
+    cases = _orbit_witness_cases(group, n, random.Random(n))
+    found = [invariants.orbit_witness(group, p, q) for p, q in cases]
+    assert found == [_reference_orbit_witness(group, p, q) for p, q in cases]
+    # hits and misses both occur, and a hit is not always the identity
+    assert None in found and any(k not in (None, 0) for k in found)
 
 
 def test_orbit_witness_rejects_a_zero_point(weyl):

@@ -171,3 +171,40 @@ def test_matmul_zero_operand_with_huge_other_is_exact():
     m = np.array([[1 << 200, -(1 << 200)], [1, 2]], dtype=object)
     out = _matmul(np.zeros((3, 2), dtype=np.int64), m, _col_bound(m))
     assert all(v == 0 for v in out.ravel().tolist())
+
+
+def _reference_right_actions(y, n):
+    """right_actions as one einsum on Python ints: the reference for its
+    int64 tier."""
+    k, m, c, deg = y.shape
+    t = linalg._structure(n)[0].astype(object)
+    a = np.einsum("jbcu,tus->jbtcs", y.astype(object), t).reshape(k, m * deg, c * deg)
+    return linalg._compact(a), np.abs(a).sum(axis=-2).max(axis=-1).tolist()
+
+
+def _int64_edge(n: int, m: int) -> int:
+    """The largest max|y| for which right_actions still runs on int64."""
+    deg = linalg._structure(n)[0].shape[0]
+    per = m * deg * deg * int(np.abs(linalg._structure(n)[0].astype(object)).max())
+    return ((1 << 62) - 1) // per
+
+
+@pytest.mark.parametrize("n", [12, 24, 36])
+@pytest.mark.parametrize("top", ["small", "int64-edge", "past-int64-edge", "near-2^60"])
+def test_right_actions_match_the_object_einsum(n, top):
+    rng = random.Random(n)
+    deg = linalg._structure(n)[0].shape[0]
+    k, m, c = 5, 3, 2
+    big = {"small": 9, "int64-edge": _int64_edge(n, m), "past-int64-edge": _int64_edge(n, m) + 1,
+           "near-2^60": (1 << 60) + 12345}[top]
+    y = np.array([rng.randrange(-9, 10) for _ in range(k * m * c * deg)], dtype=object)
+    y = y.reshape(k, m, c, deg)
+    y[0, 0, 0, 0], y[-1, -1, -1, -1] = big, -big
+    y[2, 1] = [[big - rng.randrange(1000) for _ in range(deg)] for _ in range(c)]
+    a, bounds = linalg.right_actions(linalg._compact(y), n)
+    ref, ref_bounds = _reference_right_actions(y, n)
+    assert a.dtype == ref.dtype and a.shape == ref.shape
+    assert a.tolist() == ref.tolist()
+    assert bounds == ref_bounds and all(type(b) is int for b in bounds)
+    # the bounds read off the actions are their column bounds
+    assert bounds == [_col_bound(m) for m in ref]

@@ -1,14 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from amecode import catalog
+from amecode import catalog, tensor
 from amecode.cyclo import ConductorMismatch, Cyclotomic, root_of_unity
 from amecode.linalg import Matrix
 from amecode.qecc import UniformReport, pauli_error_basis, r_uniform_check
@@ -314,6 +314,154 @@ def test_kernel_rejects_mismatched_operands():
         apply(LocalOperator.identity((3, 3, 3), N), v)
     with pytest.raises(ConductorMismatch):
         apply(LocalOperator.identity((3, 3), 24), v)
+
+
+# -- fixation: one arithmetic per call, at the edges of its tiers ------------
+
+
+def _fixation_bound(ops, v) -> int:
+    """The bound from which fixed_by picks its arithmetic: the larger of
+    the images' bound and x times the images' extra denominators."""
+    top, images, scales = tensor._bounds(tensor._sites(ops), tensor._pack(v)[0])
+    return max(images, top * scales)
+
+
+def _scaled_to_bound(ops, v, target: int, above: bool) -> PureState:
+    """v times the least integer c prime to v's denominator for which
+    _fixation_bound reaches target (above), or the greatest for which it
+    stays below; the bound is linear in c."""
+    x, den = tensor._pack(v)
+    top1 = tensor._max_abs(x)
+    per = _fixation_bound(ops, v) // top1
+    c = -(-target // (per * top1)) if above else (target - 1) // (per * top1)
+    while gcd(c, den) != 1:
+        c += 1 if above else -1
+    w = v.scale(c)
+    assert (_fixation_bound(ops, w) >= target) == above
+    assert target // 2 < _fixation_bound(ops, w) < 2 * target
+    return w
+
+
+def _check_fixation(ops, v, expected):
+    assert fixed_by(ops, v) == [apply(g, v) == v for g in ops] == expected
+
+
+def _moved_symmetries(local_sym, count: int):
+    """count symmetries of phi, every third times w (which no longer fixes
+    phi) and every fifth with an X on its last site (neither)."""
+    w = root_of_unity(4, N)
+    shift = Matrix(N, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    ops, expected = [], []
+    for k, g in enumerate(local_sym.elements_at(range(0, 1944, 1944 // count or 1))[:count]):
+        if k % 3 == 1:
+            g = LocalOperator(N, g.scalar * w, g.factors)
+        if k % 5 == 2:
+            g = LocalOperator(N, g.scalar, [*g.factors[:3], g.factors[3] * shift])
+        ops.append(g)
+        expected.append(k % 3 != 1 and k % 5 != 2)
+    return ops, expected
+
+
+@pytest.mark.parametrize("target, above, tier", [
+    (1 << 53, False, np.float64), (1 << 53, True, np.int64), (1 << 62, True, object),
+], ids=["below-2^53", "above-2^53", "above-2^62"])
+def test_fixation_at_the_tier_edges(local_sym, phi_rowform, target, above, tier):
+    ops, expected = _moved_symmetries(local_sym, 24)
+    v = _scaled_to_bound(ops, phi_rowform, target, above)
+    assert tensor._tier(_fixation_bound(ops, v)) is tier
+    _check_fixation(ops, v, expected)
+    if tier is not object:  # the whole group, in float64 or int64
+        fixes = local_sym.fixes(v)
+        assert all(fixes) and fixes == local_sym.fixes(phi_rowform)
+
+
+def test_fixation_scalar_within_rounding_of_one(local_sym, phi_rowform):
+    # (K+1)/K times a symmetry moves phi by 1/K of itself: in float64 the
+    # two sides of the comparison would round to one value
+    k = (1 << 55) + 1
+    g = local_sym.elements_at([7])[0]
+    ops = [g, LocalOperator(N, g.scalar * Fraction(k + 1, k), g.factors)]
+    assert _fixation_bound(ops, phi_rowform) >= 1 << 53
+    _check_fixation(ops, phi_rowform, [True, False])
+
+
+def test_fixation_bounds_the_denominators_too(local_sym, phi_rowform):
+    # a scalar 1 / 3**40 leaves the images' bound in int64, but its
+    # denominator, which the comparison multiplies in, does not fit
+    ops, expected = _moved_symmetries(local_sym, 12)
+    v = _scaled_to_bound(ops, phi_rowform, 1 << 53, True)
+    tiny = LocalOperator(N, Fraction(1, 3 ** 40), [Matrix.identity(3, N)] * 4)
+    top, images, scales = tensor._bounds(tensor._sites(ops + [tiny]), tensor._pack(v)[0])
+    assert tensor._tier(images) is np.int64 and tensor._tier(top * scales) is object
+    _check_fixation(ops + [tiny], v, expected + [False])
+
+
+@pytest.mark.parametrize("budget", ["default", "small"])
+def test_fixation_counts_around_one_chunk(monkeypatch, local_sym, phi_rowform, budget):
+    if budget == "small":  # chunks of 5 operators and blocks of 40 first-site actions
+        monkeypatch.setattr(tensor, "_CHUNK_ENTRIES", 8 * 5 * 324)
+    x = tensor._pack(phi_rowform)[0]
+    step = tensor._CHUNK_ENTRIES // (8 * x.size)
+    ops, expected = _moved_symmetries(local_sym, 300)
+    for count in (0, step - 1, step, step + 1, 300):
+        _check_fixation(ops[:count], phi_rowform, expected[:count])
+    fixes = local_sym.fixes(catalog.ket("0000", 3, N))
+    monkeypatch.undo()
+    assert fixes == local_sym.fixes(catalog.ket("0000", 3, N))
+
+
+def test_fixation_with_identity_sites():
+    ident, w = Matrix.identity(3, N), root_of_unity(4, N)
+    z = Matrix(N, [[1, 0, 0], [0, w, 0], [0, 0, w * w]])
+    x = Matrix(N, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    v = catalog.ket("0000", 3, N)
+    # sites 1 and 3 are the identity for every operator, and all sites for
+    # the last list
+    ops = [LocalOperator(N, 1, [ident, z, ident, z]), LocalOperator(N, 1, [ident, x, ident, z]),
+           LocalOperator(N, w, [ident, z, ident, ident]), LocalOperator(N, 1, [ident, z, ident, ident])]
+    assert [s is None for s in tensor._sites(ops)] == [True, False, True, False, False]
+    _check_fixation(ops, v, [True, False, False, True])
+    identities = [LocalOperator.identity(v.dims, N)] * 3
+    assert all(s is None for s in tensor._sites(identities))
+    _check_fixation(identities, v, [True] * 3)
+    _check_fixation(identities, v.scale(0), [True] * 3)
+
+
+def test_fixation_mixed_dims():
+    i = root_of_unity(3, N)
+    w = root_of_unity(4, N)
+    z2 = Matrix(N, [[1, 0], [0, -1]])
+    x2 = Matrix(N, [[0, 1], [1, 0]])
+    d3 = Matrix(N, [[1, 0, 0], [0, -1, 0], [0, 0, w]])
+    swap01 = Matrix(N, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    ident2, ident3 = Matrix.identity(2, N), Matrix.identity(3, N)
+    # v = |0, 0> + i |1, 1> + 5 |1, 2>
+    amps = [Cyclotomic.zero(N)] * 6
+    amps[0], amps[4], amps[5] = Cyclotomic.one(N), i, Cyclotomic.from_rational(N, 5)
+    v = PureState(N, (2, 3), amps)
+    ops = [LocalOperator(N, 1, [z2, d3]), LocalOperator(N, 1, [z2, ident3]),
+           LocalOperator(N, 1, [x2, swap01]), LocalOperator(N, 1, [ident2, ident3]),
+           LocalOperator(N, -1, [z2, d3])]
+    # z2 (x) d3 sends |1, 2> to -w |1, 2>: only the identity fixes v
+    _check_fixation(ops, v, [False, False, False, True, False])
+    u = PureState(N, (2, 3), [1, 0, 0, 0, i, 0])
+    _check_fixation(ops, u, [True, False, False, True, False])
+    _check_fixation(ops[2:3], PureState(N, (2, 3), [1, 0, 0, 0, 1, 0]), [True])
+
+
+def test_fixation_conductor_24():
+    n = 24
+    z8, z24 = root_of_unity(3, n), root_of_unity(1, n)
+    t = Matrix(n, [[1, 0], [0, z8]])
+    t_inv = Matrix(n, [[1, 0], [0, z8.inv()]])
+    x = Matrix(n, [[0, 1], [1, 0]])
+    ident = Matrix.identity(2, n)
+    v = PureState(n, (2, 2), [Cyclotomic.one(n), 0, 0, z24 * Fraction(2, 7)])
+    ops = [LocalOperator(n, 1, [t, t_inv]), LocalOperator(n, 1, [t, ident]),
+           LocalOperator(n, 1, [x, x]), LocalOperator(n, z24, [ident, ident]),
+           LocalOperator(n, 1, [t_inv, t])]
+    _check_fixation(ops, v, [True, False, False, False, True])
+    _check_fixation(ops, v.scale(z24 * 3 ** 30), [True, False, False, False, True])
 
 
 def _subset_table(states, op):
