@@ -5,17 +5,16 @@ symmetry group of the perfect tensor, which has 1944 elements as product
 operators: the normalizer maps onto it 3-to-1 (see local_symmetry_group).
 
 Closure is breadth-first over small-integer codes, so element sets are
-exact and enumeration order is deterministic.  Dense gates are kept as
-packed integer numerators, each over its own denominator in lowest terms,
-each search level is one integer matmul (linalg's packed kernel), and
-linalg.unpack builds the elements when they are read.  A product operator
-is an int32 row (scalar id, canonical-factor id per site), keyed by the
-row's bytes, and a level's products are numpy gathers from an int array of
-factor products and lookups of its distinct scalar pairs, one dict read per
-distinct pair; missing factor products are formed by the packed kernel in
-one batch per level and site, and divided by their leading entry through
-tensor's packed scalar action, with one field element and one inverse per
-distinct leading entry of the batch.
+exact and enumeration order is deterministic.  There is one engine: a
+dense gate is closed as a one-site product operator, a scalar times a
+canonical factor.  A product operator is an int32 row (scalar id,
+canonical-factor id per site), keyed by the row's bytes, and a level's
+products are numpy gathers from an int array of factor products and
+lookups of its distinct scalar pairs, one dict read per distinct pair;
+missing factor products are formed by linalg's packed kernel in one batch
+per level and site, and divided by their leading entry through tensor's
+packed scalar action, with one field element and one inverse per distinct
+leading entry of the batch.
 The ids and both tables belong to the conductor, not the closure, so the
 closures of one process share them; the groups do not depend on the order
 they are built in.
@@ -68,11 +67,12 @@ class NotInNormalizer(ValueError):
 @dataclass(frozen=True)
 class MatrixGroup:
     """A finite group, kept as the integer codes its closure searched:
-    codes[k] is element k's code in codec, a _DenseTable or _ProductTable.
-    table[h, i] is the index of elements[h] * generators[i]; element 0 is
-    the identity.  The elements are built from the codes when first read.
-    Groups compare by their generators, which fix the closure's elements
-    and their order."""
+    codes[k] is element k's code in codec, the conductor's _ProductTable; a
+    dense group's codes are those of its gates as one-site operators, and
+    its elements are built back as Matrix gates.  table[h, i] is the index
+    of elements[h] * generators[i]; element 0 is the identity.  The
+    elements are built from the codes when first read.  Groups compare by
+    their generators, which fix the closure's elements and their order."""
 
     generators: tuple
     table: np.ndarray = field(compare=False, repr=False)
@@ -83,22 +83,29 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.codes)
 
+    @property
+    def _dense(self) -> bool:
+        return isinstance(self.generators[0], Matrix)
+
     @cached_property
     def elements(self) -> tuple:
-        return self.codec.elements(self.codes)
+        return self._built(self.codes)
 
     def elements_at(self, indices) -> list:
         """The elements at the given indices; only these are built when the
         group's elements have not been read."""
         if "elements" in self.__dict__:
             return [self.elements[k] for k in indices]
-        return list(self.codec.elements(self.codes[list(indices)]))
+        return list(self._built(self.codes[list(indices)]))
+
+    def _built(self, codes) -> tuple:
+        return self.codec.matrices(codes) if self._dense else self.codec.elements(codes)
 
     def fixes(self, v) -> list[bool]:
         """For each element g of a group of product operators, whether
         g|v> == |v> exactly: the packed kernel reads one action per distinct
         factor and scalar of the codes, and builds no element."""
-        if not isinstance(self.codec, _ProductTable):
+        if self._dense:
             raise TypeError("only product operators act on states")
         _check_operands(self.generators[0], v)
         return _fixed(self.codec.sites(self.codes), self.order, *_pack(v))
@@ -107,10 +114,12 @@ class MatrixGroup:
         """The index of g among the elements, or None when it is not one;
         found by g's code, so no element is built and no id is added."""
         first = self.generators[0]
-        if not (type(g) is type(first) and g.n == first.n
-                and (g.dims == first.dims if isinstance(g, LocalOperator)
-                     else g.shape == first.shape)):
+        if not (type(g) is type(first) and g.n == first.n and _shape(g) == _shape(first)):
             return None
+        if self._dense:
+            if g.is_zero():
+                return None
+            g = LocalOperator(g.n, 1, [g])
         key = self.codec.key(g)
         return None if key is None else self._positions.get(key)
 
@@ -123,15 +132,11 @@ class MatrixGroup:
 
     def set_equal(self, other: MatrixGroup) -> bool:
         """Whether the two groups have the same elements, decided on their
-        codes, so no element is built.  Groups of product operators of one
-        conductor share a table, in which equal operators have equal code
-        rows; dense groups of one shape and conductor compare the interned
-        keys (den, numerators) of their codes.  Any other pair differs."""
-        a, b = self.codec, other.codec
-        if isinstance(a, _ProductTable):
-            return a is b and set(a.keys(self.codes)) == set(b.keys(other.codes))
-        return (isinstance(b, _DenseTable) and a.identity == b.identity
-                and a.ids.keys(self.codes) == b.ids.keys(other.codes))
+        codes, so no element is built: the groups of one conductor share a
+        table, in which equal elements of one generator type have equal
+        code rows."""
+        return (self.codec is other.codec and self._dense == other._dense
+                and set(self.codec.keys(self.codes)) == set(other.codec.keys(other.codes)))
 
     def sample(self, k: int, seed: int = 0) -> list:
         rng = random.Random(seed)
@@ -152,35 +157,25 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
     """Breadth-first multiplicative closure of the generators.
 
     The generators are all dense square Matrix gates of one shape and
-    conductor, or all LocalOperators of one dims and conductor; anything
-    else raises GeneratorTypeError or DimensionMismatch before the search.
-    Elements are searched as integer codes (see _DenseTable and
-    _ProductTable), each with a hashable key that is equal exactly when the
-    elements are: each level's products h * g, for h in the frontier and g
-    in the generators, are formed in one batch and visited in (h, g) order,
-    and the elements are built once at the end in search order.  Product
-    operators share one table per conductor, so the closures of a process
-    reuse the scalars, factors and factor products found before; the
-    elements, their order and the table do not depend on what was built
-    first.  The frontiers run through the elements in index order, so the
-    products, in the order formed, are the rows of the table after the
-    identity's.  Raises ClosureCapExceeded if more than `cap` elements
-    appear, which signals a non-finite or mis-specified group, and
-    ValueError naming the first singular generator (determinant 0; for an
-    operator, a zero scalar or a singular factor) before the search.
+    conductor, or all LocalOperators of one dims and conductor (see
+    _operators).  Elements are searched as integer codes in the
+    conductor's _ProductTable, a dense gate as a one-site operator, each
+    with a hashable key that is equal exactly when the elements are: each
+    level's products h * g, for h in the frontier and g in the generators,
+    are formed in one batch and visited in (h, g) order, and the elements
+    are built when first read, in search order.  The closures of a process
+    share the table, so they reuse the scalars, factors and factor
+    products found before; the elements, their order and the table do not
+    depend on what was built first.  The frontiers run through the
+    elements in index order, so the products, in the order formed, are the
+    rows of the table after the identity's.  Raises ClosureCapExceeded if
+    more than `cap` elements appear, which signals a non-finite or
+    mis-specified group.
     """
-    gens = list(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    if isinstance(gens[0], LocalOperator):
-        identity, table = _operator_identity(gens), _product_table(gens[0].n)
-    else:
-        table = _DenseTable(gens)
-        identity = table.identity
-    for i, g in enumerate(gens):
-        if _singular(g):
-            raise ValueError(f"generators[{i}] is singular (determinant 0)")
-    codes = table.codes([identity, *gens])
+    gens = tuple(generators)
+    ops = _operators(gens)
+    table = _product_table(ops[0].n)
+    codes = table.codes([LocalOperator.identity(ops[0].dims, ops[0].n), *ops])
     keys = table.keys(codes)
     elements: dict = {}  # key -> index
     new = []
@@ -204,8 +199,38 @@ def closure(generators, cap: int = 100_000) -> MatrixGroup:
             rows.append(k)
         frontier = products[new]
         found.append(frontier)
-    return MatrixGroup(tuple(gens), np.array(rows, dtype=np.int32).reshape(-1, len(gens)),
+    return MatrixGroup(gens, np.array(rows, dtype=np.int32).reshape(-1, len(gens)),
                        np.concatenate(found), table)
+
+
+def _shape(g) -> tuple:
+    return g.dims if isinstance(g, LocalOperator) else g.shape
+
+
+def _operators(gens) -> list[LocalOperator]:
+    """The generators as product operators, a dense gate as a one-site one,
+    after checking that they are all square Matrix gates of one shape and
+    conductor or all LocalOperators of one dims and conductor (else
+    GeneratorTypeError or DimensionMismatch), and that none is singular:
+    ValueError names the first generator of determinant 0 (for an operator,
+    a zero scalar or a singular factor), so no product of factors is ever
+    zero."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    first = gens[0]
+    kind = Matrix if isinstance(first, Matrix) else LocalOperator
+    for g in gens:
+        if not isinstance(g, kind):
+            raise GeneratorTypeError(f"cannot close {type(g).__name__}: generators must be "
+                                     f"all Matrix or all LocalOperator")
+        if g.n != first.n or _shape(g) != _shape(first):
+            raise DimensionMismatch("generator shape/conductor mismatch")
+    if kind is Matrix and first.shape[0] != first.shape[1]:
+        raise DimensionMismatch(f"cannot close {first.shape} matrices")
+    for i, g in enumerate(gens):
+        if _singular(g):
+            raise ValueError(f"generators[{i}] is singular (determinant 0)")
+    return list(gens) if kind is LocalOperator else [LocalOperator(g.n, 1, [g]) for g in gens]
 
 
 @lru_cache(maxsize=1 << 12)
@@ -237,6 +262,17 @@ def _int_key(row: list) -> tuple:
     return (*row, *map(int.bit_length, row))
 
 
+def _lowest_terms(x, dens):
+    """(x, dens): the matrices with numerators x, shape (k, rows, cols,
+    deg), over dens, in lowest terms."""
+    flat = x.reshape(len(x), -1)
+    divs = [gcd(g, den) for g, den in zip(np.gcd.reduce(flat, axis=1).tolist(), dens)]
+    if any(g != 1 for g in divs):
+        x = x // _compact(np.array(divs, dtype=object)).reshape(-1, 1, 1, 1)
+        dens = [den // g for den, g in zip(dens, divs)]
+    return x, dens
+
+
 class _PackedIds:
     """Ids for exact matrices given packed (linalg.pack) with one
     denominator each.  A matrix is reduced to lowest terms and keyed on
@@ -251,23 +287,13 @@ class _PackedIds:
     def _lowest(x, dens):
         """(x, dens, keys): the matrices with numerators x, shape (k, rows,
         cols, deg), over dens, in lowest terms, and their keys."""
-        flat = x.reshape(len(x), -1)
-        divs = [gcd(g, den) for g, den in zip(np.gcd.reduce(flat, axis=1).tolist(), dens)]
-        if any(g != 1 for g in divs):
-            x = x // _compact(np.array(divs, dtype=object)).reshape(-1, 1, 1, 1)
-            dens = [den // g for den, g in zip(dens, divs)]
+        x, dens = _lowest_terms(x, dens)
         return x, dens, list(zip(dens, _row_keys(x)))
 
     def get(self, x, dens) -> list:
         """Ids of the matrices with numerators x over dens, None for a
         matrix not seen before; no id is added."""
         return [self._ids.get(key) for key in self._lowest(x, dens)[2]]
-
-    def keys(self, ids) -> set:
-        """The set of the keys of an int array of ids (the key of id i is
-        the i-th key entered)."""
-        keys = list(self._ids)
-        return {keys[i] for i in ids.tolist()}
 
     def __call__(self, x, dens) -> list[int]:
         """Ids of the matrices with numerators x, shape (k, rows, cols, deg),
@@ -284,71 +310,6 @@ class _PackedIds:
             self.x.extend(_compact(x[new]))
             self.den.extend(dens[k] for k in new)
         return ids
-
-
-class _DenseTable:
-    """Small-integer codes for the dense matrices of one closure: their
-    _PackedIds, which are also their keys.  A level's products are one
-    bound-checked matmul of the frontier's packed rows with the generators'
-    right actions; the product h * g has numerators over den(h) * den(g)
-    and is reduced when interned, so no stored element is ever rescaled."""
-
-    def __init__(self, gens):
-        first = gens[0]
-        for g in gens:
-            if not isinstance(g, Matrix):
-                raise GeneratorTypeError(
-                    f"cannot close {type(g).__name__}: generators must be all "
-                    f"Matrix or all LocalOperator")
-            if g.shape != first.shape or g.n != first.n:
-                raise DimensionMismatch("matrix product shape/conductor mismatch")
-        if first.shape[0] != first.shape[1]:
-            raise DimensionMismatch(f"cannot close {first.shape} matrices")
-        self.n = first.n
-        self.identity = Matrix.identity(first.shape[0], first.n)
-        self.ids = _PackedIds()
-        self._actions = None
-
-    def codes(self, mats) -> np.ndarray:
-        x, den = zip(*(pack([g]) for g in mats))
-        return np.array(self.ids(np.concatenate(x), list(den)))
-
-    @staticmethod
-    def keys(codes) -> list[int]:
-        return codes.tolist()
-
-    def key(self, g):
-        """The key of g's code, or None when g has none; adds no id."""
-        x, den = pack([g])
-        return self.ids.get(x, [den])[0]
-
-    def products(self, frontier, gcodes) -> np.ndarray:
-        ids = self.ids
-        if self._actions is None:
-            a, bounds = right_actions(np.stack([ids.x[g] for g in gcodes]), self.n)
-            self._actions = (a, max(bounds), [ids.den[g] for g in gcodes])
-        a, bound, gdens = self._actions
-        frontier = frontier.tolist()
-        f = np.stack([ids.x[h] for h in frontier])
-        rows = f.reshape(len(f), 1, f.shape[1], -1)
-        p = _matmul(rows, a, bound).reshape(-1, *f.shape[1:])
-        return np.array(ids(p, [ids.den[h] * den for h in frontier for den in gdens]))
-
-    def elements(self, codes) -> tuple:
-        codes, ids = codes.tolist(), self.ids
-        return tuple(unpack(self.n, [ids.x[k] for k in codes], [ids.den[k] for k in codes]))
-
-
-def _operator_identity(gens) -> LocalOperator:
-    """The identity for a closure of product operators, after checking that
-    the generators are all LocalOperators of one dims and conductor."""
-    first = gens[0]
-    for g in gens:
-        if not isinstance(g, LocalOperator):
-            raise GeneratorTypeError(f"cannot close {type(g).__name__} with product operators")
-        if g.dims != first.dims or g.n != first.n:
-            raise DimensionMismatch("operator product shape/conductor mismatch")
-    return LocalOperator.identity(first.dims, first.n)
 
 
 def _grown(table, rows: int, cols: int):
@@ -385,18 +346,18 @@ class _ProductTable:
       product's pair among them by binary search: the paper's steps have up
       to 4830 products and at most 72 distinct pairs.
 
-    Both groups of the paper use at most 216 factors per site and 42
-    scalars, so nearly every product is a lookup, and the second of them to
-    be closed finds most of its factor products filled.  The factor pairs a
-    level lacks at a site are multiplied in one batch by the packed kernel
-    of linalg, each over the product of its two denominators, and made
-    canonical by the exact inverse of the leading entry; the batch builds
-    the field element, scalar id and inverse action of each distinct lead
-    (den, numerators) once (the paper's groups fill 1512 factor pairs with
-    9 distinct leads).  Factors are
-    interned on their packed numerators in lowest terms; a right action is
-    built only for a generator factor, and a Matrix only for a factor of an
-    element that is built."""
+    The five closures of the paper, the two dense ones included, use 216
+    factors per site and 54 scalars in all, so nearly every product is a
+    lookup, and each closure finds most of its factor products filled by
+    those before it.  The factor pairs a level lacks at a site are
+    multiplied in one batch by the packed kernel of linalg, each over the
+    product of its two denominators, and made canonical by the exact
+    inverse of the leading entry; the batch builds the field element,
+    scalar id and inverse action of each distinct lead (den, numerators)
+    once (the five closures fill 2160 factor pairs with 10 distinct
+    leads).  Factors are interned on their packed numerators in lowest
+    terms; a right action is built only for a generator factor, and a
+    Matrix only for a factor of an element that is built."""
 
     def __init__(self, n: int):
         self.n = n
@@ -556,6 +517,22 @@ class _ProductTable:
         return tuple(LocalOperator._from_canonical(n, scalars[k[0]],
                                                    tuple(factors[i] for i in k[1:]))
                      for k in codes.tolist())
+
+    def matrices(self, codes) -> tuple:
+        """The dense gates scalar * factor of one-site codes: one packed
+        product of the factor numerators with each distinct scalar's action
+        (as _fill_factors divides by a lead), then one linalg.unpack call
+        in lowest terms, where equal entries share one field element."""
+        if not len(codes):
+            return ()
+        scalars, index = np.unique(codes[:, 0], return_inverse=True)
+        acts, dens, bounds, _ = zip(*(_scalar_action(self.scalars[i]) for i in scalars.tolist()))
+        factors = codes[:, 1].tolist()
+        x = np.array([self.factors.x[i] for i in factors])
+        p = _matmul(x.reshape(len(x), -1, x.shape[-1]), np.array(acts)[index], max(bounds))
+        return tuple(unpack(self.n, *_lowest_terms(
+            p.reshape(x.shape), [self.factors.den[i] * dens[k]
+                                 for i, k in zip(factors, index.tolist())])))
 
 
 @cache

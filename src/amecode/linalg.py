@@ -4,9 +4,9 @@ Small immutable matrices with exact equality and hashing; used for
 single-site factors, code gates, projectors, and reduced densities.
 
 Stacks of matrices can also be multiplied in packed integer form (see
-`pack`, `right_actions` and `_matmul` below): the closure of dense gate
-groups and the factor products of operator closures run there, and the
-packed state kernel of `tensor` shares its bound-checked matmul.
+`pack`, `right_actions` and `_matmul` below): the factor products of
+the group closures run there, and the packed state kernel of `tensor`
+shares its bound-checked matmul.
 """
 
 from __future__ import annotations

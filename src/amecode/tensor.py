@@ -341,8 +341,7 @@ def _canon_inv(f: Matrix) -> tuple[Cyclotomic, Matrix]:
 # sum is bounded once per call (_bounds); the bound picks exact float64,
 # int64 or Python-int arithmetic (linalg._tier) for every site.  The
 # factor actions and the bound-checked matmul of the other kernels come
-# from linalg's packed matrix kernel, which the dense closures of groups
-# use too.
+# from linalg's packed matrix kernel, which the closures of groups use too.
 
 _CHUNK_ENTRIES = 1 << 18  # packed integers a chunk of images or operators holds (bounds peak memory)
 

@@ -146,8 +146,9 @@ _PERMUTATION = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
 _SINGULAR = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]
 
 
-@pytest.mark.parametrize("rows, at", [([_SINGULAR], 0), ([_PERMUTATION, _SINGULAR], 1)],
-                         ids=["first", "after-permutation"])
+@pytest.mark.parametrize("rows, at", [([_SINGULAR], 0), ([_PERMUTATION, _SINGULAR], 1),
+                                     ([[[0, 0, 0]] * 3], 0)],
+                         ids=["first", "after-permutation", "zero"])
 def test_cli_group_close_singular_matrix(tmp_path, capsys, rows, at):
     gens = tmp_path / "singular.mats"
     dump([Matrix(12, r) for r in rows], gens)

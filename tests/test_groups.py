@@ -319,6 +319,13 @@ def test_set_equal_compares_codes(weyl, local_sym):
     # are other matrices
     assert not closure([Matrix(N, [[0, 1], [1, 0]])], cap=4).set_equal(
         closure([Matrix(8, [[0, 1], [1, 0]])], cap=4))
+    # dense gates and the same gates as one-site operators share the table,
+    # and their codes, but are not the same elements
+    assert weyl.codec is local_sym.codec
+    one_site = closure([LocalOperator(N, 1, [g]) for g in weyl_generators(N)], cap=6480)
+    dense = closure(weyl_generators(N), cap=6480)
+    assert one_site.order == dense.order == 648
+    assert not dense.set_equal(one_site) and not one_site.set_equal(dense)
 
 
 def test_dense_closure_grows_and_widens():
@@ -411,6 +418,8 @@ def test_closure_group_axioms(weyl):
     assert weyl.verify_closure(sample_size=200, seed=1)
     ident = Matrix.identity(3, N)
     assert ident in weyl
+    # an empty selection of unbuilt dense elements builds nothing
+    assert closure(weyl_generators(N)[:1], cap=30).elements_at([]) == []
 
 
 def test_reflection_formula():
@@ -746,17 +755,21 @@ def test_membership_is_found_by_code(weyl, local_sym):
     norm = normalizer_group_332()
     picked = random.Random(5).sample(range(norm.order), 30)
     assert [norm.index(g) for g in norm.elements_at(picked)] == picked
-    # other values are no elements, and looking them up adds no id
-    sizes = (len(weyl.codec.ids.x), len(local_sym.codec.scalars), len(local_sym.codec.factors.x))
+    # other values are no elements, and looking them up adds no id to the
+    # conductor's one table
+    table = weyl.codec
+    assert table is local_sym.codec
+    sizes = (len(table.scalars), len(table.factors.x))
     assert weyl.index(Matrix(N, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])) is None
+    assert weyl.index(Matrix.zeros(3, 3, N)) is None
+    assert weyl.index(Matrix(N, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])) is None
     assert catalog.xxx(3, 3, N) not in weyl and Matrix.identity(2, N) not in weyl
     assert weyl.generators[0] not in local_sym and catalog.xxx(3, 3, N) not in local_sym
     assert LocalOperator(N, 2, [Matrix.identity(3, N)] * 4) not in local_sym
     half = Matrix(N, [[Cyclotomic(N, [1, 0, 0, 0], 2), 0, 0], [0, 2, 0], [0, 0, 1]])
     assert LocalOperator(N, 1, [half, *[Matrix.identity(3, N)] * 3]) not in local_sym
     assert LocalOperator.identity((3, 3, 3, 3), 24) not in local_sym
-    assert (len(weyl.codec.ids.x), len(local_sym.codec.scalars),
-            len(local_sym.codec.factors.x)) == sizes
+    assert (len(table.scalars), len(table.factors.x)) == sizes
     assert [weyl.index(g) for g in weyl.elements] == list(range(648))
 
 
