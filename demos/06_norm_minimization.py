@@ -12,19 +12,18 @@ and never attained.
 import numpy as np
 
 from amecode import catalog
-from amecode.kempfness import (FloatState, apply_sitewise, is_critical,
+from amecode.kempfness import (apply_sitewise, from_exact, is_critical,
                                kempf_ness_inequality_test,
                                norm_minimization_flow, random_group_element)
 
-phi = FloatState.from_exact(catalog.ame_state())
+phi = from_exact(catalog.ame_state())
 print("perfect tensor:", is_critical(phi, 1e-10))
-print("product state: ", is_critical(FloatState.from_exact(
-    catalog.ket("000", 3, 12)), 1e-10))
+print("product state: ", is_critical(from_exact(catalog.ket("000", 3, 12)), 1e-10))
 
 # Perturb by a random determinant-1 product and flow back down.
 rng = np.random.default_rng(0)
 for trial in range(3):
-    g = random_group_element(phi.dims, rng, scale=1.0)
+    g = random_group_element(phi.shape, rng, scale=1.0)
     start = apply_sitewise(g, phi)
     rep = norm_minimization_flow(start, max_iters=5000, tol=1e-8)
     print(f"flow {trial}: start norm^2 = {rep.initial_norm_sq:.6f} -> "
@@ -37,8 +36,8 @@ print(f"min sampled ratio over 500 group elements: {rep.min_ratio:.9f}")
 
 # A product basis state: the flow drives the norm toward zero without ever
 # reaching a critical point -- the infimum is not attained on the orbit.
-collapse = norm_minimization_flow(FloatState.from_exact(
-    catalog.ket("001", 2, 24)), max_iters=200, tol=1e-8)
+collapse = norm_minimization_flow(from_exact(catalog.ket("001", 2, 24)),
+                                  max_iters=200, tol=1e-8)
 print("collapse run: converged =", collapse.converged,
       f" final norm^2 = {collapse.final_norm_sq:.2e}",
       " monotone =", collapse.monotone)

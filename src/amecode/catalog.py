@@ -50,11 +50,6 @@ def pauli_power(d: int, n: int, a: int, b: int) -> Matrix:
     return m
 
 
-def pauli_product(d: int, n: int, exponents) -> LocalOperator:
-    """Tensor product of X^a Z^b factors, one (a, b) pair per site."""
-    return LocalOperator(n, 1, [pauli_power(d, n, a, b) for a, b in exponents])
-
-
 def xxx(d: int, sites: int, n: int) -> LocalOperator:
     return LocalOperator(n, 1, [pauli_x(d, n)] * sites)
 

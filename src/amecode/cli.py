@@ -33,7 +33,7 @@ from . import serialize
 from .correspondence import roundtrip
 from .groups import ClosureCapExceeded, closure
 from .invariants import CartanPoint, eval_invariants
-from .kempfness import FloatState, is_critical, norm_minimization_flow
+from .kempfness import from_exact, is_critical, norm_minimization_flow
 from .linalg import Matrix
 from .qecc import CodeSubspace, kl_check
 from .suites import (CONDUCTOR, SUITES, check_coset_representatives, check_local_symmetry,
@@ -189,7 +189,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_kempfness(args) -> int:
-    state = FloatState.from_exact(_ingest_as(args.file, PureState, "a state"))
+    state = from_exact(_ingest_as(args.file, PureState, "a state"))
     if args.kn_cmd == "critical":
         rep = is_critical(state, tol=args.tol)
         _emit(asdict(rep), args)

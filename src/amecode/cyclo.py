@@ -96,11 +96,9 @@ class _Field:
         powers: list[tuple[int, ...]] = []
         cur = [0] * deg
         cur[0] = 1
-        if deg == 0:  # unreachable: phi(n) >= 1
-            raise ValueError(n)
         powers.append(tuple(cur))
         for _ in range(count - 1):
-            top = cur[deg - 1] if deg > 0 else 0
+            top = cur[deg - 1]
             nxt = [0] * deg
             for j in range(1, deg):
                 nxt[j] = cur[j - 1]
@@ -214,7 +212,7 @@ class Cyclotomic:
         f = _field(self.n)
         deg = f.degree
         a, b = self.coeffs, o.coeffs
-        conv = [0] * (2 * deg - 1) if deg > 1 else [0]
+        conv = [0] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):

@@ -12,10 +12,12 @@ This module is deliberately floating point; tolerances default to 1e-8 for
 criticality and 1e-6 for flow convergence.  The sampled checks, the
 criticality test and the flows work on stacks of matrices and states (the
 flows of one call advance in lockstep), and each row of a stack gets the
-floats it gets alone, so a single state is a stack of one: products,
-determinants, eigenvalues and QR factors are numpy's stacked LAPACK and
-BLAS routines, one call per matrix, and norms and expectations are numpy
-reductions along each row in a fixed order.  Spectral norms come from the
+floats it gets alone.  A state is a complex array of shape dims (from_exact
+converts an exact one), a stack of S states one (S, *dims) array, and a
+single state a stack of one: products, determinants, eigenvalues and QR
+factors are numpy's stacked LAPACK and BLAS routines, one call per matrix,
+and norms and expectations are numpy reductions along each row in a fixed
+order.  Spectral norms come from the
 eigenvalues of m^dag m, not from an SVD.  The random draws of one call come
 in bulk: the sampler takes one standard_normal and one uniform call per
 distinct site dimension, so `count` draws in one call are not the draws of
@@ -32,34 +34,15 @@ from functools import lru_cache
 import numpy as np
 
 
-@dataclass(frozen=True)
-class FloatState:
-    dims: tuple
-    vec: np.ndarray  # flattened complex amplitudes, site 1 slowest
-
-    @classmethod
-    def from_exact(cls, state) -> FloatState:
-        return cls(tuple(state.dims), np.array(state.to_complex(), dtype=complex))
-
-    @classmethod
-    def random(cls, dims, rng: np.random.Generator) -> FloatState:
-        return cls(tuple(dims), _random_vectors(rng, 1, math.prod(dims))[0])
-
-    def norm_sq(self) -> float:
-        return float(_row_norms_sq(self.vec[None])[0])
-
-    def tensor(self) -> np.ndarray:
-        return self.vec.reshape(self.dims)
-
-
-def gell_mann_basis(d: int):
-    """Traceless Hermitian basis of d x d matrices, tr(L_a L_b) = 2 delta_ab."""
-    return [m.copy() for m in _gell_mann_cached(d)]
+def from_exact(state) -> np.ndarray:
+    """The amplitudes of an exact PureState as a complex array of shape dims."""
+    return np.array(state.to_complex(), dtype=complex).reshape(state.dims)
 
 
 @lru_cache(maxsize=None)
 def _gell_mann_cached(d: int) -> np.ndarray:
-    """The basis as one read-only (d*d - 1, d, d) stack."""
+    """The traceless Hermitian basis of d x d matrices, tr(L_a L_b) =
+    2 delta_ab, as one read-only (d*d - 1, d, d) stack; (0, 1, 1) for d = 1."""
     out = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -77,7 +60,7 @@ def _gell_mann_cached(d: int) -> np.ndarray:
         m[l, l] = -l
         m *= math.sqrt(2.0 / (l * (l + 1)))
         out.append(m)
-    stack = np.array(out)
+    stack = np.array(out, dtype=complex).reshape(len(out), d, d)
     stack.flags.writeable = False
     return stack
 
@@ -93,14 +76,6 @@ def _random_vectors(rng: np.random.Generator, count: int, size: int) -> np.ndarr
 def _positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _stack(states) -> np.ndarray:
-    """The tensors of states that share dims, as one (S, *dims) array."""
-    dims = states[0].dims
-    if any(s.dims != dims for s in states):
-        raise ValueError("states must share dims")
-    return np.array([s.vec for s in states]).reshape(len(states), *dims)
 
 
 def _reductions(t: np.ndarray):
@@ -120,7 +95,7 @@ def _reductions(t: np.ndarray):
         a = np.moveaxis(t, k, 1)
         a = a.reshape(len(t), a.shape[1], math.prod(a.shape[2:]))
         b = np.ascontiguousarray(a.conj().transpose(0, 2, 1))
-        out.append(a @ b / ns[:, None, None])
+        out.append(_stack_matmul(a, b) / ns[:, None, None])
     return out
 
 
@@ -132,22 +107,25 @@ def _expectations(rhos):
             for rho in rhos]
 
 
+def _stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks, with the floats of tensordot's gemm: over an inner
+    dimension of 1 (a site of dimension 1, the rest of a one-site state)
+    matmul's route can differ from it in the last bit, a broadcast product not."""
+    return a @ b if a.shape[-1] > 1 else a * b
+
+
 def _lie_residuals(rhos) -> list:
     """Largest |tr(rho_k L_a)| over the sites and the Gell-Mann basis, per row."""
     # hypot is the scalar complex abs; np.abs on a complex array takes a
     # vectorized route that can differ from it in the last bit
     return [float(r) for r in np.max(
-        [np.hypot(e.real, e.imag).max(axis=1) for e in _expectations(rhos)], axis=0)]
+        [np.hypot(e.real, e.imag).max(axis=1, initial=0.0) for e in _expectations(rhos)],
+        axis=0)]
 
 
 def _centered(rho: np.ndarray) -> np.ndarray:
     """rho - I/d for each matrix of a (S, d, d) stack."""
     return rho - np.eye(rho.shape[-1]) / rho.shape[-1]
-
-
-def site_reductions(state: FloatState):
-    """Normalized single-site reduced densities."""
-    return [rho[0] for rho in _reductions(state.tensor()[None])]
 
 
 @dataclass
@@ -168,12 +146,12 @@ def _criticality(t: np.ndarray, tol: float) -> list:
             for l, m in zip(lie, marg)]
 
 
-def is_critical(state: FloatState, tol: float = 1e-8) -> CriticalityReport:
+def is_critical(state: np.ndarray, tol: float = 1e-8) -> CriticalityReport:
     """Evaluate both criticality conditions: vanishing traceless
     expectations (residual_lie) and maximally mixed single-site reductions
     in spectral norm (residual_marginal); critical iff both <= tol, which
     must be finite and positive."""
-    return _criticality(state.tensor()[None], tol)[0]
+    return _criticality(state[None], tol)[0]
 
 
 def _apply_stack(mats, t: np.ndarray) -> np.ndarray:
@@ -188,14 +166,15 @@ def _apply_stack(mats, t: np.ndarray) -> np.ndarray:
         shape = t.shape
         # rebinding t drops each stack once it is copied: two alive at a time
         t = t.reshape(len(t), shape[1], math.prod(shape[2:]))
-        t = m @ t
+        t = _stack_matmul(m, t)
         t = np.moveaxis(t.reshape(len(t), *shape[1:]), 1, k + 1)
     return t
 
 
-def apply_sitewise(mats, state: FloatState) -> FloatState:
-    t = _apply_stack([np.asarray(m)[None] for m in mats], state.tensor()[None])
-    return FloatState(state.dims, t.reshape(-1))
+def apply_sitewise(mats, state: np.ndarray) -> np.ndarray:
+    """The image of one state under one matrix per site, C-contiguous."""
+    return np.ascontiguousarray(
+        _apply_stack([np.asarray(m)[None] for m in mats], state[None])[0])
 
 
 def _row_norms_sq(images: np.ndarray) -> np.ndarray:
@@ -242,7 +221,7 @@ def _random_exponents(dims, rng: np.random.Generator, count: int, scale: float):
     """The exponents of random_group_elements: for each distinct site
     dimension d in sorted order, (sites, m, norm) with m the (len(sites) *
     count, d, d) stack of traceless matrices and norm their spectral norms
-    (to rounding).  Row j * count + i is draw i of site sites[j].
+    (to rounding; 0 for d = 1).  Row j * count + i is draw i of site sites[j].
 
     The real and imaginary parts of all rows come from one
     standard_normal((rows, 2, d, d)) call and the norms from the uniform
@@ -255,7 +234,10 @@ def _random_exponents(dims, rng: np.random.Generator, count: int, scale: float):
         m = z[:, 0] + 1j * z[:, 1]
         diag = np.arange(d)
         m[:, diag, diag] -= (np.trace(m, axis1=1, axis2=2) / d)[:, None]
-        m *= (norm / _spectral_norms(m))[:, None, None]
+        sn = _spectral_norms(m)
+        # a traceless 1 x 1 matrix is 0, and exp(0) = [[1]] is all of SL(1)
+        norm[sn == 0] = 0.0
+        m *= (norm / np.where(sn > 0, sn, 1.0))[:, None, None]
         out.append((sites, m, norm))
     return out
 
@@ -323,7 +305,7 @@ class FlowReport:
                    for a, b in zip(self.norm_trace, self.norm_trace[1:]))
 
 
-def norm_minimization_flow(state: FloatState, max_iters: int = 5000,
+def norm_minimization_flow(state: np.ndarray, max_iters: int = 5000,
                            step: float = 1.0, tol: float = 1e-7) -> FlowReport:
     """Minimize the squared norm over the orbit of `state` under products of
     determinant-1 matrices: the flow of norm_minimization_flows for one
@@ -333,7 +315,8 @@ def norm_minimization_flow(state: FloatState, max_iters: int = 5000,
 
 def norm_minimization_flows(states, max_iters: int = 5000, step: float = 1.0,
                             tol: float = 1e-7) -> list:
-    """One norm-minimizing flow per state; the states must share dims.
+    """One norm-minimizing flow per state; the states, a sequence of arrays
+    or one (S, *dims) stack, must share dims.
 
     Each iteration moves every site by exp(-eta * (rho_k - I/d_k)) with
     backtracking on eta, then renormalizes determinants.  A flow halts when
@@ -355,7 +338,9 @@ def norm_minimization_flows(states, max_iters: int = 5000, step: float = 1.0,
     states = list(states)
     if not states:
         return []
-    t = _stack(states)
+    if any(np.shape(s) != np.shape(states[0]) for s in states):
+        raise ValueError("states must share dims")
+    t = np.array(states, dtype=complex)
     dims = t.shape[1:]
     cur = t.reshape(len(t), -1)
     norms = [[n] for n in _row_norms_sq(cur).tolist()]
@@ -417,7 +402,7 @@ class InequalityReport:
     witness_below: float | None
 
 
-def kempf_ness_inequality_test(state: FloatState, samples: int = 1000,
+def kempf_ness_inequality_test(state: np.ndarray, samples: int = 1000,
                                seed: int = 0, require_critical: bool = True,
                                slack: float = 1e-9) -> InequalityReport:
     """Sample random determinant-1 products g and compare <v|g^dag g|v>
@@ -427,9 +412,9 @@ def kempf_ness_inequality_test(state: FloatState, samples: int = 1000,
     if require_critical and not is_critical(state, 1e-6).critical:
         raise ValueError("state is not critical; pass require_critical=False to probe")
     rng = np.random.default_rng(seed)
-    base = state.norm_sq()
-    gs = random_group_elements(state.dims, rng, samples)
-    ratios = _row_norms_sq(_apply_stack(gs, state.tensor()[None])) / base
+    base = _row_norms_sq(state[None])[0]
+    gs = random_group_elements(state.shape, rng, samples)
+    ratios = _row_norms_sq(_apply_stack(gs, state[None])) / base
     below = ratios[ratios < 1 - slack]
     witness = float(below[0]) if len(below) else None
     return InequalityReport(samples, float(ratios.min(initial=np.inf)),
@@ -441,12 +426,6 @@ class GradientReport:
     pairs: int
     max_rel_error: float
     max_antihermitian_derivative: float
-
-
-def log_norm_gradient(state: FloatState):
-    """Per-site gradient of log <v|v> along the Hermitian traceless basis:
-    entries 2 * tr(rho_k L_a) (real)."""
-    return [2.0 * e[0].real for e in _expectations(_reductions(state.tensor()[None]))]
 
 
 def gradient_check(seed: int = 0, pairs: int = 20, dims=(3, 3, 3)) -> GradientReport:
@@ -517,19 +496,15 @@ def _random_unitaries(d: int, rng: np.random.Generator, count: int) -> np.ndarra
 
 
 def critical_state_pool():
-    """Exactly critical reference states converted to floats."""
+    """Exactly critical reference states as complex arrays."""
     from . import catalog
     from .tensor import PureState
     from .cyclo import default_conductor
     n2 = default_conductor(2)
     ghz2 = PureState(n2, (2, 2, 2), [1, 0, 0, 0, 0, 0, 0, 1])
     bell = PureState(n2, (2, 2), [1, 0, 0, 1])
-    return [
-        FloatState.from_exact(catalog.ame_state(normalized=False)),
-        FloatState.from_exact(catalog.code_basis()[0]),
-        FloatState.from_exact(ghz2),
-        FloatState.from_exact(bell),
-    ]
+    return [from_exact(catalog.ame_state(normalized=False)),
+            from_exact(catalog.code_basis()[0]), from_exact(ghz2), from_exact(bell)]
 
 
 def criticality_equivalence(count: int = 100, seed: int = 0,
@@ -557,15 +532,15 @@ def criticality_equivalence(count: int = 100, seed: int = 0,
               for p in range(len(pool))]
     need = {}
     for base, idx in zip(pool, images):
-        for d in base.dims:
+        for d in base.shape:
             need[d] = need.get(d, 0) + len(idx)
     units = {d: _random_unitaries(d, rng, need[d]) for d in sorted(need)}
     for base, idx in zip(pool, images):
         mats = []
-        for d in base.dims:
+        for d in base.shape:
             mats.append(units[d][:len(idx)])
             units[d] = units[d][len(idx):]
-        groups.append((idx, _apply_stack(mats, base.tensor()[None])))
+        groups.append((idx, _apply_stack(mats, base[None])))
     stacks = {}  # one stack per dims
     for idx, t in groups:
         stacks.setdefault(t.shape[1:], []).append((idx, t))

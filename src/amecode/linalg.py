@@ -57,11 +57,6 @@ class Matrix:
         one, zero = Cyclotomic.one(n), Cyclotomic.zero(n)
         return cls(n, [[one if i == j else zero for j in range(size)] for i in range(size)])
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int, n: int) -> Matrix:
-        zero = Cyclotomic.zero(n)
-        return cls(n, [[zero] * ncols for _ in range(nrows)])
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
@@ -110,9 +105,6 @@ class Matrix:
     def scale(self, c) -> Matrix:
         c = self._as_cyc(self.n, c)
         return Matrix(self.n, [[c * a for a in r] for r in self.rows])
-
-    def transpose(self) -> Matrix:
-        return Matrix(self.n, list(zip(*self.rows)))
 
     def conj(self) -> Matrix:
         return Matrix(self.n, [[a.conj() for a in r] for r in self.rows])

@@ -187,6 +187,8 @@ def _state_from_dict(data, path: str, seen: dict) -> PureState:
     _fields(data, path, "state", "conductor", "dims", "amps")
     n = _conductor(data, path)
     dims = [_int(*item) for item in _items(*_get(data, "dims", path))]
+    if not dims:
+        raise IngestError(f"{path}.dims: expected at least one site")
     amps = _scalars(*_get(data, "amps", path), n, seen)
     try:
         return PureState(n, dims, amps)
@@ -376,6 +378,3 @@ def shipped_path(name: str) -> Path:
         raise KeyError(f"unknown data file {name!r}; have {SHIPPED}")
     return Path(str(resources.files("amecode").joinpath("data", name)))
 
-
-def load_shipped(name: str):
-    return ingest(shipped_path(name))

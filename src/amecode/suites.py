@@ -25,8 +25,8 @@ from .groups import (centralizer_containment_check, local_symmetry_report,
                      transversal_group, verify_coset_representatives,
                      weyl_generators, weyl_group)
 from .invariants import check_weyl_invariance, is_homogeneous
-from .kempfness import (FloatState, _apply_stack, criticality_equivalence,
-                        gradient_check, kempf_ness_inequality_test,
+from .kempfness import (_apply_stack, _row_norms_sq, criticality_equivalence,
+                        from_exact, gradient_check, kempf_ness_inequality_test,
                         norm_minimization_flows, random_group_elements)
 from .linalg import Matrix
 from .qecc import (distance, kl_check, pauli_error_basis, r_uniform_check,
@@ -247,20 +247,19 @@ def check_code442(seed: int) -> CheckResult:
 
 
 def check_kempf_ness(seed: int) -> CheckResult:
-    phi = FloatState.from_exact(catalog.ame_state(CONDUCTOR))
+    phi = from_exact(catalog.ame_state(CONDUCTOR))
     ineq = kempf_ness_inequality_test(phi, samples=INEQUALITY_SAMPLES,
                                       seed=seed, slack=KN_RATIO_SLACK)
     part_a = ineq.all_above_one and ineq.min_ratio >= 1 - KN_RATIO_SLACK
 
-    gs = random_group_elements(phi.dims, np.random.default_rng(seed), FLOW_STARTS)
-    starts = [FloatState(phi.dims, row) for row in
-              _apply_stack(gs, phi.tensor()[None]).reshape(FLOW_STARTS, -1)]
+    gs = random_group_elements(phi.shape, np.random.default_rng(seed), FLOW_STARTS)
+    phi_norm_sq = float(_row_norms_sq(phi[None])[0])
     flows_ok = 0
     worst_gap = 0.0
     worst_resid = 0.0
-    for rep in norm_minimization_flows(starts, max_iters=5000, step=1.0,
-                                       tol=FLOW_STOP_TOL):
-        gap = abs(rep.final_norm_sq - phi.norm_sq())
+    for rep in norm_minimization_flows(_apply_stack(gs, phi[None]), max_iters=5000,
+                                       step=1.0, tol=FLOW_STOP_TOL):
+        gap = abs(rep.final_norm_sq - phi_norm_sq)
         worst_gap = max(worst_gap, gap)
         worst_resid = max(worst_resid, rep.criticality_residual)
         if (rep.converged and rep.monotone

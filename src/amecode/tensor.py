@@ -134,12 +134,6 @@ class PureState:
     def norm_sq(self) -> Fraction:
         return gram([self])[0][0].as_fraction()
 
-    def conj(self) -> PureState:
-        return PureState(self.n, self.dims, [a.conj() for a in self.amps])
-
-    def embed(self, m: int) -> PureState:
-        return PureState(m, self.dims, [a.embed(m) for a in self.amps])
-
     def to_complex(self):
         return [a.to_complex() for a in self.amps]
 
@@ -252,12 +246,6 @@ class LocalOperator:
             scalar = scalar * lead
             factors.append(g)
         return LocalOperator(self.n, scalar, factors, _canonical=True)
-
-    def dagger(self) -> LocalOperator:
-        return LocalOperator(self.n, self.scalar.conj(), [f.dagger() for f in self.factors])
-
-    def conj(self) -> LocalOperator:
-        return LocalOperator(self.n, self.scalar.conj(), [f.conj() for f in self.factors])
 
     def weight(self) -> int:
         return sum(0 if f.is_identity() else 1 for f in self.factors)

@@ -224,6 +224,16 @@ def test_cli_kempfness(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_cli_kempfness_on_a_site_of_dimension_one(tmp_path, capsys):
+    # the one-dimensional site has no traceless directions; the other site
+    # of a product state is pure, so the state is not critical
+    p = tmp_path / "line.state"
+    dump(PureState.basis_state(12, (1, 3), (0, 0)), p)
+    assert main(["kempfness", "critical", "--state", str(p)]) == 1
+    assert main(["kempfness", "flow", "--state", str(p), "--iters", "50"]) == 1
+    capsys.readouterr()
+
+
 def test_cli_kempfness_rejects_non_state(capsys):
     code_file = str(shipped_path("c332.code"))
     for cmd in ("critical", "flow"):
@@ -241,6 +251,14 @@ def test_cli_correspond_reports_failure_exit(tmp_path, capsys):
     p = tmp_path / "prod.state"
     serialize.dump(catalog.ket("0000", 3, 12), p)
     assert main(["correspond", str(p)]) == 2
+
+
+def test_cli_correspond_rejects_a_state_with_no_sites(tmp_path, capsys):
+    p = tmp_path / "scalar.state"
+    p.write_text(json.dumps({"format": "state", "conductor": 12, "dims": [],
+                             "amps": [scalar_to_dict(Cyclotomic.one(12))]}))
+    assert main(["correspond", str(p)]) == 2
+    assert "$.dims: expected at least one site" in capsys.readouterr().err
 
 
 def _bell_file(tmp_path, n):

@@ -460,7 +460,7 @@ def test_mu_matrix(code332):
     assert mu_matrix(q3, code332) == r[2]
     assert mu_matrix(catalog.xxx(3, 3, N), code332).is_identity()
     assert mu_matrix(LocalOperator.identity((3, 3, 3), N), code332).is_identity()
-    x1 = catalog.pauli_product(3, N, [(1, 0), (0, 0), (0, 0)])
+    x1 = LocalOperator(N, 1, [catalog.pauli_power(3, N, a, b) for a, b in [(1, 0), (0, 0), (0, 0)]])
     with pytest.raises(NotInNormalizer):
         mu_matrix(x1, code332)
 
@@ -761,7 +761,7 @@ def test_membership_is_found_by_code(weyl, local_sym):
     assert table is local_sym.codec
     sizes = (len(table.scalars), len(table.factors.x))
     assert weyl.index(Matrix(N, [[2, 0, 0], [0, 1, 0], [0, 0, 1]])) is None
-    assert weyl.index(Matrix.zeros(3, 3, N)) is None
+    assert weyl.index(Matrix(N, [[0] * 3] * 3)) is None
     assert weyl.index(Matrix(N, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])) is None
     assert catalog.xxx(3, 3, N) not in weyl and Matrix.identity(2, N) not in weyl
     assert weyl.generators[0] not in local_sym and catalog.xxx(3, 3, N) not in local_sym

@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 
 from amecode import catalog, suites
-from amecode.kempfness import (CriticalityReport, EquivalenceReport, FloatState,
-                               FlowReport, GradientReport, InequalityReport,
-                               apply_sitewise, criticality_equivalence,
-                               critical_state_pool, gell_mann_basis,
-                               gradient_check, is_critical,
-                               kempf_ness_inequality_test, log_norm_gradient,
-                               norm_minimization_flow, norm_minimization_flows,
-                               random_group_element, random_group_elements,
-                               site_reductions)
-from amecode.kempfness import (_expm, _expm_hermitian, _gell_mann_cached,
+from amecode.kempfness import (CriticalityReport, EquivalenceReport, FlowReport,
+                               GradientReport, InequalityReport, apply_sitewise,
+                               criticality_equivalence, critical_state_pool,
+                               from_exact, gradient_check, is_critical,
+                               kempf_ness_inequality_test, norm_minimization_flow,
+                               norm_minimization_flows, random_group_element,
+                               random_group_elements)
+from amecode.kempfness import (_expectations, _expm, _expm_hermitian, _gell_mann_cached,
                                _lie_residuals, _random_exponents, _random_unitaries,
-                               _reductions, _row_norms_sq, _spectral_norms)
+                               _random_vectors, _reductions, _row_norms_sq,
+                               _spectral_norms)
+
+
+def _random_state(dims, rng):
+    """One complex Gaussian state of shape dims."""
+    return _random_vectors(rng, 1, math.prod(dims))[0].reshape(dims)
 
 
 # -- the per-sample loops the batched code replaced, kept as the reference ----
@@ -56,8 +60,10 @@ def _reference_taylor15(m, norm):
     return out
 
 
-def _reference_norm_sq(vec):
-    """<v|v> of one flat vector: re^2 + im^2 summed by one reduction."""
+def _reference_norm_sq(t):
+    """<v|v> of one state: re^2 + im^2 of its C-order amplitudes summed by
+    one reduction."""
+    vec = t.reshape(-1)
     return float((vec.real ** 2 + vec.imag ** 2).sum())
 
 
@@ -86,26 +92,28 @@ def _reference_group_elements(dims, rng, count, scale=1.0):
                 r = j * count + i
                 m = z[r, 0] + 1j * z[r, 1]
                 m -= np.trace(m) / d * np.eye(d)
-                norm = u[r] * scale
-                m *= norm / _reference_spectral_norm(m)
+                # a traceless 1 x 1 matrix is 0, and stays 0
+                sn = _reference_spectral_norm(m)
+                norm = u[r] * scale if sn > 0 else 0.0
+                if sn > 0:
+                    m *= norm / sn
                 draws[i][k] = _reference_renorm_det(_reference_taylor15(m, norm))
     return draws
 
 
-def _reference_apply(mats, state):
-    t = state.tensor()
+def _reference_apply(mats, t):
     for k, m in enumerate(mats):
         t = np.moveaxis(np.tensordot(m, t, axes=([1], [k])), 0, k)
-    return FloatState(state.dims, t.reshape(-1))
+    return np.ascontiguousarray(t)
 
 
 def _reference_inequality(state, samples, seed, slack=1e-9):
     rng = np.random.default_rng(seed)
-    base = _reference_norm_sq(state.vec)
+    base = _reference_norm_sq(state)
     min_ratio = np.inf
     witness = None
-    for g in _reference_group_elements(state.dims, rng, samples):
-        ratio = _reference_norm_sq(_reference_apply(g, state).vec) / base
+    for g in _reference_group_elements(state.shape, rng, samples):
+        ratio = _reference_norm_sq(_reference_apply(g, state)) / base
         if ratio < min_ratio:
             min_ratio = ratio
         if ratio < 1 - slack and witness is None:
@@ -122,9 +130,9 @@ def _reference_gradient_check(seed, pairs, h=1e-5, dims=(3, 3, 3)):
     max_rel = 0.0
     max_anti = 0.0
     for p, g in enumerate(draws):
-        v = FloatState(dims, z[p, 0] + 1j * z[p, 1])
+        v = (z[p, 0] + 1j * z[p, 1]).reshape(dims)
         psi = _reference_apply(g, v)
-        f0 = np.log(_reference_norm_sq(psi.vec))
+        f0 = np.log(_reference_norm_sq(psi))
         for k, (d, rho) in enumerate(zip(dims, _reference_site_reductions(psi))):
             basis = _gell_mann_cached(d)
             analytic = np.array([2.0 * _reference_expectation(rho, lam).real for lam in basis])
@@ -135,7 +143,7 @@ def _reference_gradient_check(seed, pairs, h=1e-5, dims=(3, 3, 3)):
                              _reference_expm(1j * lam * h)):
                     mats = [m.copy() for m in g]
                     mats[k] = step @ g[k]
-                    moved.append(np.log(_reference_norm_sq(_reference_apply(mats, v).vec)))
+                    moved.append(np.log(_reference_norm_sq(_reference_apply(mats, v))))
                 fp, fm, fa = moved
                 fd[a] = (fp - fm) / (2 * h)
                 max_anti = max(max_anti, abs(fa - f0) / h)
@@ -145,10 +153,9 @@ def _reference_gradient_check(seed, pairs, h=1e-5, dims=(3, 3, 3)):
     return GradientReport(pairs, max_rel, float(max_anti))
 
 
-def _reference_site_reductions(state):
-    t = state.tensor()
-    ns = _reference_norm_sq(state.vec)
-    sites = len(state.dims)
+def _reference_site_reductions(t):
+    ns = _reference_norm_sq(t)
+    sites = t.ndim
     out = []
     for k in range(sites):
         axes = [i for i in range(sites) if i != k]
@@ -172,9 +179,9 @@ def _reference_lie_residual(rhos, dims):
 
 def _reference_is_critical(state, tol=1e-8):
     rhos = _reference_site_reductions(state)
-    res_lie = _reference_lie_residual(rhos, state.dims)
+    res_lie = _reference_lie_residual(rhos, state.shape)
     res_marg = 0.0
-    for rho, d in zip(rhos, state.dims):
+    for rho, d in zip(rhos, state.shape):
         dev = rho - np.eye(d) / d
         res_marg = max(res_marg, float(np.max(np.abs(np.linalg.eigvalsh(dev)))))
     return CriticalityReport(bool(res_lie <= tol and res_marg <= tol), res_lie, res_marg)
@@ -198,14 +205,14 @@ def _reference_criticality_equivalence(count, seed, tol=1e-8):
         idx = [i for i in range(0, count, 2) if i % 3 == c]
         z = rng.standard_normal((len(idx), 2, math.prod(dims)))
         for r, i in enumerate(idx):
-            states[i] = FloatState(dims, z[r, 0] + 1j * z[r, 1])
+            states[i] = (z[r, 0] + 1j * z[r, 1]).reshape(dims)
     images = [[i for i in range(1, count, 2) if (i // 2) % len(pool) == p]
               for p in range(len(pool))]
     # row of each (image, site) in its dimension's draw: pool entry, site, image
     rows = {}
     need = {}
     for p, base in enumerate(pool):
-        for k, d in enumerate(base.dims):
+        for k, d in enumerate(base.shape):
             for i in images[p]:
                 rows[i, k] = need.get(d, 0)
                 need[d] = need.get(d, 0) + 1
@@ -213,7 +220,7 @@ def _reference_criticality_equivalence(count, seed, tol=1e-8):
     for p, base in enumerate(pool):
         for i in images[p]:
             mats = [_reference_unitary(z[d][rows[i, k], 0] + 1j * z[d][rows[i, k], 1])
-                    for k, d in enumerate(base.dims)]
+                    for k, d in enumerate(base.shape)]
             states[i] = _reference_apply(mats, base)
     agreements = 0
     disagreements = []
@@ -228,38 +235,39 @@ def _reference_criticality_equivalence(count, seed, tol=1e-8):
 
 def _reference_flow(state, max_iters=5000, step=1.0, tol=1e-7):
     cur = state
-    norms = [_reference_norm_sq(cur.vec)]
+    norms = [_reference_norm_sq(cur)]
     eta = step
-    residual = _reference_lie_residual(_reference_site_reductions(cur), cur.dims)
+    residual = _reference_lie_residual(_reference_site_reductions(cur), cur.shape)
     iterations = 0
     converged = residual <= tol
     while not converged and iterations < max_iters:
         iterations += 1
         rhos = _reference_site_reductions(cur)
-        hs = [rho - np.eye(d) / d for rho, d in zip(rhos, cur.dims)]
+        hs = [rho - np.eye(d) / d for rho, d in zip(rhos, cur.shape)]
         accepted = None
         while eta > 1e-14:
             mats = [_reference_renorm_det(_expm_hermitian(h, -eta)) for h in hs]
             cand = _reference_apply(mats, cur)
-            if _reference_norm_sq(cand.vec) <= norms[-1] * (1 + 1e-12):
+            if _reference_norm_sq(cand) <= norms[-1] * (1 + 1e-12):
                 accepted = cand
                 break
             eta *= 0.5
         if accepted is None:
             break
         cur = accepted
-        norms.append(_reference_norm_sq(cur.vec))
+        norms.append(_reference_norm_sq(cur))
         if norms[-1] < 1e-30:
             break
         eta = min(eta * 1.5, step)
-        residual = _reference_lie_residual(_reference_site_reductions(cur), cur.dims)
+        residual = _reference_lie_residual(_reference_site_reductions(cur), cur.shape)
         converged = residual <= tol
     return FlowReport(norms[0], norms[-1], iterations, residual, converged, norms)
 
 
 def test_gell_mann_basis():
+    assert _gell_mann_cached(1).shape == (0, 1, 1)
     for d in (2, 3):
-        basis = gell_mann_basis(d)
+        basis = _gell_mann_cached(d)
         assert len(basis) == d * d - 1
         for a, la in enumerate(basis):
             assert abs(np.trace(la)) < 1e-14
@@ -270,14 +278,14 @@ def test_gell_mann_basis():
 
 
 def test_critical_states():
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     rep = is_critical(phi, 1e-10)
     assert rep.critical and rep.residual_lie < 1e-12
 
-    s1 = FloatState.from_exact(catalog.code_basis()[0])
+    s1 = from_exact(catalog.code_basis()[0])
     assert is_critical(s1, 1e-10).critical
 
-    k000 = FloatState.from_exact(catalog.ket("000", 3, 12))
+    k000 = from_exact(catalog.ket("000", 3, 12))
     rep = is_critical(k000, 1e-10)
     assert not rep.critical
     assert rep.residual_marginal > 0.5
@@ -288,23 +296,24 @@ def test_critical_states():
 
 def test_site_reductions_trace_one():
     rng = np.random.default_rng(0)
-    v = FloatState.random((3, 3, 3), rng)
-    for rho in site_reductions(v):
+    v = _random_state((3, 3, 3), rng)
+    for rho in _reductions(v[None]):
+        rho = rho[0]
         assert abs(np.trace(rho) - 1) < 1e-12
         assert np.allclose(rho, rho.conj().T)
 
 
 def test_flow_from_critical_state_is_immediate():
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     rep = norm_minimization_flow(phi, tol=1e-7)
     assert rep.converged and rep.iterations == 0
 
 
 def test_flow_converges_from_perturbed_starts():
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     rng = np.random.default_rng(42)
     for _ in range(5):
-        g = random_group_element(phi.dims, rng, scale=1.0)
+        g = random_group_element(phi.shape, rng, scale=1.0)
         rep = norm_minimization_flow(apply_sitewise(g, phi),
                                      max_iters=5000, tol=1e-8)
         assert rep.converged
@@ -316,7 +325,7 @@ def test_flow_converges_from_perturbed_starts():
 
 
 def test_flow_norm_collapse_reported():
-    k001 = FloatState.from_exact(catalog.ket("001", 2, 24))
+    k001 = from_exact(catalog.ket("001", 2, 24))
     rep = norm_minimization_flow(k001, max_iters=400, tol=1e-8)
     assert not rep.converged
     assert rep.monotone
@@ -326,31 +335,31 @@ def test_flow_norm_collapse_reported():
 
 
 def test_flow_rejects_bad_parameters():
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     with pytest.raises(ValueError):
         norm_minimization_flow(phi, max_iters=0)
 
 
 def test_inequality_on_critical_state():
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     rep = kempf_ness_inequality_test(phi, samples=300, seed=7)
     assert rep.all_above_one
     assert rep.min_ratio >= 1 - 1e-9
 
 
 def test_inequality_identity_ratio():
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     ident = [np.eye(3, dtype=complex)] * 4
-    ratio = apply_sitewise(ident, phi).norm_sq() / phi.norm_sq()
+    ratio = _reference_norm_sq(apply_sitewise(ident, phi)) / _reference_norm_sq(phi)
     assert abs(ratio - 1) < 1e-14
 
 
 def test_inequality_converse_on_noncritical():
-    k000 = FloatState.from_exact(catalog.ket("000", 3, 12))
+    k000 = from_exact(catalog.ket("000", 3, 12))
     # explicit witness: squeeze site 1 along |0>
     g = [np.diag([0.5, 2.0, 1.0]).astype(complex),
          np.eye(3, dtype=complex), np.eye(3, dtype=complex)]
-    ratio = apply_sitewise(g, k000).norm_sq() / k000.norm_sq()
+    ratio = _reference_norm_sq(apply_sitewise(g, k000)) / _reference_norm_sq(k000)
     assert ratio < 1
     rep = kempf_ness_inequality_test(k000, samples=200, seed=3,
                                      require_critical=False)
@@ -375,14 +384,14 @@ def test_gradient_matches_finite_differences():
 def test_gradient_formula_direct():
     # one direction by hand: d/dt log||exp(tL)_1 psi||^2 = 2 tr(rho_1 L)
     rng = np.random.default_rng(2)
-    v = FloatState.random((3, 3), rng)
-    lam = gell_mann_basis(3)[4]
-    grad = log_norm_gradient(v)[0][4]
+    v = _random_state((3, 3), rng)
+    lam = _gell_mann_cached(3)[4]
+    grad = 2.0 * _expectations(_reductions(v[None]))[0][0].real[4]
     h = 1e-6
     from amecode.kempfness import _expm_hermitian
     plus = apply_sitewise([_expm_hermitian(lam, h), np.eye(3)], v)
     minus = apply_sitewise([_expm_hermitian(lam, -h), np.eye(3)], v)
-    fd = (np.log(plus.norm_sq()) - np.log(minus.norm_sq())) / (2 * h)
+    fd = (np.log(_reference_norm_sq(plus)) - np.log(_reference_norm_sq(minus))) / (2 * h)
     assert abs(grad - fd) < 1e-8
 
 
@@ -394,7 +403,7 @@ def test_criticality_equivalence():
 def test_criticality_lu_invariance():
     rng = np.random.default_rng(9)
     for base in critical_state_pool():
-        mats = [_random_unitaries(d, rng, 1)[0] for d in base.dims]
+        mats = [_random_unitaries(d, rng, 1)[0] for d in base.shape]
         assert is_critical(apply_sitewise(mats, base), 1e-8).critical
 
 
@@ -402,7 +411,8 @@ def test_criticality_lu_invariance():
 
 
 def test_group_element_stacks_match_sequential_draws():
-    for dims, scale in (((3, 3, 3, 3), 1.0), ((2, 3, 2), 1.0), ((3, 2, 4, 2), 0.5)):
+    for dims, scale in (((3, 3, 3, 3), 1.0), ((2, 3, 2), 1.0), ((3, 2, 4, 2), 0.5),
+                        ((1, 3), 1.0), ((3, 1, 3), 0.5)):
         stacks = random_group_elements(dims, np.random.default_rng(4), 50, scale)
         draws = _reference_group_elements(dims, np.random.default_rng(4), 50, scale)
         for i in range(50):
@@ -413,20 +423,33 @@ def test_group_element_stacks_match_sequential_draws():
             _reference_group_elements(dims, np.random.default_rng(4), 1, scale)[0]))
 
 
+def test_group_elements_of_dimension_one_are_exactly_one():
+    # SL(1) is {1}: the traceless 1 x 1 draw is 0, and exp(0) = [[1]]
+    stacks = random_group_elements((1, 3, 1), np.random.default_rng(0), 50)
+    assert np.array_equal(stacks[0], np.ones((50, 1, 1)))
+    assert np.array_equal(stacks[2], np.ones((50, 1, 1)))
+    assert np.all(np.isfinite(stacks[1]))
+    # the inequality on a (1, 3, 3) state samples real SL(3) x SL(3) ratios
+    v = _random_state((1, 3, 3), np.random.default_rng(1))
+    rep = kempf_ness_inequality_test(v, samples=100, seed=0, require_critical=False)
+    assert rep == _reference_inequality(v, 100, 0)
+    assert math.isfinite(rep.min_ratio) and not rep.all_above_one
+
+
 def test_inequality_matches_reference_loop():
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     for seed in range(10):
         assert (kempf_ness_inequality_test(phi, samples=100, seed=seed)
                 == _reference_inequality(phi, 100, seed))
     # non-critical: the witness is the first ratio below 1 - slack, not the least
-    k000 = FloatState.from_exact(catalog.ket("000", 3, 12))
+    k000 = from_exact(catalog.ket("000", 3, 12))
     rep = kempf_ness_inequality_test(k000, samples=200, seed=3, require_critical=False)
     assert rep == _reference_inequality(k000, 200, 3)
     assert rep.witness_below is not None and rep.witness_below > rep.min_ratio
     empty = kempf_ness_inequality_test(phi, samples=0)
     assert empty == _reference_inequality(phi, 0, 0)
     assert empty.min_ratio == np.inf and empty.all_above_one
-    mixed = FloatState.random((2, 3), np.random.default_rng(3))
+    mixed = _random_state((2, 3), np.random.default_rng(3))
     for seed in range(5):
         assert (kempf_ness_inequality_test(mixed, samples=100, seed=seed,
                                            require_critical=False)
@@ -441,10 +464,10 @@ def test_gradient_check_matches_reference_loop():
 
 
 def test_flow_matches_reference_loop():
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     rng = np.random.default_rng(42)
-    starts = [apply_sitewise(random_group_element(phi.dims, rng), phi) for _ in range(3)]
-    starts.append(FloatState.from_exact(catalog.ket("001", 2, 24)))
+    starts = [apply_sitewise(random_group_element(phi.shape, rng), phi) for _ in range(3)]
+    starts.append(from_exact(catalog.ket("001", 2, 24)))
     for v in starts:
         assert (norm_minimization_flow(v, max_iters=400, tol=1e-8)
                 == _reference_flow(v, max_iters=400, tol=1e-8))
@@ -452,13 +475,13 @@ def test_flow_matches_reference_loop():
 
 def _seeded_starts(seed, count):
     """The starts of the suite's flows: random orbit points of phi."""
-    phi = FloatState.from_exact(catalog.ame_state())
-    gs = random_group_elements(phi.dims, np.random.default_rng(seed), count)
+    phi = from_exact(catalog.ame_state())
+    gs = random_group_elements(phi.shape, np.random.default_rng(seed), count)
     return [apply_sitewise([g[i] for g in gs], phi) for i in range(count)]
 
 
 def test_flows_match_reference_loop_per_state():
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     # 20 seeded starts with phi itself, which stops at once
     batch = _seeded_starts(0, 20) + [phi]
     reps = norm_minimization_flows(batch, tol=1e-8)
@@ -472,8 +495,8 @@ def test_flows_match_reference_loop_per_state():
     assert [r.iterations for r in reps] == [3, 3, 3, 0]
     # the collapse case on its own dims, next to generic starts that converge
     rng = np.random.default_rng(5)
-    batch = [FloatState.from_exact(catalog.ket("001", 2, 24)),
-             *(FloatState.random((2, 2, 2), rng) for _ in range(3))]
+    batch = [from_exact(catalog.ket("001", 2, 24)),
+             *(_random_state((2, 2, 2), rng) for _ in range(3))]
     reps = norm_minimization_flows(batch, max_iters=400, tol=1e-8)
     assert reps == [_reference_flow(v, max_iters=400, tol=1e-8) for v in batch]
     assert reps[0].final_norm_sq < 1e-3 and not reps[0].converged
@@ -482,6 +505,13 @@ def test_flows_match_reference_loop_per_state():
     reps = norm_minimization_flows(batch, step=1e-15)
     assert reps == [_reference_flow(v, step=1e-15) for v in batch]
     assert all(r.iterations == 1 and len(r.norm_trace) == 1 for r in reps)
+    # sites of dimension 1: a (1, 3) state is a product state, so its norm
+    # collapses; a generic (3, 1, 3) state flows to a critical one
+    for dims, converged in (((1, 3), False), ((3, 1, 3), True)):
+        batch = [_random_state(dims, rng) for _ in range(3)]
+        reps = norm_minimization_flows(batch, max_iters=400, tol=1e-8)
+        assert reps == [_reference_flow(v, max_iters=400, tol=1e-8) for v in batch]
+        assert [r.converged for r in reps] == [converged] * 3
 
 
 def test_flows_batch_edges():
@@ -489,16 +519,19 @@ def test_flows_batch_edges():
     assert norm_minimization_flows(starts[:1], tol=1e-8) == [
         norm_minimization_flow(starts[0], tol=1e-8)]
     assert norm_minimization_flows([]) == []
-    k001 = FloatState.from_exact(catalog.ket("001", 2, 24))
+    k001 = from_exact(catalog.ket("001", 2, 24))
     with pytest.raises(ValueError, match="share dims"):
         norm_minimization_flows([starts[0], k001])
+    # one (S, *dims) stack is the sequence of its rows
+    assert norm_minimization_flows(np.array(starts), tol=1e-8) == norm_minimization_flows(
+        starts, tol=1e-8)
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": math.nan}, {"tol": math.inf}, {"tol": -1.0},
                                     {"step": math.nan}, {"step": math.inf}, {"step": 0.0},
                                     {"max_iters": 0}])
 def test_flows_reject_bad_parameters(kwargs):
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     with pytest.raises(ValueError):
         norm_minimization_flows([phi], **kwargs)
     with pytest.raises(ValueError):
@@ -508,22 +541,28 @@ def test_flows_reject_bad_parameters(kwargs):
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0])
 def test_is_critical_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
-        is_critical(FloatState.from_exact(catalog.ame_state()), tol)
+        is_critical(from_exact(catalog.ame_state()), tol)
 
 
 def test_is_critical_matches_reference_loop():
     rng = np.random.default_rng(11)
-    states = [FloatState.from_exact(catalog.ame_state()),
-              FloatState.from_exact(catalog.ket("000", 3, 12)),
-              *(FloatState.random(dims, rng)
+    states = [from_exact(catalog.ame_state()),
+              from_exact(catalog.ket("000", 3, 12)),
+              *(_random_state(dims, rng)
                 for dims in ((2, 2, 2), (3, 3, 3), (3, 3, 3, 3), (9, 2)) for _ in range(3))]
-    states += [apply_sitewise([_random_unitaries(d, rng, 1)[0] for d in base.dims], base)
+    states += [apply_sitewise([_random_unitaries(d, rng, 1)[0] for d in base.shape], base)
                for base in critical_state_pool()]
+    # an inner dimension of 1 in the reductions (the rest of a one-site
+    # state) and sites of dimension 1, which have no traceless directions;
+    # the second (3, 1, 3) state is maximally entangled across the other two
+    states += [_random_state((3,), rng), _random_state((1, 3), rng),
+               _random_state((3, 1, 3), rng), np.eye(3, dtype=complex).reshape(3, 1, 3)]
+    assert is_critical(states[-1]).critical and not is_critical(states[-3]).critical
     for v in states:
         for tol in (1e-8, 1e-6):
             assert is_critical(v, tol) == _reference_is_critical(v, tol)
-        assert all(np.array_equal(a, b) for a, b in zip(
-            site_reductions(v), _reference_site_reductions(v)))
+        assert all(np.array_equal(a[0], b) for a, b in zip(
+            _reductions(v[None]), _reference_site_reductions(v)))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -552,7 +591,7 @@ class _CountingGenerator:
         return counted
 
 
-@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 2), (3, 2, 4, 2), (2,)])
+@pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 3, 2), (3, 2, 4, 2), (2,), (1, 3)])
 def test_sampler_draws_in_bulk_per_site_dimension(dims):
     rng = _CountingGenerator(np.random.default_rng(0))
     stacks = random_group_elements(dims, rng, 100)
@@ -653,7 +692,7 @@ def test_row_norms_and_residuals_are_those_of_a_stack_of_one(rows, dims):
 
 
 def test_empty_draws():
-    phi = FloatState.from_exact(catalog.ame_state())
+    phi = from_exact(catalog.ame_state())
     assert gradient_check(pairs=0) == GradientReport(0, 0.0, 0.0)
     assert kempf_ness_inequality_test(phi, samples=0).min_ratio == np.inf
     assert criticality_equivalence(0) == EquivalenceReport(0, 0, [])

@@ -20,8 +20,8 @@ def test_identity_and_shape():
     i3 = Matrix.identity(3, 12)
     assert i3.shape == (3, 3)
     assert i3.is_identity()
-    assert not Matrix.zeros(2, 2, 12).is_identity()
-    assert Matrix.zeros(2, 3, 12).shape == (2, 3)
+    assert not Matrix(12, [[0] * 2] * 2).is_identity()
+    assert Matrix(12, [[0] * 3] * 2).shape == (2, 3)
 
 
 def test_product_and_inverse():
@@ -33,7 +33,7 @@ def test_product_and_inverse():
         assert (m * m.inv()).is_identity()
         assert (m.inv() * m).is_identity()
     with pytest.raises(ZeroDivisionError):
-        Matrix.zeros(2, 2, 12).inv()
+        Matrix(12, [[0] * 2] * 2).inv()
 
 
 def test_det_multiplicative():

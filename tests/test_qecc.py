@@ -134,7 +134,7 @@ def test_distance(code332):
     # qubit span{|000>,|111>}: a single-site phase error distinguishes
     code = CodeSubspace(3, 2, [catalog.ket("000", 2, N2), catalog.ket("111", 2, N2)])
     assert distance(code) == 1
-    z1 = catalog.pauli_product(2, N2, [(0, 1), (0, 0), (0, 0)])
+    z1 = LocalOperator(N2, 1, [catalog.pauli_power(2, N2, a, b) for a, b in [(0, 1), (0, 0), (0, 0)]])
     d00 = inner(code.basis[0], apply(z1, code.basis[0]))
     d11 = inner(code.basis[1], apply(z1, code.basis[1]))
     assert d00 != d11  # the weight-1 violation the sweep must find

@@ -13,13 +13,13 @@ from amecode.qecc import CodeSubspace
 
 
 def test_shipped_files_ingest_and_match_catalog():
-    assert ser.load_shipped("phi.state") == catalog.ame_state(normalized=True)
-    assert ser.load_shipped("c332.code").span_equal(catalog.code_332())
-    assert ser.load_shipped("weyl-generators.ops") == list(weyl_generators())
-    assert ser.load_shipped("fig1-generators.ops") == list(
-        catalog.local_symmetry_generators())
-    assert ser.load_shipped("coset-reps.ops") == list(
-        catalog.coset_representatives())
+    def shipped(name):
+        return ser.ingest(ser.shipped_path(name))
+    assert shipped("phi.state") == catalog.ame_state(normalized=True)
+    assert shipped("c332.code").span_equal(catalog.code_332())
+    assert shipped("weyl-generators.ops") == list(weyl_generators())
+    assert shipped("fig1-generators.ops") == list(catalog.local_symmetry_generators())
+    assert shipped("coset-reps.ops") == list(catalog.coset_representatives())
     # each carries a top-level description, the one field no reader reads
     for name in ser.SHIPPED:
         assert "description" in json.loads(ser.shipped_path(name).read_text())
@@ -95,7 +95,7 @@ def test_ingest_rejects_conductor_mismatch(tmp_path):
 def test_shipped_files_roundtrip(tmp_path):
     # ingest -> serialize -> ingest yields equal objects
     for name in ser.SHIPPED:
-        obj = ser.load_shipped(name)
+        obj = ser.ingest(ser.shipped_path(name))
         p = tmp_path / name
         ser.dump(obj, p)
         again = ser.ingest(p)
@@ -169,6 +169,7 @@ def _operator(factors) -> dict:
      r"\$\.amps\[2\]\.coeffs: need 4 coefficients"),
     (lambda d: d.__setitem__("conductor", 10 ** 6), r"\$\.conductor: 1000000 is outside"),
     (lambda d: d.__setitem__("dims", [3, 3, "3", 3]), r"\$\.dims\[2\]: expected an integer"),
+    (lambda d: d.update(dims=[], amps=d["amps"][:1]), r"\$\.dims: expected at least one site"),
     (lambda d: d.__delitem__("amps"), r"\$: missing field 'amps'"),
     (lambda d: d["amps"][0].__setitem__("conductor", 24),
      r"\$\.amps\[0\]\.conductor: 24 differs"),
@@ -185,7 +186,7 @@ def _operator(factors) -> dict:
                 "operators": [dict(_operator([[[_ONE]]]), format="matrix")]},
      r"\$\.operators\[0\]\.format: expected 'operator', got 'matrix'"),
 ], ids=["top-level-list", "zero-denominator", "bare-int", "exponent", "too-few-coeffs",
-        "huge-conductor", "string-dim", "missing-field", "mixed-conductor",
+        "huge-conductor", "string-dim", "no-sites", "missing-field", "mixed-conductor",
         "non-square-factor", "no-factors", "empty-matrix",
         "nested-description", "scalar-format", "nested-format"])
 def test_ingest_names_the_json_path(tmp_path, edit, where):

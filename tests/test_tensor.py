@@ -77,6 +77,11 @@ def _random_operator(rng, n, dims):
     return LocalOperator(n, _random_cyc(rng, n), factors)
 
 
+def _pauli_product(exponents):
+    """The qutrit product of X^a Z^b factors, one (a, b) pair per site."""
+    return LocalOperator(N, 1, [catalog.pauli_power(3, N, a, b) for a, b in exponents])
+
+
 def test_inner_products_of_code_basis(phi_rowform):
     s1, s2, s3 = catalog.code_basis()
     assert inner(s1, s1) == 1
@@ -122,8 +127,8 @@ def test_apply_respects_composition():
     for _ in range(25):
         exps = [(rng.randrange(3), rng.randrange(3)) for _ in range(3)]
         exps2 = [(rng.randrange(3), rng.randrange(3)) for _ in range(3)]
-        g = catalog.pauli_product(3, N, exps)
-        h = catalog.pauli_product(3, N, exps2)
+        g = _pauli_product(exps)
+        h = _pauli_product(exps2)
         assert apply(g, apply(h, v)) == apply(g * h, v)
 
 
@@ -218,7 +223,7 @@ def test_operator_weight():
 def test_to_dense_matches_apply():
     rng = random.Random(3)
     exps = [(1, 2), (0, 1)]
-    g = catalog.pauli_product(3, N, exps)
+    g = _pauli_product(exps)
     dense = g.to_dense()
     v = catalog.ket("12", 3, N) + catalog.ket("01", 3, N).scale(2)
     direct = apply(g, v)
@@ -284,7 +289,7 @@ def test_kernel_conductor_24_qubit_code():
 
 
 def test_kernel_conductor_36_special_unitary_factors():
-    basis = [u.embed(36) for u in catalog.code_basis()]
+    basis = catalog.code_basis(36)
     for trip in catalog.coset_representative_su_factors(36):
         g = LocalOperator(36, 1, list(trip))
         for u in basis:
@@ -602,8 +607,8 @@ def test_partial_trace_large_numerators_stay_exact():
                               for _ in range(9)])
     for keep in ({1}, {2}, {1, 2}):
         assert partial_trace(v, keep) == reference_partial_trace(v, keep)
-    assert gram([v, v.conj()]) == [[reference_inner(a, b) for b in (v, v.conj())]
-                                   for a in (v, v.conj())]
+    w = PureState(N, v.dims, [a.conj() for a in v.amps])
+    assert gram([v, w]) == [[reference_inner(a, b) for b in (v, w)] for a in (v, w)]
 
 
 def test_gram_matches_inner():
