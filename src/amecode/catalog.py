@@ -9,8 +9,11 @@ three-site product operators, and the five four-site generators of the
 local symmetry group of the state.
 
 The states (the perfect tensor in either normalization and the three code
-basis vectors) are built once per conductor in a process and shared:
-PureState is immutable, so every caller may hold the same object.
+basis vectors) and the operators (the Pauli matrices and their powers, the
+two stabilizer generators, the three coset representatives and the five
+local-symmetry generators) are built once per argument tuple in a process
+and shared: PureState, Matrix and LocalOperator are immutable, so every
+caller may hold the same object.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .linalg import Matrix
 from .tensor import LocalOperator, PureState
 
 
+@cache
 def pauli_x(d: int, n: int) -> Matrix:
     """Cyclic shift X|i> = |i+1 mod d>."""
     zero, one = Cyclotomic.zero(n), Cyclotomic.one(n)
@@ -30,6 +34,7 @@ def pauli_x(d: int, n: int) -> Matrix:
                       for i in range(d)])
 
 
+@cache
 def pauli_z(d: int, n: int) -> Matrix:
     """Phase Z|i> = xi^i |i> with xi = zeta_d."""
     if n % d != 0:
@@ -39,6 +44,7 @@ def pauli_z(d: int, n: int) -> Matrix:
                        for j in range(d)] for i in range(d)])
 
 
+@cache
 def pauli_power(d: int, n: int, a: int, b: int) -> Matrix:
     """X^a Z^b on one site."""
     m = Matrix.identity(d, n)
@@ -50,10 +56,12 @@ def pauli_power(d: int, n: int, a: int, b: int) -> Matrix:
     return m
 
 
+@cache
 def xxx(d: int, sites: int, n: int) -> LocalOperator:
     return LocalOperator(n, 1, [pauli_x(d, n)] * sites)
 
 
+@cache
 def zzz(d: int, sites: int, n: int) -> LocalOperator:
     return LocalOperator(n, 1, [pauli_z(d, n)] * sites)
 
@@ -153,7 +161,12 @@ def _omega_circulant(n: int) -> Matrix:
 
 def coset_representatives(n: int = 12) -> tuple[LocalOperator, ...]:
     """Three-site product unitaries whose restrictions to the code are the
-    three reflection generators."""
+    three reflection generators; built once per conductor in a process."""
+    return _coset_representatives(n)
+
+
+@cache
+def _coset_representatives(n: int) -> tuple[LocalOperator, ...]:
     w = root_of_unity(n // 3, n)
     w2 = w * w
     one = Cyclotomic.one(n)
@@ -198,7 +211,13 @@ def local_symmetry_generators(n: int = 12) -> tuple[LocalOperator, ...]:
     """Five four-site product unitaries generating the symmetry group of the
     perfect tensor: identity tensored with the two three-site stabilizer
     generators, plus the conjugated gate action paired with each coset
-    representative.  See groups.local_symmetry_group for the order count."""
+    representative.  See groups.local_symmetry_group for the order count.
+    Built once per conductor in a process."""
+    return _local_symmetry_generators(n)
+
+
+@cache
+def _local_symmetry_generators(n: int) -> tuple[LocalOperator, ...]:
     w = root_of_unity(n // 3, n)
     w2 = w * w
     one = Cyclotomic.one(n)

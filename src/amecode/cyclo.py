@@ -161,11 +161,11 @@ class Cyclotomic:
 
     @classmethod
     def zero(cls, n: int) -> Cyclotomic:
-        return cls.from_rational(n, 0)
+        return _integer(n, 0)
 
     @classmethod
     def one(cls, n: int) -> Cyclotomic:
-        return cls.from_rational(n, 1)
+        return _integer(n, 1)
 
     # -- helpers -----------------------------------------------------
 
@@ -209,9 +209,17 @@ class Cyclotomic:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if not any(b[1:]):  # o is rational: scale a; o == 1 leaves self
+            if b[0] == o.den:
+                return self
+            return Cyclotomic(self.n, [ai * b[0] for ai in a], self.den * o.den)
+        if not any(a[1:]):
+            if a[0] == self.den:
+                return o
+            return Cyclotomic(self.n, [a[0] * bj for bj in b], self.den * o.den)
         f = _field(self.n)
         deg = f.degree
-        a, b = self.coeffs, o.coeffs
         conv = [0] * (2 * deg - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -268,18 +276,9 @@ class Cyclotomic:
         return self.galois(self.n - 1)
 
     def inv(self) -> Cyclotomic:
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        f = _field(self.n)
-        prod = Cyclotomic.one(self.n)
-        for a in f.units:
-            if a != 1:
-                prod = prod * self.galois(a)
-        norm = self * prod
-        if any(norm.coeffs[1:]):
-            raise ArithmeticError("field norm failed to land in Q")
-        r = Fraction(norm.coeffs[0], norm.den)
-        return prod * Cyclotomic.from_rational(self.n, 1 / r)
+        """1/self, computed once per distinct element in a process, up to
+        the cache's bound; ZeroDivisionError for zero."""
+        return _inv(self)
 
     # -- predicates and conversions -----------------------------------
 
@@ -384,6 +383,29 @@ class Cyclotomic:
         if self.den != 1:
             body = f"({body})/{self.den}"
         return f"Cyc{self.n}[{body}]"
+
+
+@lru_cache(maxsize=None)
+def _integer(n: int, k: int) -> Cyclotomic:
+    """k in Q(zeta_n), built once per conductor for 0 and 1."""
+    return Cyclotomic.from_rational(n, k)
+
+
+@lru_cache(maxsize=1 << 12)
+def _inv(c: Cyclotomic) -> Cyclotomic:
+    """1/c as the product of its other Galois conjugates over its field
+    norm, a rational."""
+    if c.is_zero():
+        raise ZeroDivisionError("inverse of zero")
+    prod = Cyclotomic.one(c.n)
+    for a in _field(c.n).units:
+        if a != 1:
+            prod = prod * c.galois(a)
+    norm = c * prod
+    if any(norm.coeffs[1:]):
+        raise ArithmeticError("field norm failed to land in Q")
+    r = Fraction(norm.coeffs[0], norm.den)
+    return prod * Cyclotomic.from_rational(c.n, 1 / r)
 
 
 # -- module-level constructors -------------------------------------------

@@ -661,6 +661,14 @@ def mu_matrix(g: LocalOperator, code) -> Matrix:
     return Matrix(g.n, table)
 
 
+@lru_cache(maxsize=64)
+def _code_restriction(g: LocalOperator) -> Matrix:
+    """mu_matrix of the three-site operator g on the ((3,3,2))_3 code of its
+    conductor, computed once per distinct operator in a process: the checks
+    that restrict the five normalizer generators share it."""
+    return mu_matrix(g, catalog.code_332(g.n))
+
+
 @dataclass
 class CosetReport:
     restriction_matches: list[bool]
@@ -673,13 +681,12 @@ def verify_coset_representatives(n: int = 12) -> CosetReport:
     generator exactly, and that each admits an exact per-site factorization
     into special-unitary matrices, materialized at lcm(n, 36), the smallest
     conductor holding both the representatives and zeta_36."""
-    code = catalog.code_332(n)
     targets = weyl_generators(n)
     reps = catalog.coset_representatives(n)
     matches, sus, mismatches = [], [], []
     for i, (q, r) in enumerate(zip(reps, targets), 1):
         try:
-            m = mu_matrix(q, code)
+            m = _code_restriction(q)
         except NotInNormalizer as exc:
             matches.append(False)
             mismatches.append(f"rep {i}: {exc}")
@@ -704,11 +711,10 @@ def transversal_group(n: int = 12) -> MatrixGroup:
     """Closure of the restrictions to the ((3,3,2))_3 code of the two
     stabilizer generators and the three coset representatives; equals the
     reflection group."""
-    code = catalog.code_332(n)
     lifts = [catalog.xxx(3, 3, n), catalog.zzz(3, 3, n), *catalog.coset_representatives(n)]
     images = []
     for g in lifts:
-        m = mu_matrix(g, code)
+        m = _code_restriction(g)
         if m not in images:
             images.append(m)
     return closure(images, cap=6480)
@@ -771,10 +777,9 @@ def local_symmetry_report(n: int = 12) -> LocalSymmetryReport:
     image, fibres and kernel are read off exactly; the kernel is compared
     with the central scalars w^k * I as a set."""
     phi = catalog.ame_state(n, normalized=False)
-    code = catalog.code_332(n)
     group = local_symmetry_group(n)
     norm = normalizer_group_332(n)
-    lifts = [LocalOperator(n, a.scalar, [mu_matrix(a, code).conj(), *a.factors])
+    lifts = [LocalOperator(n, a.scalar, [_code_restriction(a).conj(), *a.factors])
              for a in norm.generators]
     lift = homomorphism(norm, group, lifts)
     image, fibres, kernel = image_fibres_kernel(norm, lift)
@@ -833,8 +838,7 @@ def centralizer_containment_check(n: int = 12) -> CentralizerReport:
     basis = catalog.code_basis(n)
     norm = normalizer_group_332(n)
     weyl = weyl_group(n)
-    code = catalog.code_332(n)
-    mu = homomorphism(norm, weyl, [mu_matrix(a, code) for a in norm.generators])
+    mu = homomorphism(norm, weyl, [_code_restriction(a) for a in norm.generators])
     image, fibres, kernel = image_fibres_kernel(norm, mu)
     return CentralizerReport(
         order=group.order,

@@ -72,20 +72,24 @@ class Matrix:
         rb, cb = other.shape
         if ca != rb:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        bt = list(zip(*other.rows))
+        # each entry sums a[i][k] * b[k][j] over the k where both are nonzero,
+        # in increasing k
+        rows = [[(k, a) for k, a in enumerate(row) if a] for row in self.rows]
+        cols = [{k: b for k, b in enumerate(col) if b} for col in zip(*other.rows)]
+        zero = Cyclotomic.zero(self.n)
         out = []
-        for row in self.rows:
+        for row in rows:
             orow = []
-            for col in bt:
+            for col in cols:
                 acc = None
-                for a, b in zip(row, col):
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    t = a * b
-                    acc = t if acc is None else acc + t
-                orow.append(acc if acc is not None else Cyclotomic.zero(self.n))
-            out.append(orow)
-        return Matrix(self.n, out)
+                for k, a in row:
+                    b = col.get(k)
+                    if b is not None:
+                        t = a * b
+                        acc = t if acc is None else acc + t
+                orow.append(zero if acc is None else acc)
+            out.append(tuple(orow))
+        return Matrix._from_rows(self.n, tuple(out))
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -104,7 +108,7 @@ class Matrix:
 
     def scale(self, c) -> Matrix:
         c = self._as_cyc(self.n, c)
-        return Matrix(self.n, [[c * a for a in r] for r in self.rows])
+        return Matrix._from_rows(self.n, tuple(tuple(c * a for a in r) for r in self.rows))
 
     def conj(self) -> Matrix:
         return Matrix(self.n, [[a.conj() for a in r] for r in self.rows])

@@ -12,7 +12,9 @@ each coefficient string is parsed once, and each distinct scalar is
 validated and built once, so a state of 81 amplitudes with 2 distinct
 values builds 2 field elements.  States are read as amplitudes, not
 packed: a common denominator of many distinct ones can run to thousands
-of digits.
+of digits.  Writing pays once per distinct value too: `dumps` lays a
+document out as json's indented form would and renders each distinct
+scalar once per nesting depth.
 """
 
 from __future__ import annotations
@@ -290,27 +292,31 @@ def scalar_to_dict(c: Cyclotomic) -> dict:
                                          for g in [gcd(a, c.den)]]}
 
 
-def _entries(m: Matrix) -> list:
-    return [[scalar_to_dict(e) for e in row] for row in m.rows]
-
-
 def to_dict(obj) -> dict:
     """The document of a state, operator, matrix or code, or of a list of
     operators or of matrices."""
+    return _document(obj, scalar_to_dict)
+
+
+def _document(obj, scalar) -> dict:
+    """to_dict's document with scalar(c) in place of each field element c."""
+    def entries(m: Matrix) -> list:
+        return [[scalar(e) for e in row] for row in m.rows]
+
     if isinstance(obj, PureState):
         return {"format": "state", "dims": list(obj.dims), "conductor": obj.n,
-                "amps": [scalar_to_dict(a) for a in obj.amps]}
+                "amps": [scalar(a) for a in obj.amps]}
     if isinstance(obj, LocalOperator):
-        return {"format": "operator", "conductor": obj.n,
-                "scalar": scalar_to_dict(obj.scalar),
-                "factors": [_entries(f) for f in obj.factors]}
+        return {"format": "operator", "conductor": obj.n, "scalar": scalar(obj.scalar),
+                "factors": [entries(f) for f in obj.factors]}
     if isinstance(obj, Matrix):
-        return {"format": "matrix", "conductor": obj.n, "entries": _entries(obj)}
+        return {"format": "matrix", "conductor": obj.n, "entries": entries(obj)}
     if isinstance(obj, CodeSubspace):
         return {"format": "code", "n": obj.n_sites, "D": obj.local_dim,
-                "claimed_d": obj.claimed_d, "basis": [to_dict(v) for v in obj.basis]}
+                "claimed_d": obj.claimed_d,
+                "basis": [_document(v, scalar) for v in obj.basis]}
     if isinstance(obj, (list, tuple)):
-        items = [to_dict(o) for o in obj]
+        items = [_document(o, scalar) for o in obj]
         kinds = {i["format"] for i in items}
         if kinds == {"operator"}:
             return {"format": "operator-list", "operators": items}
@@ -325,7 +331,44 @@ def dump(obj, path) -> None:
 
 
 def dumps(obj) -> str:
-    return json.dumps(to_dict(obj), indent=1, sort_keys=True) + "\n"
+    """json.dumps(to_dict(obj), indent=1, sort_keys=True) + "\n", byte for
+    byte.  The document is laid out here rather than by json, whose indented
+    form has no C encoder, and each distinct field element is rendered once
+    per nesting depth; keys and leaves are encoded by json.dumps."""
+    out: list[str] = []
+    _write(_document(obj, lambda c: c), 0, out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, depth: int, out: list, rendered: dict) -> None:
+    """Append value, a document whose field elements are left as
+    Cyclotomic, to out as json.dumps with indent=1 and sorted keys lays it
+    out at this nesting depth; rendered maps (element, depth) to its text."""
+    if isinstance(value, Cyclotomic):
+        key = (value, depth)
+        text = rendered.get(key)
+        if text is None:
+            part: list[str] = []
+            _write(scalar_to_dict(value), depth, part, rendered)
+            text = rendered[key] = "".join(part)
+        out.append(text)
+    elif isinstance(value, dict) and value:
+        sep = "{\n" + " " * (depth + 1)
+        for key in sorted(value):
+            out.append(sep + json.dumps(key) + ": ")
+            _write(value[key], depth + 1, out, rendered)
+            sep = ",\n" + " " * (depth + 1)
+        out.append("\n" + " " * depth + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "[\n" + " " * (depth + 1)
+        for item in value:
+            out.append(sep)
+            _write(item, depth + 1, out, rendered)
+            sep = ",\n" + " " * (depth + 1)
+        out.append("\n" + " " * depth + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _digits(k: int) -> int:

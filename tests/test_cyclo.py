@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 from pathlib import Path
 
 import pytest
@@ -85,6 +85,61 @@ def test_field_inverse_and_division():
             assert (b / a) * a == b
     with pytest.raises(ZeroDivisionError):
         Cyclotomic.zero(12).inv()
+
+
+def _galois_norm_inverse(c):
+    """1/c as the product of its conjugates other than c over the field
+    norm, computed here without the memo."""
+    n = c.n
+    conjugates = Cyclotomic.one(n)
+    for a in range(2, n):
+        if gcd(a, n) == 1:
+            conjugates = conjugates * c.galois(a)
+    norm = (c * conjugates).as_fraction()
+    return conjugates * Cyclotomic.from_rational(n, 1 / norm)
+
+
+def test_memoized_inverse_matches_the_galois_norm():
+    rng = random.Random(7)
+    for n in (12, 24, 36):
+        for _ in range(20):
+            a = rand_elem(n, rng, height=10 ** 12)
+            if a.is_zero():
+                continue
+            want = _galois_norm_inverse(a)
+            assert a.inv() == want and a.inv() == want  # the second from the memo
+            assert Cyclotomic(n, a.coeffs, a.den).inv() == want  # an equal element
+        for k in range(n):
+            z = root_of_unity(k, n)
+            assert z.inv() == z.conj() == _galois_norm_inverse(z)
+
+
+def test_inverse_of_zero_raises_every_time():
+    for n in (12, 24):
+        for _ in range(3):
+            with pytest.raises(ZeroDivisionError):
+                Cyclotomic.zero(n).inv()
+            with pytest.raises(ZeroDivisionError):
+                Cyclotomic(n, [0] * euler_phi(n), 7).inv()
+
+
+def test_products_with_a_rational_factor_match_the_general_product():
+    # a rational operand takes a shortcut; r * a = (r + z) * a - z * a with
+    # z = zeta_n, whose two products take the general path
+    rng = random.Random(3)
+    for n in (12, 24):
+        z = root_of_unity(1, n)
+        for q in (Fraction(0), Fraction(1), Fraction(-1), Fraction(-7, 3), Fraction(10 ** 30, 11)):
+            r = Cyclotomic.from_rational(n, q)
+            for _ in range(5):
+                a = rand_elem(n, rng)
+                if a.is_rational():
+                    continue
+                want = (r + z) * a - z * a
+                assert r * a == a * r == want
+        one = Cyclotomic.one(n)
+        a = rand_elem(n, rng)
+        assert one * a is a and a * one is a
 
 
 def test_conductor_mismatch_rejected():

@@ -489,6 +489,45 @@ def test_fixed_objects_are_built_once_per_process():
     assert normalizer_group_332() is normalizer_group_332(12)
 
 
+def test_catalog_operators_are_built_once_per_conductor():
+    for f in (catalog.coset_representatives, catalog.local_symmetry_generators):
+        assert f() is f(12)
+        assert f(24) is f(24) and f(24) is not f(12)
+        # the operators of conductor 24 are those of 12, embedded
+        assert f(24) == tuple(g.embed(24) for g in f(12))
+    def embed(m):
+        if isinstance(m, LocalOperator):
+            return m.embed(24)
+        return Matrix(24, [[e.embed(24) for e in row] for row in m.rows])
+
+    for f in (lambda n: catalog.pauli_x(3, n), lambda n: catalog.pauli_z(3, n),
+              lambda n: catalog.pauli_power(3, n, 1, 2), lambda n: catalog.xxx(3, 3, n),
+              lambda n: catalog.zzz(3, 3, n)):
+        assert f(12) is f(12)
+        assert f(24) is not f(12)
+        assert f(24) == embed(f(12))
+    x, z = catalog.pauli_x(3, N), catalog.pauli_z(3, N)
+    assert catalog.pauli_power(3, N, 1, 2) == z * z * x
+
+
+def test_suite_all_restricts_each_normalizer_generator_once(monkeypatch):
+    # mu of the two stabilizer generators and the three coset representatives
+    # is shared by the coset, transversal, centralizer and symmetry checks
+    calls = []
+    real = groups.mu_matrix
+
+    def counted(g, code):
+        calls.append(g)
+        return real(g, code)
+
+    groups._code_restriction.cache_clear()
+    monkeypatch.setattr(groups, "mu_matrix", counted)
+    suites.run_suite("all", 1)
+    assert len(calls) == 5
+    assert set(calls) == {catalog.xxx(3, 3, N), catalog.zzz(3, 3, N),
+                          *catalog.coset_representatives(N)}
+
+
 def test_coset_su_factors_exact():
     # independent oracle: determinant and unitarity of each factor at 36
     for trip, q in zip(catalog.coset_representative_su_factors(),

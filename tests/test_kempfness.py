@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,8 @@ def _reference_gradient_check(seed, pairs, h=1e-5, dims=(3, 3, 3)):
         f0 = np.log(_reference_norm_sq(psi))
         for k, (d, rho) in enumerate(zip(dims, _reference_site_reductions(psi))):
             basis = _gell_mann_cached(d)
+            if not len(basis):  # a site of dimension 1 has no direction
+                continue
             analytic = np.array([2.0 * _reference_expectation(rho, lam).real for lam in basis])
             fd = np.zeros(len(basis))
             for a, lam in enumerate(basis):
@@ -461,6 +464,18 @@ def test_gradient_check_matches_reference_loop():
         assert gradient_check(seed=seed, pairs=8) == _reference_gradient_check(seed, 8)
     assert (gradient_check(seed=1, pairs=5, dims=(2, 3))
             == _reference_gradient_check(1, 5, dims=(2, 3)))
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (3, 1, 3)])
+def test_gradient_check_on_a_site_of_dimension_one(dims):
+    # the site of dimension 1 has no Gell-Mann direction and is skipped; the
+    # others are checked as on any state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = gradient_check(seed=1, pairs=5, dims=dims)
+    assert rep == _reference_gradient_check(1, 5, dims=dims)
+    assert 0 < rep.max_rel_error < 1e-5
+    assert rep.max_antihermitian_derivative < 1e-6
 
 
 def test_flow_matches_reference_loop():

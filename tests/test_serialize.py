@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from amecode import catalog
 from amecode import serialize as ser
-from amecode.cyclo import Cyclotomic, euler_phi
+from amecode.cyclo import Cyclotomic, euler_phi, root_of_unity
 from amecode.groups import weyl_generators
+from amecode.linalg import Matrix
 from amecode.qecc import CodeSubspace
+from amecode.tensor import LocalOperator, PureState, apply
 
 
 def test_shipped_files_ingest_and_match_catalog():
@@ -117,6 +120,109 @@ def test_describe():
     assert "norm^2 = 1" in ser.describe(catalog.ame_state())
     assert "K=3" in ser.describe(catalog.code_332())
     assert "list of 3" in ser.describe(list(weyl_generators()))
+
+
+# -- the writer ----------------------------------------------------------------
+
+
+def _indented(obj) -> str:
+    """The bytes dumps promises: json's own indented layout of to_dict."""
+    return json.dumps(ser.to_dict(obj), indent=1, sort_keys=True) + "\n"
+
+
+def _long(n, rng, digits):
+    """A field element with signed coefficients of about `digits` digits."""
+    top = 10 ** digits
+    return Cyclotomic(n, [rng.randint(-top, top) for _ in range(euler_phi(n))],
+                      rng.randint(1, top))
+
+
+def _long_state(n):
+    # a few distinct long values, negative rationals among them, repeated
+    rng = random.Random(n)
+    values = [_long(n, rng, 40) for _ in range(4)]
+    values += [Cyclotomic.from_rational(n, Fraction(-(10 ** 50) - 1, 3)), Cyclotomic.zero(n)]
+    return PureState(n, (3, 3), [rng.choice(values) for _ in range(9)])
+
+
+def _shared_scalar_operator(n):
+    # the scalar w is also a factor entry: one value at depths 1 and 4
+    w = root_of_unity(n // 3, n)
+    one, zero = Cyclotomic.one(n), Cyclotomic.zero(n)
+    return LocalOperator(n, w, [Matrix(n, [[one, zero], [zero, w]]),
+                                Matrix(n, [[one, w], [w, -one]])], _canonical=True)
+
+
+def _long_matrices(n):
+    rng = random.Random(n + 1)
+    return [Matrix(n, [[_long(n, rng, 30), -_long(n, rng, 60)], [Cyclotomic.one(n), -1]]),
+            *weyl_generators(n)]
+
+
+_WRITER_CASES = {}
+for _n in (12, 24, 36):
+    _WRITER_CASES.update({
+        f"state-{_n}": lambda n=_n: catalog.ame_state(n),
+        f"long-state-{_n}": lambda n=_n: _long_state(n),
+        f"code-{_n}": lambda n=_n: catalog.code_332(n),
+        f"operator-{_n}": lambda n=_n: catalog.coset_representatives(n)[1],
+        f"shared-scalar-operator-{_n}": lambda n=_n: _shared_scalar_operator(n),
+        f"matrix-{_n}": lambda n=_n: weyl_generators(n)[1],
+        f"operator-list-{_n}": lambda n=_n: [*catalog.local_symmetry_generators(n),
+                                              _shared_scalar_operator(n)],
+        f"matrix-list-{_n}": lambda n=_n: _long_matrices(n),
+    })
+_WRITER_CASES["code-without-claimed-d"] = lambda: CodeSubspace(3, 3, catalog.code_332().basis)
+_WRITER_CASES["operator-tuple"] = lambda: catalog.coset_representatives()
+
+
+@pytest.mark.parametrize("name", sorted(_WRITER_CASES))
+def test_dumps_is_the_indented_json_dumps(name):
+    obj = _WRITER_CASES[name]()
+    assert ser.dumps(obj) == _indented(obj)
+
+
+@pytest.mark.parametrize("name", ser.SHIPPED)
+def test_dumps_of_each_shipped_file_is_the_indented_json_dumps(name):
+    obj = ser.ingest(ser.shipped_path(name))
+    assert ser.dumps(obj) == _indented(obj)
+
+
+def _user_input_objects(seed):
+    """States and codes made as the benchmark's user-inputs files are: images
+    of the perfect tensor and of the code under seed-chosen words in the
+    monomial normalizer and symmetry generators, with the circulant coset
+    representative once in between."""
+    rng = random.Random(seed)
+
+    def word(gens):
+        g = rng.choice(gens)
+        for _ in range(5):
+            g = g * rng.choice(gens)
+        return g
+
+    q1, circulant, q3 = catalog.coset_representatives()
+    monomial = [catalog.xxx(3, 3, 12), catalog.zzz(3, 3, 12), q1, q3]
+    g1, g2, g3, _, g5 = catalog.local_symmetry_generators()
+    ident = catalog.pauli_power(3, 12, 0, 0)
+    out = []
+    for _ in range(2):
+        a = word(monomial) * circulant * word(monomial)
+        on_four = LocalOperator(12, a.scalar, [ident, *a.factors], _canonical=True)
+        out.append(apply(word([g1, g2, g3, g5]), apply(on_four, catalog.ame_state())))
+        a = word(monomial) * circulant * word(monomial)
+        out.append(CodeSubspace(3, 3, [apply(a, u) for u in catalog.code_332().basis],
+                                claimed_d=2))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dumps_of_user_input_files_is_the_indented_json_dumps(seed, tmp_path):
+    for i, obj in enumerate(_user_input_objects(seed)):
+        path = tmp_path / f"obj{i}.json"
+        ser.dump(obj, path)
+        assert path.read_text() == _indented(obj)
+        assert ser.dumps(ser.ingest(path)) == path.read_text()
 
 
 def test_shipped_path_unknown():
